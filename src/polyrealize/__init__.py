@@ -33,9 +33,11 @@ from .incidence import (
     IncidenceRelation,
     Maxbiclique,
     MaxbicliqueLattice,
+    PatternReport,
     SuperCycle,
     build_maxbiclique_lattice,
     check_diamond,
+    check_filled_incidence,
     check_flag_connected_local,
     dump_relation,
     enumerate_flags,
@@ -60,10 +62,8 @@ from .numkernel import (
 )
 from .realize import (
     FilledIncidenceMatrix,
-    PatternReport,
     Realization,
     RealizabilityVerdict,
-    check_filled_incidence,
     cone_to_polytope_matrix,
     facet_vertex_matrix,
     grunbaum_oracle,

@@ -37,11 +37,11 @@ from .gramian import (
 )
 from .incidence import (
     DEFAULT_FLAG_CAP,
+    REASON_DIAMOND,
+    REASON_RANK,
     IncidenceRelation,
-    build_maxbiclique_lattice,
-    check_diamond,
-    check_flag_connected_local,
-    lattice_rank,
+    check_filled_incidence,
+    lattice_gate,
     load_relation,
 )
 from .numkernel import (
@@ -54,7 +54,6 @@ from .realize import (
     FilledIncidenceMatrix,
     STATUS_INCONCLUSIVE,
     STATUS_REALIZED,
-    check_filled_incidence,
     cone_to_polytope_matrix,
     polytope_to_cone_matrix,
     realizability_check,
@@ -121,45 +120,41 @@ def _emit(report: dict, cfg: RunConfig) -> None:
     sys.stdout.write(text)
 
 
-def _lattice_report(rel: IncidenceRelation) -> tuple:
-    """(report dict, all conditions hold) for the combinatorial pipeline."""
+def _lattice_report(rel: IncidenceRelation, d) -> tuple:
+    """(report dict, all conditions hold) for the lattice gate.
+
+    A condition reads true only when the gate verified it; the lattice
+    rank condition appears only when d is given.
+    """
     report = {
         "facets": rel.n_facets,
         "vertices": rel.n_vertices,
         "incidences": len(rel.incident),
     }
-    reason = rel.degeneracy_reason()
-    if reason is not None:
+    try:
+        lat, _, reason = lattice_gate(rel, d)
+    except DegenerateRelationError as exc:
         report["conditions"] = {"nondegenerate": False}
-        report["reason"] = reason
+        report["reason"] = str(exc)
         return report, False
-    lat = build_maxbiclique_lattice(rel)
-    rank = lattice_rank(lat)
-    conditions = {"nondegenerate": True, "graded": rank is not None}
+    conditions = report["conditions"] = {"nondegenerate": True, "graded": lat.is_graded}
     report["lattice_size"] = len(lat)
-    if rank is None:
-        report["conditions"] = conditions
-        report["reason"] = "not-graded"
-        return report, False
-    report["lattice_rank"] = rank
-    report["rank_profile"] = list(lat.rank_profile())
-    conditions["diamond"] = check_diamond(lat)
-    conditions["flag_connected"] = (
-        check_flag_connected_local(lat) if conditions["diamond"] else False
-    )
-    report["conditions"] = conditions
-    ok = all(conditions.values())
-    if not ok:
-        report["reason"] = (
-            "diamond" if not conditions["diamond"] else "flag-connectivity"
-        )
-    return report, ok
+    if lat.is_graded:
+        report["lattice_rank"] = lat.rank
+        report["rank_profile"] = list(lat.rank_profile())
+        if d is not None:
+            conditions["lattice_rank"] = reason != REASON_RANK
+        conditions["diamond"] = reason not in (REASON_RANK, REASON_DIAMOND)
+        conditions["flag_connected"] = reason is None
+    if reason is not None:
+        report["reason"] = reason
+    return report, reason is None
 
 
 def cmd_check(args) -> int:
     cfg = RunConfig.from_args(args)
     rel = load_relation(args.relation)
-    report, ok = _lattice_report(rel)
+    report, ok = _lattice_report(rel, cfg.d)
     _emit(report, cfg)
     return EXIT_OK if ok else EXIT_REJECTED
 

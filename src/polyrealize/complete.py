@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incidence import IncidenceRelation
+from .incidence import IncidenceRelation, check_filled_incidence
+from .numkernel import numeric_rank
 
 STATUS_FOUND = "found"
 STATUS_NOT_FOUND = "not_found"
@@ -58,13 +59,6 @@ class CompletionResult:
     restart_index: int = -1
 
 
-def _mask_of(rel: IncidenceRelation) -> np.ndarray:
-    mask = np.zeros((rel.n_facets, rel.n_vertices), dtype=bool)
-    for i, j in rel.incident:
-        mask[i - 1, j - 1] = True
-    return mask
-
-
 def loss_and_gradient(H, W, problem: CompletionProblem):
     """Loss and exact gradients for the hinge-penalized completion objective.
 
@@ -73,7 +67,7 @@ def loss_and_gradient(H, W, problem: CompletionProblem):
     """
     H = np.asarray(H, dtype=float)
     W = np.asarray(W, dtype=float)
-    mask = _mask_of(problem.relation)
+    mask = problem.relation.mask
     ceiling = 1.0 - problem.margin
     P = H @ W
     err_on = np.where(mask, P - 1.0, 0.0)
@@ -97,7 +91,7 @@ def initialize_factors(problem: CompletionProblem, restart_index: int):
     n, m = rel.n_facets, rel.n_vertices
     rng = np.random.default_rng([problem.seed, restart_index])
     if restart_index == 0:
-        S = np.where(_mask_of(rel), 1.0, -1.0)
+        S = np.where(rel.mask, 1.0, -1.0)
         U, s, Vt = np.linalg.svd(S, full_matrices=False)
         k = min(d, len(s))
         root = np.sqrt(s[:k])
@@ -192,18 +186,11 @@ def _polish(H, W, problem, budget):
 
 def _validate(H, W, problem, rank_tol=1e-9):
     """Pattern check with slack margin/2 and exact-rank check for a candidate."""
-    from .realize import check_filled_incidence  # local import, avoids a cycle
-
     M = H @ W
     report = check_filled_incidence(
         M, problem.relation, 1.0, eq_tol=1e-7, slack_tol=problem.margin / 2.0
     )
-    if not report.ok:
-        return None
-    if not M.any():
-        return None
-    s = np.linalg.svd(M, compute_uv=False)
-    if int(np.count_nonzero(s > rank_tol * s[0])) != problem.d:
+    if not report.ok or numeric_rank(M, rank_tol) != problem.d:
         return None
     return M
 
@@ -218,7 +205,7 @@ def complete(problem: CompletionProblem) -> CompletionResult:
     1e-14 no later restart could improve it meaningfully.  If no restart
     validates, the best loss over all restarts is reported.
     """
-    mask = _mask_of(problem.relation)
+    mask = problem.relation.mask
     ceiling = 1.0 - problem.margin
     best_loss = float("inf")
     total_restarts = max(problem.max_restarts, 1)

@@ -25,18 +25,23 @@ class GaleDual:
 
     null_basis: m x (m - r), orthonormal basis of null(N) (the extra
         right singular vectors, in index order).
-    r_vectors: m x m, column j is the relation e_j - N+ N e_j.
-    coords: m x (m - r), row j holds the coordinates of generator j's
-        relation in the basis; pairwise inner products agree with the
-        full r_vectors.
+    r_vectors: m x m, column j is the relation e_j - N+ N e_j, the
+        projection of e_j onto null(N).
+    coords: the null_basis array itself, read as m x (m - r) Gale
+        vectors: row j holds the coordinates of generator j's relation
+        in the basis; pairwise inner products agree with the full
+        r_vectors.
     trivial: True when m = r, in which case the dual is empty.
     """
 
     null_basis: np.ndarray
     r_vectors: np.ndarray
-    coords: np.ndarray
     rank: int
     trivial: bool
+
+    @property
+    def coords(self) -> np.ndarray:
+        return self.null_basis
 
 
 def gale_dual_cone(N, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:
@@ -52,9 +57,7 @@ def gale_dual_cone(N, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:
     smax = s[0] if s.size else 0.0
     r = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
     null_basis = Vt[r:].T.copy()
-    projector = np.eye(m) - pseudoinverse(N) @ N
-    coords = null_basis.copy()
-    return GaleDual(null_basis, projector, coords, r, trivial=(m == r))
+    return GaleDual(null_basis, null_basis @ null_basis.T, r, trivial=(m == r))
 
 
 def gale_dual_polytope(M, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:

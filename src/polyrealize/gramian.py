@@ -24,16 +24,20 @@ from .errors import (
     PatternViolationError,
 )
 from .incidence import (
+    REASON_DIAMOND,
+    REASON_FLAG_CONNECTIVITY,
+    REASON_NOT_GRADED,
+    REASON_RANK,
     IncidenceRelation,
     MaxbicliqueLattice,
+    _facet_element_index,
     build_maxbiclique_lattice,
-    check_diamond,
-    check_flag_connected_local,
+    check_filled_incidence,
     cycles_at_vertex,
     enumerate_super_cycles,
     enumerate_super_cycles_per_vertex,
     flag_graph_bipartition,
-    lattice_rank,
+    lattice_gate,
 )
 from .numkernel import (
     DEFAULT_RANK_TOL,
@@ -42,10 +46,11 @@ from .numkernel import (
     compact_svd,
     factor_against_form,
     hodge_star,
+    numeric_rank,
     signature,
     sqrt_psd,
 )
-from .realize import FilledIncidenceMatrix, check_filled_incidence
+from .realize import FilledIncidenceMatrix
 
 DEFAULT_DET_ZERO_TOL = 1e-8
 DEFAULT_PAIR_CAP = 100_000
@@ -113,31 +118,11 @@ class ConditionReport:
         }
 
 
-def _lattice_checks(rel: IncidenceRelation, d: int, flag_cap: int):
-    """Shared combinatorial preamble: graded rank d+1, diamond, flag graph
-    connected and bipartite.  Returns (lattice or None, coloring or None,
-    list of ConditionCheck)."""
-    rel.require_nondegenerate()
-    checks = []
-    lat = build_maxbiclique_lattice(rel)
-    rank = lattice_rank(lat)
-    if rank is None:
-        checks.append(ConditionCheck("lattice", False, "lattice is not graded"))
-        return None, None, checks
-    if rank != d + 1:
-        checks.append(
-            ConditionCheck("lattice", False, f"lattice rank {rank}, expected {d + 1}")
-        )
-        return None, None, checks
-    if not check_diamond(lat):
-        checks.append(ConditionCheck("lattice", False, "diamond condition fails"))
-        return None, None, checks
-    if not check_flag_connected_local(lat):
-        checks.append(ConditionCheck("lattice", False, "flag graph is disconnected"))
-        return None, None, checks
-    coloring = flag_graph_bipartition(lat, flag_cap)
-    checks.append(ConditionCheck("lattice", True))
-    return lat, coloring, checks
+_LATTICE_DETAILS = {
+    REASON_NOT_GRADED: "lattice is not graded",
+    REASON_DIAMOND: "diamond condition fails",
+    REASON_FLAG_CONNECTIVITY: "flag graph is disconnected",
+}
 
 
 def _minor_scale(minor: np.ndarray) -> float:
@@ -145,6 +130,10 @@ def _minor_scale(minor: np.ndarray) -> float:
     norms = np.linalg.norm(minor, axis=1)
     prod = float(np.prod(np.maximum(norms, 1e-30)))
     return max(prod, 1.0)
+
+
+def _unit_diagonal(G) -> ConditionCheck:
+    return ConditionCheck("diagonal", bool(np.abs(np.diag(G) - 1.0).max() <= DIAG_TOL))
 
 
 def _vertex_rank_condition(G, rel, d, rank_tol, ideal=frozenset()):
@@ -157,9 +146,7 @@ def _vertex_rank_condition(G, rel, d, rank_tol, ideal=frozenset()):
     failures = []
     for j in range(1, rel.n_vertices + 1):
         rows = sorted(i - 1 for i in rel.facets_of_vertex(j))
-        minor = G[np.ix_(rows, rows)]
-        s = np.linalg.svd(minor, compute_uv=False)
-        r = int(np.count_nonzero(s > rank_tol * max(s[0], 1e-300)))
+        r = numeric_rank(G[np.ix_(rows, rows)], rank_tol)
         expected = d - 1 if j in ideal else d
         if r != expected:
             failures.append(f"vertex {j}: rank {r}, expected {expected}")
@@ -224,6 +211,41 @@ def _super_cycle_condition(G, super_cycles, det_factor, name, pairs, exhaustive,
     return ConditionCheck(name, not failures, detail)
 
 
+def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, pair_cap,
+            sample_size, seed, flag_cap, ideal=frozenset()):
+    """The check sequence every Gramian verifier shares.
+
+    Runs the lattice gate, the flag bipartition, ``form_checks()`` (the
+    checks particular to the form), vertex minor ranks, then positivity
+    of det(minor) * det_factor over same-orientation super-cycle pairs.
+    Returns (checks, cycles): cycles is (lattice, super cycles, pairs,
+    exhaustive) for a caller adding checks of its own, or None when the
+    gate failed and ``checks`` holds only the failed lattice check.
+    """
+    lat, d, reason = lattice_gate(rel, d)
+    if reason is not None:
+        if reason == REASON_RANK:
+            detail = f"lattice rank {lat.rank}, expected {d + 1}"
+        else:
+            detail = _LATTICE_DETAILS[reason]
+        return [ConditionCheck("lattice", False, detail)], None
+    coloring = flag_graph_bipartition(lat, flag_cap)
+    checks = [ConditionCheck("lattice", True), *form_checks()]
+    checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
+    super_cycles = enumerate_super_cycles(lat, coloring)
+    pairs, exhaustive = _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed)
+    checks.append(
+        _super_cycle_condition(
+            G, super_cycles, det_factor, "super-cycle-pairs", pairs, exhaustive, det_zero_tol
+        )
+    )
+    return checks, (lat, super_cycles, pairs, exhaustive)
+
+
+def _report(checks) -> ConditionReport:
+    return ConditionReport(all(c.passed for c in checks), tuple(checks))
+
+
 def verify_gramian_conditions(
     cand: GramianCandidate,
     *,
@@ -244,36 +266,22 @@ def verify_gramian_conditions(
     """
     G = cand.G
     rel = cand.relation
-    lat, coloring, checks = _lattice_checks(rel, cand.d, flag_cap)
-    if lat is None:
-        return ConditionReport(False, tuple(checks))
 
-    p, q = cand.form.signature
-    sig = signature(G, rank_tol)
-    expected = (p, q, rel.n_facets - cand.form.size)
-    checks.append(
-        ConditionCheck(
-            "signature",
-            sig == expected,
-            f"signature {sig}, expected {expected}",
-        )
+    def form_checks():
+        p, q = cand.form.signature
+        sig = signature(G, rank_tol)
+        expected = (p, q, rel.n_facets - cand.form.size)
+        return [
+            ConditionCheck("signature", sig == expected, f"signature {sig}, expected {expected}"),
+            ConditionCheck("diagonal", bool(np.abs(np.abs(np.diag(G)) - 1.0).max() <= DIAG_TOL)),
+        ]
+
+    checks, _ = _verify(
+        rel, G, cand.d, form_checks, cand.form.det_sign(), rank_tol=rank_tol,
+        det_zero_tol=det_zero_tol, pair_cap=pair_cap, sample_size=sample_size,
+        seed=seed, flag_cap=flag_cap,
     )
-    checks.append(
-        ConditionCheck(
-            "diagonal",
-            bool(np.abs(np.abs(np.diag(G)) - 1.0).max() <= DIAG_TOL),
-        )
-    )
-    checks.append(_vertex_rank_condition(G, rel, cand.d, rank_tol))
-    super_cycles = enumerate_super_cycles(lat, coloring)
-    pairs, exhaustive = _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed)
-    checks.append(
-        _super_cycle_condition(
-            G, super_cycles, cand.form.det_sign(), "super-cycle-pairs",
-            pairs, exhaustive, det_zero_tol,
-        )
-    )
-    return ConditionReport(all(c.passed for c in checks), tuple(checks))
+    return _report(checks)
 
 
 def realize_cone_from_gramian(
@@ -364,31 +372,22 @@ def verify_spherical_conditions(
     same-orientation super-cycle pairs.
     """
     G = as_matrix(G, "gramian")
-    lat, coloring, checks = _lattice_checks(rel, d, flag_cap)
-    if lat is None:
-        return ConditionReport(False, tuple(checks))
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
-    thr = rank_tol * max(np.abs(w).max(), 1e-300)
-    checks.append(
-        ConditionCheck("psd", bool(w.min() >= -thr), f"min eigenvalue {w.min():.3g}")
+
+    def form_checks():
+        w = np.linalg.eigvalsh(0.5 * (G + G.T))
+        thr = rank_tol * max(np.abs(w).max(), 1e-300)
+        r = int(np.count_nonzero(w > thr))
+        return [
+            ConditionCheck("psd", bool(w.min() >= -thr), f"min eigenvalue {w.min():.3g}"),
+            ConditionCheck("rank", r == d + 1, f"rank {r}, expected {d + 1}"),
+            _unit_diagonal(G),
+        ]
+
+    checks, _ = _verify(
+        rel, G, d, form_checks, 1.0, rank_tol=rank_tol, det_zero_tol=det_zero_tol,
+        pair_cap=pair_cap, sample_size=sample_size, seed=seed, flag_cap=flag_cap,
     )
-    r = int(np.count_nonzero(w > thr))
-    checks.append(ConditionCheck("rank", r == d + 1, f"rank {r}, expected {d + 1}"))
-    checks.append(
-        ConditionCheck(
-            "diagonal",
-            bool(np.abs(np.diag(G) - 1.0).max() <= DIAG_TOL),
-        )
-    )
-    checks.append(_vertex_rank_condition(G, rel, d, rank_tol))
-    super_cycles = enumerate_super_cycles(lat, coloring)
-    pairs, exhaustive = _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed)
-    checks.append(
-        _super_cycle_condition(
-            G, super_cycles, 1.0, "super-cycle-pairs", pairs, exhaustive, det_zero_tol
-        )
-    )
-    return ConditionReport(all(c.passed for c in checks), tuple(checks))
+    return _report(checks)
 
 
 def _truncated_cycles(lat: MaxbicliqueLattice, d: int):
@@ -401,14 +400,11 @@ def _truncated_cycles(lat: MaxbicliqueLattice, d: int):
     """
     rel = lat.relation
     seen = {}
-    felem = {i: None for i in range(1, rel.n_facets + 1)}
+    felem = {i: _facet_element_index(lat, i) for i in range(1, rel.n_facets + 1)}
     for j in range(1, rel.n_vertices + 1):
         for cycle in cycles_at_vertex(lat, j):
             current = None
             for t, i in enumerate(cycle):
-                if felem[i] is None:
-                    closed = rel.closure(rel.vertices_of_facet(i))
-                    felem[i] = lat.index_of_vertex_set(closed)
                 current = felem[i] if t == 0 else lat.meet(current, felem[i])
                 s = t + 1
                 if 2 <= s <= d:
@@ -445,24 +441,14 @@ def verify_hyperbolic_conditions(
     ideal = frozenset(int(v) for v in ideal_vertices)
     if not ideal <= set(range(1, rel.n_vertices + 1)):
         raise ValueError(f"ideal vertices {sorted(ideal)} out of range")
-    lat, coloring, checks = _lattice_checks(rel, d, flag_cap)
-    if lat is None:
-        return ConditionReport(False, tuple(checks))
-    checks.append(
-        ConditionCheck(
-            "diagonal",
-            bool(np.abs(np.diag(G) - 1.0).max() <= DIAG_TOL),
-        )
+    checks, cycles = _verify(
+        rel, G, d, lambda: [_unit_diagonal(G)], -1.0, rank_tol=rank_tol,
+        det_zero_tol=det_zero_tol, pair_cap=pair_cap, sample_size=sample_size,
+        seed=seed, flag_cap=flag_cap, ideal=ideal,
     )
-    checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal=ideal))
-
-    super_cycles = enumerate_super_cycles(lat, coloring)
-    pairs, exhaustive = _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed)
-    checks.append(
-        _super_cycle_condition(
-            G, super_cycles, -1.0, "super-cycle-pairs", pairs, exhaustive, det_zero_tol
-        )
-    )
+    if cycles is None:
+        return _report(checks)
+    lat, super_cycles, pairs, exhaustive = cycles
 
     failures = []
     for facets, meet_el in _truncated_cycles(lat, d).items():
@@ -509,7 +495,7 @@ def verify_hyperbolic_conditions(
             f"{mode}, {len(cross)} pairs" + ("; " + "; ".join(failures) if failures else ""),
         )
     )
-    return ConditionReport(all(c.passed for c in checks), tuple(checks))
+    return _report(checks)
 
 
 def block_gramian(N) -> np.ndarray:

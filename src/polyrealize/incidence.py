@@ -6,8 +6,10 @@ relation, ordered by containment of their vertex parts.  This is the
 Dedekind-MacNeille completion of the bipartite order between facets and
 vertices.  The module builds that lattice and decides the combinatorial
 conditions used by the realization pipeline: gradedness and rank, the
-diamond property, local flag connectivity, bipartiteness of the flag
-graph, and the cycle / super cycle machinery that fixes orientations.
+diamond property, local flag connectivity (together the lattice gate),
+bipartiteness of the flag graph, and the cycle / super cycle machinery
+that fixes orientations.  It also checks a matrix against the relation's
+filled incidence pattern.
 
 Facet and vertex indices are 1-based throughout, matching the relation
 file format.  Lattice elements are referred to by their position in
@@ -22,8 +24,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .errors import (
     DegenerateRelationError,
+    DimensionMismatchError,
     EmptyRelationError,
     FlagCapExceededError,
     NoCycleError,
@@ -33,8 +38,16 @@ from .errors import (
     NotGradedError,
     RelationFormatError,
 )
+from .numkernel import as_matrix
 
 DEFAULT_FLAG_CAP = 10**6
+DEFAULT_EQ_TOL = 1e-7
+DEFAULT_SLACK_TOL = 1e-7
+
+REASON_NOT_GRADED = "not-graded"
+REASON_RANK = "lattice-rank"
+REASON_DIAMOND = "diamond"
+REASON_FLAG_CONNECTIVITY = "flag-connectivity"
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,15 @@ class IncidenceRelation:
         for i, j in self.incident:
             cols[j - 1].add(i)
         return tuple(frozenset(c) for c in cols)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only boolean n x m array, True on the incident pairs."""
+        mask = np.zeros((self.n_facets, self.n_vertices), dtype=bool)
+        for i, j in self.incident:
+            mask[i - 1, j - 1] = True
+        mask.setflags(write=False)
+        return mask
 
     def vertices_of_facet(self, i: int) -> frozenset:
         return self._facet_rows[i - 1]
@@ -135,6 +157,54 @@ class IncidenceRelation:
         reason = self.degeneracy_reason()
         if reason is not None:
             raise DegenerateRelationError(reason)
+
+
+@dataclass(frozen=True)
+class PatternViolation:
+    """One entry breaking the filled incidence pattern (1-based indices)."""
+
+    facet: int
+    vertex: int
+    value: float
+    kind: str  # "fill" for wrong incident entry, "slack" for weak off entry
+
+
+@dataclass(frozen=True)
+class PatternReport:
+    ok: bool
+    violations: tuple
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_filled_incidence(
+    M,
+    rel: IncidenceRelation,
+    fill: float,
+    eq_tol: float = DEFAULT_EQ_TOL,
+    slack_tol: float = DEFAULT_SLACK_TOL,
+) -> PatternReport:
+    """Check that M equals fill on incident pairs and stays below fill elsewhere.
+
+    Incident entries must satisfy |M[i,j] - fill| <= eq_tol, all other
+    entries M[i,j] < fill - slack_tol.  The report lists every violating
+    entry in row-major order.
+    """
+    M = as_matrix(M)
+    if M.shape != (rel.n_facets, rel.n_vertices):
+        raise DimensionMismatchError(
+            f"matrix shape {M.shape} does not match the "
+            f"{rel.n_facets} x {rel.n_vertices} relation"
+        )
+    mask = rel.mask
+    bad = np.where(mask, np.abs(M - fill) > eq_tol, ~(M < fill - slack_tol))
+    violations = tuple(
+        PatternViolation(int(i) + 1, int(j) + 1, float(M[i, j]),
+                         "fill" if mask[i, j] else "slack")
+        for i, j in np.argwhere(bad)
+    )
+    return PatternReport(not violations, violations)
 
 
 def relation_to_json_dict(rel: IncidenceRelation) -> dict:
@@ -447,6 +517,30 @@ def check_flag_connected_local(lat: MaxbicliqueLattice) -> bool:
     return True
 
 
+def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
+    """Run the lattice conditions; returns (lattice, d, failed reason).
+
+    The reason is None when the relation passes gradedness, rank d+1,
+    diamond, and local flag connectivity, else the REASON_* string of
+    the first condition that fails.  When d is not supplied it is
+    inferred from the lattice rank.  Raises DegenerateRelationError
+    for a degenerate relation.
+    """
+    rel.require_nondegenerate()
+    lat = build_maxbiclique_lattice(rel)
+    if not lat.is_graded:
+        return lat, d, REASON_NOT_GRADED
+    if d is None:
+        d = lat.rank - 1
+    if lat.rank != d + 1:
+        return lat, d, REASON_RANK
+    if not check_diamond(lat):
+        return lat, d, REASON_DIAMOND
+    if not check_flag_connected_local(lat):
+        return lat, d, REASON_FLAG_CONNECTIVITY
+    return lat, d, None
+
+
 def count_flags(lat: MaxbicliqueLattice) -> int:
     """Number of maximal chains, by path counting over the Hasse diagram."""
     if not lat.is_graded:
@@ -590,6 +684,11 @@ def induced_flag(lat: MaxbicliqueLattice, cycle) -> Flag:
     return Flag(chain)
 
 
+def _facets_avoiding(rel: IncidenceRelation, vertex: int) -> list:
+    """Facets not incident to the vertex, ascending: the super-cycle extras."""
+    return sorted(set(range(1, rel.n_facets + 1)) - rel.facets_of_vertex(vertex))
+
+
 def enumerate_super_cycles(
     lat: MaxbicliqueLattice,
     coloring: Mapping,
@@ -604,7 +703,7 @@ def enumerate_super_cycles(
     rel = lat.relation
     result = []
     for j in range(1, rel.n_vertices + 1):
-        others = sorted(set(range(1, rel.n_facets + 1)) - rel.facets_of_vertex(j))
+        others = _facets_avoiding(rel, j)
         for cycle in cycles_at_vertex(lat, j):
             flag = induced_flag(lat, cycle)
             orient = coloring[flag]
@@ -633,7 +732,7 @@ def enumerate_super_cycles_per_vertex(
     coloring = flag_graph_bipartition(lat, cap)
     chosen = {}
     for j in range(1, rel.n_vertices + 1):
-        others = sorted(set(range(1, rel.n_facets + 1)) - rel.facets_of_vertex(j))
+        others = _facets_avoiding(rel, j)
         if not others:
             raise NoExtraFacetError(f"every facet is incident to vertex {j}")
         picked = None

@@ -3,13 +3,13 @@
 A relation is realizable as the facet-vertex incidence of a d-polytope
 exactly when its maxbiclique lattice is graded of rank d+1, diamond,
 and flag connected, and the relation admits a rank-d matrix equal to 1
-on incident pairs and strictly below 1 elsewhere.  This module checks
-filled matrices against relations, factors them into covertex and
-vertex matrices through the compact SVD, converts between the
-polytope (fill 1, rank d) and cone (fill 0, rank d+1) presentations by
-diagonal rescaling, and wires the combinatorial gate and the completion
-search into a single realizability verdict with a re-verifiable
-certificate.
+on incident pairs and strictly below 1 elsewhere.  This module holds
+matrices verified against a relation's filled pattern, factors them
+into covertex and vertex matrices through the compact SVD, converts
+between the polytope (fill 1, rank d) and cone (fill 0, rank d+1)
+presentations by diagonal rescaling, and wires the lattice gate and the
+completion search into a single realizability verdict with a
+re-verifiable certificate.
 """
 
 from __future__ import annotations
@@ -32,13 +32,19 @@ from .errors import (
     RankAnomalyError,
     RankMismatchError,
 )
-from .incidence import (
+from .incidence import (  # REASON_* and the Pattern* types stay importable from here
+    DEFAULT_EQ_TOL,
+    DEFAULT_SLACK_TOL,
+    REASON_DIAMOND,
+    REASON_FLAG_CONNECTIVITY,
+    REASON_NOT_GRADED,
+    REASON_RANK,
     IncidenceRelation,
     MaxbicliqueLattice,
-    build_maxbiclique_lattice,
-    check_diamond,
-    check_flag_connected_local,
-    lattice_rank,
+    PatternReport,
+    PatternViolation,
+    check_filled_incidence,
+    lattice_gate,
 )
 from .numkernel import (
     DEFAULT_RANK_TOL,
@@ -48,79 +54,12 @@ from .numkernel import (
     numeric_rank,
 )
 
-DEFAULT_EQ_TOL = 1e-7
-DEFAULT_SLACK_TOL = 1e-7
-
 KIND_POLYTOPE = "polytope"
 KIND_CONE = "cone"
-
-REASON_NOT_GRADED = "not-graded"
-REASON_RANK = "lattice-rank"
-REASON_DIAMOND = "diamond"
-REASON_FLAG_CONNECTIVITY = "flag-connectivity"
 
 STATUS_REALIZED = "realized"
 STATUS_REJECTED = "rejected"
 STATUS_INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class PatternViolation:
-    """One entry breaking the filled incidence pattern (1-based indices)."""
-
-    facet: int
-    vertex: int
-    value: float
-    kind: str  # "fill" for wrong incident entry, "slack" for weak off entry
-
-
-@dataclass(frozen=True)
-class PatternReport:
-    ok: bool
-    violations: tuple
-
-    def __bool__(self):
-        return self.ok
-
-
-def incidence_mask(rel: IncidenceRelation) -> np.ndarray:
-    """Boolean n x m mask of the incident pairs."""
-    mask = np.zeros((rel.n_facets, rel.n_vertices), dtype=bool)
-    for i, j in rel.incident:
-        mask[i - 1, j - 1] = True
-    return mask
-
-
-def check_filled_incidence(
-    M,
-    rel: IncidenceRelation,
-    fill: float,
-    eq_tol: float = DEFAULT_EQ_TOL,
-    slack_tol: float = DEFAULT_SLACK_TOL,
-) -> PatternReport:
-    """Check that M equals fill on incident pairs and stays below fill elsewhere.
-
-    Incident entries must satisfy |M[i,j] - fill| <= eq_tol, all other
-    entries M[i,j] < fill - slack_tol.  The report lists every violating
-    entry.
-    """
-    M = as_matrix(M)
-    if M.shape != (rel.n_facets, rel.n_vertices):
-        raise DimensionMismatchError(
-            f"matrix shape {M.shape} does not match the "
-            f"{rel.n_facets} x {rel.n_vertices} relation"
-        )
-    mask = incidence_mask(rel)
-    violations = []
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            v = M[i, j]
-            if mask[i, j]:
-                if abs(v - fill) > eq_tol:
-                    violations.append(PatternViolation(i + 1, j + 1, float(v), "fill"))
-            elif not v < fill - slack_tol:
-                violations.append(PatternViolation(i + 1, j + 1, float(v), "slack"))
-    return PatternReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,29 +245,6 @@ def cone_to_polytope_matrix(
     return FilledIncidenceMatrix(M, fim.relation, 1.0, fim.eq_tol, fim.slack_tol)
 
 
-def combinatorial_gate(rel: IncidenceRelation, d: int = None):
-    """Run the lattice conditions; returns (lattice, d, failed_reason).
-
-    The reason is None when the relation passes gradedness, rank d+1,
-    diamond, and local flag connectivity.  When d is not supplied it is
-    inferred from the lattice rank.
-    """
-    rel.require_nondegenerate()
-    lat = build_maxbiclique_lattice(rel)
-    rank = lattice_rank(lat)
-    if rank is None:
-        return lat, d, REASON_NOT_GRADED
-    if d is None:
-        d = rank - 1
-    if rank != d + 1:
-        return lat, d, REASON_RANK
-    if not check_diamond(lat):
-        return lat, d, REASON_DIAMOND
-    if not check_flag_connected_local(lat):
-        return lat, d, REASON_FLAG_CONNECTIVITY
-    return lat, d, None
-
-
 def realizability_check(
     rel: IncidenceRelation,
     d: int = None,
@@ -349,7 +265,7 @@ def realizability_check(
     the exact factors used, failure is reported as inconclusive (the
     numeric phase alone can never prove nonrealizability).
     """
-    lat, d, reason = combinatorial_gate(rel, d)
+    lat, d, reason = lattice_gate(rel, d)
     if reason is not None:
         return RealizabilityVerdict(STATUS_REJECTED, d if d is not None else -1,
                                     reason=reason, lattice=lat)

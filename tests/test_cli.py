@@ -48,6 +48,16 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["reason"] == "flag-connectivity"
 
+    def test_wrong_dimension_rejected(self, workdir, capsys):
+        assert run("check", workdir / "pyramid.json", "--d", "2", "--format", "json") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["reason"] == "lattice-rank"
+        assert report["conditions"]["lattice_rank"] is False
+        assert run("check", workdir / "pyramid.json", "--d", "3", "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "reason" not in report
+        assert all(report["conditions"].values())
+
     def test_malformed_input(self, workdir):
         assert run("check", workdir / "garbage.json") == 3
 
