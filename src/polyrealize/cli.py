@@ -28,6 +28,7 @@ from .errors import (
 )
 from .gale import gale_dual_cone, gale_dual_polytope
 from .gramian import (
+    DEFAULT_DET_ZERO_TOL,
     GramianCandidate,
     gramian_of_cone,
     realize_cone_from_gramian,
@@ -36,7 +37,9 @@ from .gramian import (
     verify_spherical_conditions,
 )
 from .incidence import (
+    DEFAULT_EQ_TOL,
     DEFAULT_FLAG_CAP,
+    DEFAULT_SLACK_TOL,
     REASON_DIAMOND,
     REASON_RANK,
     IncidenceRelation,
@@ -45,6 +48,7 @@ from .incidence import (
     load_relation,
 )
 from .numkernel import (
+    DEFAULT_RANK_TOL,
     BilinearForm,
     numeric_rank,
     read_matrix_csv,
@@ -76,10 +80,10 @@ class RunConfig:
     restarts: int = 32
     iters: int = 2000
     seed: int = 0
-    rank_tol: float = 1e-9
-    eq_tol: float = 1e-7
-    slack_tol: float = 1e-7
-    det_zero_tol: float = 1e-8
+    rank_tol: float = DEFAULT_RANK_TOL
+    eq_tol: float = DEFAULT_EQ_TOL
+    slack_tol: float = DEFAULT_SLACK_TOL
+    det_zero_tol: float = DEFAULT_DET_ZERO_TOL
     flag_cap: int = DEFAULT_FLAG_CAP
     fmt: str = "text"
     out: str = None

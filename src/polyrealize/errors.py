@@ -22,7 +22,8 @@ class DegenerateRelationError(PolyrealizeError):
 
     Such relations are rejected before lattice analysis: the diamond
     argument needs more than one facet and more than one vertex, none of
-    them incident to everything on the other side.
+    them incident to everything on the other side.  A facet incident to
+    no vertex, or a vertex on no facet, is rejected too.
     """
 
 

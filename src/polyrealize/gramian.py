@@ -16,6 +16,7 @@ ideal vertices allowed) cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .errors import (
     PatternViolationError,
 )
 from .incidence import (
+    DEFAULT_FLAG_CAP,
     REASON_DIAMOND,
     REASON_FLAG_CONNECTIVITY,
     REASON_NOT_GRADED,
@@ -56,6 +58,7 @@ DEFAULT_DET_ZERO_TOL = 1e-8
 DEFAULT_PAIR_CAP = 100_000
 DEFAULT_SAMPLE_SIZE = 10_000
 DIAG_TOL = 1e-7
+_DET_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,11 +128,26 @@ _LATTICE_DETAILS = {
 }
 
 
-def _minor_scale(minor: np.ndarray) -> float:
-    """Hadamard-style scale for determinant zero tests."""
-    norms = np.linalg.norm(minor, axis=1)
-    prod = float(np.prod(np.maximum(norms, 1e-30)))
-    return max(prod, 1.0)
+def _minor_dets(G, sequences, pairs) -> tuple:
+    """Determinants and Hadamard-style scales of paired minors of G.
+
+    ``sequences`` is a (K, s) array of 0-based facet sequences and
+    ``pairs`` a list of index pairs; pair (a, b) selects the minor with
+    rows ``sequences[a]`` and columns ``sequences[b]``.  Returns
+    (dets, scales), one entry per pair; the scale is the product of the
+    minor's row norms, at least 1, for zero tests.  Minors are gathered
+    and factored _DET_CHUNK pairs at a time.
+    """
+    dets = np.empty(len(pairs))
+    scales = np.empty(len(pairs))
+    for start in range(0, len(pairs), _DET_CHUNK):
+        rows, cols = np.array(pairs[start:start + _DET_CHUNK]).T
+        minors = G[sequences[rows][:, :, None], sequences[cols][:, None, :]]
+        stop = start + len(rows)
+        dets[start:stop] = np.linalg.det(minors)
+        norms = np.linalg.norm(minors, axis=2)
+        scales[start:stop] = np.maximum(np.prod(np.maximum(norms, 1e-30), axis=1), 1.0)
+    return dets, scales
 
 
 def _unit_diagonal(G) -> ConditionCheck:
@@ -146,7 +164,7 @@ def _vertex_rank_condition(G, rel, d, rank_tol, ideal=frozenset()):
     failures = []
     for j in range(1, rel.n_vertices + 1):
         rows = sorted(i - 1 for i in rel.facets_of_vertex(j))
-        r = numeric_rank(G[np.ix_(rows, rows)], rank_tol)
+        r = numeric_rank(G[rows][:, rows], rank_tol)
         expected = d - 1 if j in ideal else d
         if r != expected:
             failures.append(f"vertex {j}: rank {r}, expected {expected}")
@@ -167,12 +185,7 @@ def _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed):
         by_class[sc.orientation].append(idx)
     total = sum(len(v) * (len(v) + 1) // 2 for v in by_class.values())
     if total <= pair_cap:
-        pairs = []
-        for members in by_class.values():
-            for a in range(len(members)):
-                for b in range(a, len(members)):
-                    pairs.append((members[a], members[b]))
-        return pairs, True
+        return [p for v in by_class.values() for p in combinations_with_replacement(v, 2)], True
     rng = np.random.default_rng(seed)
     chosen = set()
     for members in by_class.values():
@@ -180,32 +193,26 @@ def _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed):
         for idx in members:
             members_by_vertex.setdefault(super_cycles[idx].vertex, []).append(idx)
         for verts in members_by_vertex.values():
-            for a in range(len(verts)):
-                for b in range(a, len(verts)):
-                    chosen.add((verts[a], verts[b]))
+            chosen.update(combinations_with_replacement(verts, 2))
         if len(members) > 1:
-            draws = rng.integers(0, len(members), size=(sample_size, 2))
-            for a, b in draws:
-                x, y = members[min(a, b)], members[max(a, b)]
-                chosen.add((x, y))
+            draws = np.sort(rng.integers(0, len(members), size=(sample_size, 2)), axis=1)
+            chosen.update((members[a], members[b]) for a, b in draws)
     return sorted(chosen), False
 
 
-def _super_cycle_condition(G, super_cycles, det_factor, name, pairs, exhaustive, ztol):
-    """Dets of paired super-cycle minors, multiplied by det_factor, must be positive."""
-    failures = []
-    for a, b in pairs:
-        rows = [i - 1 for i in super_cycles[a].facet_sequence]
-        cols = [i - 1 for i in super_cycles[b].facet_sequence]
-        minor = G[np.ix_(rows, cols)]
-        value = det_factor * np.linalg.det(minor)
-        if value <= ztol * _minor_scale(minor):
-            failures.append(
-                f"cycles {super_cycles[a].facet_sequence} x "
-                f"{super_cycles[b].facet_sequence}: det*sign = {value:.3g}"
-            )
-            if len(failures) >= 5:
-                break
+def _pair_condition(G, cycles, pairs, det_factor, name, label, exhaustive, ztol):
+    """Dets of paired cycle minors, multiplied by det_factor, must be positive.
+
+    ``cycles`` are 1-based facet sequences of one length; pair (a, b)
+    takes the rows of cycles[a] against the columns of cycles[b].  The
+    first five failures are listed, each value prefixed by ``label``.
+    """
+    dets, scales = _minor_dets(G, np.array(cycles) - 1, pairs)
+    values = det_factor * dets
+    failures = [
+        f"cycles {cycles[pairs[k][0]]} x {cycles[pairs[k][1]]}: {label}{values[k]:.3g}"
+        for k in np.flatnonzero(values <= ztol * scales)[:5]
+    ]
     mode = "exhaustive" if exhaustive else "sampled"
     detail = f"{mode}, {len(pairs)} pairs" + ("; " + "; ".join(failures) if failures else "")
     return ConditionCheck(name, not failures, detail)
@@ -234,11 +241,10 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, pair_
     checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
     super_cycles = enumerate_super_cycles(lat, coloring)
     pairs, exhaustive = _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed)
-    checks.append(
-        _super_cycle_condition(
-            G, super_cycles, det_factor, "super-cycle-pairs", pairs, exhaustive, det_zero_tol
-        )
-    )
+    checks.append(_pair_condition(
+        G, [sc.facet_sequence for sc in super_cycles], pairs, det_factor,
+        "super-cycle-pairs", "det*sign = ", exhaustive, det_zero_tol,
+    ))
     return checks, (lat, super_cycles, pairs, exhaustive)
 
 
@@ -254,7 +260,7 @@ def verify_gramian_conditions(
     pair_cap: int = DEFAULT_PAIR_CAP,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    flag_cap: int = 10**6,
+    flag_cap: int = DEFAULT_FLAG_CAP,
 ) -> ConditionReport:
     """Check whether the candidate can be the Gramian of a type-R cone.
 
@@ -363,7 +369,7 @@ def verify_spherical_conditions(
     pair_cap: int = DEFAULT_PAIR_CAP,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    flag_cap: int = 10**6,
+    flag_cap: int = DEFAULT_FLAG_CAP,
 ) -> ConditionReport:
     """Conditions for G to be the Gramian of a spherical d-polytope.
 
@@ -423,7 +429,7 @@ def verify_hyperbolic_conditions(
     pair_cap: int = DEFAULT_PAIR_CAP,
     sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
-    flag_cap: int = 10**6,
+    flag_cap: int = DEFAULT_FLAG_CAP,
 ) -> ConditionReport:
     """Conditions for G to be the Gramian of a finite-volume hyperbolic polytope.
 
@@ -450,51 +456,31 @@ def verify_hyperbolic_conditions(
         return _report(checks)
     lat, super_cycles, pairs, exhaustive = cycles
 
+    # principal minors, one _minor_dets call per truncated-cycle length
+    truncated = [(tuple(sorted(f)), el) for f, el in _truncated_cycles(lat, d).items()]
+    dets, ztols = np.empty(len(truncated)), np.empty(len(truncated))
+    for s in {len(facets) for facets, _ in truncated}:
+        at = [k for k, (facets, _) in enumerate(truncated) if len(facets) == s]
+        sequences = np.array([truncated[k][0] for k in at]) - 1
+        dets[at], scales = _minor_dets(G, sequences, [(k, k) for k in range(len(at))])
+        ztols[at] = det_zero_tol * scales
     failures = []
-    for facets, meet_el in _truncated_cycles(lat, d).items():
-        rows = sorted(i - 1 for i in facets)
-        minor = G[np.ix_(rows, rows)]
-        det = float(np.linalg.det(minor))
-        ztol = det_zero_tol * _minor_scale(minor)
+    for (facets, meet_el), det, ztol in zip(truncated, dets, ztols):
         vset = lat.elements[meet_el].vertex_set
-        is_ideal_vertex = len(vset) == 1 and vset[0] in ideal
-        if is_ideal_vertex:
+        if len(vset) == 1 and vset[0] in ideal:
             if abs(det) > ztol:
-                failures.append(
-                    f"facets {tuple(sorted(facets))} at ideal vertex {vset[0]}: det {det:.3g}"
-                )
+                failures.append(f"facets {facets} at ideal vertex {vset[0]}: det {det:.3g}")
         elif det <= ztol:
-            failures.append(f"facets {tuple(sorted(facets))}: det {det:.3g}")
+            failures.append(f"facets {facets}: det {det:.3g}")
         if len(failures) >= 5:
             break
     checks.append(ConditionCheck("truncated-cycles", not failures, "; ".join(failures)))
 
-    failures = []
-    cross = [
-        (a, b)
-        for a, b in pairs
-        if super_cycles[a].vertex != super_cycles[b].vertex
-    ]
-    for a, b in cross:
-        rows = [i - 1 for i in super_cycles[a].facet_sequence[:-1]]
-        cols = [i - 1 for i in super_cycles[b].facet_sequence[:-1]]
-        minor = G[np.ix_(rows, cols)]
-        det = float(np.linalg.det(minor))
-        if det <= det_zero_tol * _minor_scale(minor):
-            failures.append(
-                f"cycles {super_cycles[a].facet_sequence[:-1]} x "
-                f"{super_cycles[b].facet_sequence[:-1]}: det {det:.3g}"
-            )
-            if len(failures) >= 5:
-                break
-    mode = "exhaustive" if exhaustive else "sampled"
-    checks.append(
-        ConditionCheck(
-            "distinct-vertex-pairs",
-            not failures,
-            f"{mode}, {len(cross)} pairs" + ("; " + "; ".join(failures) if failures else ""),
-        )
-    )
+    cross = [(a, b) for a, b in pairs if super_cycles[a].vertex != super_cycles[b].vertex]
+    checks.append(_pair_condition(
+        G, [sc.facet_sequence[:-1] for sc in super_cycles], cross, 1.0,
+        "distinct-vertex-pairs", "det ", exhaustive, det_zero_tol,
+    ))
     return _report(checks)
 
 

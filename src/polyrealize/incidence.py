@@ -139,7 +139,8 @@ class IncidenceRelation:
         Empty or singleton relations, and relations where some facet
         contains every vertex or some vertex lies on every facet, have a
         collapsed lattice for which the diamond and cycle arguments are
-        meaningless.
+        meaningless.  A facet with no vertex or a vertex on no facet
+        leaves the lattice unchanged, so it would pass the gate unseen.
         """
         if not self.incident:
             return "relation has no incident pairs"
@@ -151,6 +152,12 @@ class IncidenceRelation:
         for j in range(1, self.n_vertices + 1):
             if len(self._vertex_cols[j - 1]) == self.n_facets:
                 return f"vertex {j} is incident to every facet"
+        for i in range(1, self.n_facets + 1):
+            if not self._facet_rows[i - 1]:
+                return f"facet {i} is incident to no vertex"
+        for j in range(1, self.n_vertices + 1):
+            if not self._vertex_cols[j - 1]:
+                return f"vertex {j} is incident to no facet"
         return None
 
     def require_nondegenerate(self):
@@ -454,27 +461,47 @@ def lattice_rank(lat: MaxbicliqueLattice):
     return lat.rank
 
 
+def _rank2_failure(lat: MaxbicliqueLattice):
+    """REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None for a graded lattice.
+
+    One walk over the cover lists.  For each element b of rank k >= 2,
+    the lower covers a of b's lower covers are grouped by the covers of
+    b above them: the interval [a, b] is a diamond iff a's group has
+    exactly two members.  Those pairs are the edges of b's local flag
+    graph, whose nodes are b's lower covers (two of them meet in rank
+    k-2 iff they share a lower cover).  A diamond failure anywhere
+    outranks a disconnected local graph.
+    """
+    lower = lat.lower_covers
+    connected = True
+    for b in range(len(lat)):
+        if lat.ranks[b] < 2:
+            continue
+        groups = {}
+        for c in lower[b]:
+            for a in lower[c]:
+                groups.setdefault(a, []).append(c)
+        if any(len(g) != 2 for g in groups.values()):
+            return REASON_DIAMOND
+        if connected:
+            component = {x: x for x in lower[b]}
+
+            def root(x):
+                while component[x] != x:
+                    x = component[x]
+                return x
+
+            for x, y in groups.values():
+                component[root(x)] = root(y)
+            connected = len({root(x) for x in lower[b]}) == 1
+    return None if connected else REASON_FLAG_CONNECTIVITY
+
+
 def check_diamond(lat: MaxbicliqueLattice) -> bool:
     """True iff every rank-2 interval has exactly 4 elements."""
     if not lat.is_graded:
         raise NotGradedError("diamond condition is only defined for graded lattices")
-    size = len(lat)
-    by_rank = {}
-    for k in range(size):
-        by_rank.setdefault(lat.ranks[k], []).append(k)
-    for b in range(size):
-        rb = lat.ranks[b]
-        if rb < 2:
-            continue
-        for a in by_rank.get(rb - 2, ()):
-            if not lat.leq(a, b):
-                continue
-            middles = sum(
-                1 for c in by_rank.get(rb - 1, ()) if lat.leq(a, c) and lat.leq(c, b)
-            )
-            if middles != 2:
-                return False
-    return True
+    return _rank2_failure(lat) != REASON_DIAMOND
 
 
 def check_flag_connected_local(lat: MaxbicliqueLattice) -> bool:
@@ -488,33 +515,10 @@ def check_flag_connected_local(lat: MaxbicliqueLattice) -> bool:
     """
     if not lat.is_graded:
         raise NotGradedError("flag connectivity needs a graded lattice")
-    if not check_diamond(lat):
+    reason = _rank2_failure(lat)
+    if reason == REASON_DIAMOND:
         raise NotDiamondError("flag connectivity needs the diamond condition")
-    for a in range(len(lat)):
-        k = lat.ranks[a]
-        if k < 2:
-            continue
-        nodes = list(lat.lower_covers[a])
-        if len(nodes) <= 1:
-            continue
-        adj = {x: [] for x in nodes}
-        for s in range(len(nodes)):
-            for t in range(s + 1, len(nodes)):
-                x, y = nodes[s], nodes[t]
-                if lat.ranks[lat.meet(x, y)] == k - 2:
-                    adj[x].append(y)
-                    adj[y].append(x)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != len(nodes):
-            return False
-    return True
+    return reason is None
 
 
 def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
@@ -534,11 +538,7 @@ def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
         d = lat.rank - 1
     if lat.rank != d + 1:
         return lat, d, REASON_RANK
-    if not check_diamond(lat):
-        return lat, d, REASON_DIAMOND
-    if not check_flag_connected_local(lat):
-        return lat, d, REASON_FLAG_CONNECTIVITY
-    return lat, d, None
+    return lat, d, _rank2_failure(lat)
 
 
 def count_flags(lat: MaxbicliqueLattice) -> int:

@@ -55,6 +55,29 @@ def flag_graph_connected_explicit(flags) -> bool:
     return len(seen) == len(flags)
 
 
+def diamond_by_leq_scan(lat) -> bool:
+    """Diamond condition of a graded lattice by scanning whole ranks.
+
+    For every b of rank >= 2 and every a of rank rank(b) - 2 below it,
+    count the elements c of rank rank(b) - 1 with a <= c <= b, comparing
+    vertex sets; the interval [a, b] is a diamond iff there are two.
+    """
+    below = [frozenset(el.vertex_set) for el in lat.elements]
+    by_rank = {}
+    for k, r in enumerate(lat.ranks):
+        by_rank.setdefault(r, []).append(k)
+    for b, rb in enumerate(lat.ranks):
+        for a in by_rank.get(rb - 2, ()) if rb >= 2 else ():
+            if not below[a] <= below[b]:
+                continue
+            middles = sum(
+                1 for c in by_rank.get(rb - 1, ()) if below[a] <= below[c] <= below[b]
+            )
+            if middles != 2:
+                return False
+    return True
+
+
 def exact_integer_rank(M) -> int:
     """Rank of an integer (or rational) matrix by exact Gaussian elimination."""
     rows = [[Fraction(x) for x in row] for row in np.asarray(M).tolist()]

@@ -29,6 +29,7 @@ from polyrealize.realize import (
 from conftest import (
     PYRAMID_MATRIX,
     disjoint_squares,
+    ngon,
     pyramid_missing_incidence,
     pyramid_relation,
     random_relation,
@@ -51,6 +52,20 @@ CONTROLS = [
         1, None, None,
         1, {"conditions": {"nondegenerate": False}, "facets": 2, "incidences": 3,
             "reason": "facet 1 is incident to every vertex", "vertices": 2},
+    ),
+    (
+        "vertex-on-no-facet",
+        IncidenceRelation.from_pairs(4, 5, ngon(4).incident),
+        2, None, None,
+        1, {"conditions": {"nondegenerate": False}, "facets": 4, "incidences": 8,
+            "reason": "vertex 5 is incident to no facet", "vertices": 5},
+    ),
+    (
+        "facet-with-no-vertex",
+        IncidenceRelation.from_pairs(5, 4, ngon(4).incident),
+        2, None, None,
+        1, {"conditions": {"nondegenerate": False}, "facets": 5, "incidences": 8,
+            "reason": "facet 5 is incident to no vertex", "vertices": 4},
     ),
     (
         "not-graded",

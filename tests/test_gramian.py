@@ -26,7 +26,7 @@ from polyrealize.errors import (
 )
 from polyrealize.numkernel import factor_against_form, numeric_rank
 
-from conftest import PYRAMID_MATRIX, octant_relation, pyramid_relation
+from conftest import PYRAMID_MATRIX, cube, ngon, octant_relation, pyramid_relation
 
 IDEAL_TRIANGLE_RELATION = lambda: __import__("conftest").ngon(3)
 
@@ -306,6 +306,256 @@ class TestHyperbolic:
     def test_spherical_gramian_fails_hyperbolic(self, octant):
         report = verify_hyperbolic_conditions(octant, [], np.eye(3), 2)
         assert not report.passed
+
+
+def _cube_gramian(d):
+    """Cone over [-1, 1]^d: facet 2k+1 has normal (e_k, -1), facet 2k+2 (-e_k, -1)."""
+    H = np.zeros((d + 1, 2 * d))
+    for k in range(d):
+        H[k, 2 * k], H[k, 2 * k + 1] = 1.0, -1.0
+    H[d] = -1.0
+    return gramian_of_cone(H, BilinearForm.euclidean(d + 1))
+
+
+def _ngon_gramian(n):
+    """Cone over a regular n-gon: edge k has normal (cos t, sin t, -1), t = 2pi(k+1/2)/n."""
+    t = 2 * np.pi * (np.arange(n) + 0.5) / n
+    H = np.vstack([np.cos(t), np.sin(t), -np.ones(n)])
+    return gramian_of_cone(H, BilinearForm.euclidean(3))
+
+
+def _right_angled_pentagon():
+    phi = (1 + np.sqrt(5)) / 2
+    G = np.eye(5)
+    for i in range(5):
+        for j in range(5):
+            if i != j and abs(i - j) % 5 not in (1, 4):
+                G[i, j] = -phi
+    return G
+
+
+def _compact_triangle():
+    c = -np.cos(np.pi / 4)
+    return np.array([[1.0, c, c], [c, 1.0, c], [c, c, 1.0]])
+
+
+def _flip_first_normal(G):
+    """D G D with D = diag(-1, 1, ..., 1): same signature, diagonal and vertex ranks."""
+    D = np.ones(len(G))
+    D[0] = -1.0
+    return G * np.outer(D, D)
+
+
+# name: (relation, d, Gramian with its first normal flipped)
+FLIPPED_EUCLIDEAN = {
+    "cube-3": lambda: (cube(3), 3, _flip_first_normal(_cube_gramian(3))),
+    "pyramid": lambda: (pyramid_relation(), 3,
+                        _flip_first_normal(pyramid_cone_candidate().G)),
+    "gon-8": lambda: (ngon(8), 2, _flip_first_normal(_ngon_gramian(8))),
+}
+
+# name: (relation, ideal vertices, Gramian)
+FAILING_HYPERBOLIC = {
+    "flipped-right-angled-pentagon": lambda: (
+        ngon(5), [], _flip_first_normal(_right_angled_pentagon())),
+    "flipped-compact-triangle": lambda: (
+        ngon(3), [], _flip_first_normal(_compact_triangle())),
+    "false-ideal-triangle": lambda: (
+        ngon(3), [1, 2, 3],
+        np.array([[1.0, -0.5, -1.0], [-0.5, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
+}
+
+# captured before the pair determinants were batched; the spherical
+# reports leave out the "psd" detail, a rounding-level eigenvalue
+EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
+                            "lattice": True,
+                            "signature": True,
+                            "super-cycle-pairs": False,
+                            "vertex-minor-rank": True},
+             "details": {"signature": "signature (4, 0, 2), expected (4, 0, 2)",
+                         "super-cycle-pairs": "exhaustive, 5256 pairs; cycles (2, 6, 4, 1) "
+                                              "x (2, 6, 4, 3): det*sign = -0.25; cycles "
+                                              "(2, 6, 4, 1) x (2, 6, 4, 5): det*sign = "
+                                              "-0.25; cycles (2, 6, 4, 1) x (4, 2, 6, 3): "
+                                              "det*sign = -0.25; cycles (2, 6, 4, 1) x (4, "
+                                              "2, 6, 5): det*sign = -0.25; cycles (2, 6, "
+                                              "4, 1) x (6, 4, 2, 3): det*sign = -0.25"},
+             "passed": False},
+            {"conditions": {"diagonal": True,
+                            "lattice": True,
+                            "psd": True,
+                            "rank": True,
+                            "super-cycle-pairs": False,
+                            "vertex-minor-rank": True},
+             "details": {"rank": "rank 4, expected 4",
+                         "super-cycle-pairs": "exhaustive, 5256 pairs; cycles (2, 6, 4, 1) "
+                                              "x (2, 6, 4, 3): det*sign = -0.25; cycles "
+                                              "(2, 6, 4, 1) x (2, 6, 4, 5): det*sign = "
+                                              "-0.25; cycles (2, 6, 4, 1) x (4, 2, 6, 3): "
+                                              "det*sign = -0.25; cycles (2, 6, 4, 1) x (4, "
+                                              "2, 6, 5): det*sign = -0.25; cycles (2, 6, "
+                                              "4, 1) x (6, 4, 2, 3): det*sign = -0.25"},
+             "passed": False}),
+ "gon-8": ({"conditions": {"diagonal": True,
+                           "lattice": True,
+                           "signature": True,
+                           "super-cycle-pairs": False,
+                           "vertex-minor-rank": True},
+            "details": {"signature": "signature (3, 0, 5), expected (3, 0, 5)",
+                        "super-cycle-pairs": "exhaustive, 2352 pairs; cycles (1, 8, 2) x "
+                                             "(3, 2, 4): det*sign = -0.0214; cycles (1, 8, "
+                                             "2) x (3, 2, 5): det*sign = -0.0518; cycles "
+                                             "(1, 8, 2) x (3, 2, 6): det*sign = -0.0732; "
+                                             "cycles (1, 8, 2) x (3, 2, 7): det*sign = "
+                                             "-0.0732; cycles (1, 8, 2) x (3, 2, 8): "
+                                             "det*sign = -0.0518"},
+            "passed": False},
+           {"conditions": {"diagonal": True,
+                           "lattice": True,
+                           "psd": True,
+                           "rank": True,
+                           "super-cycle-pairs": False,
+                           "vertex-minor-rank": True},
+            "details": {"rank": "rank 3, expected 3",
+                        "super-cycle-pairs": "exhaustive, 2352 pairs; cycles (1, 8, 2) x "
+                                             "(3, 2, 4): det*sign = -0.0214; cycles (1, 8, "
+                                             "2) x (3, 2, 5): det*sign = -0.0518; cycles "
+                                             "(1, 8, 2) x (3, 2, 6): det*sign = -0.0732; "
+                                             "cycles (1, 8, 2) x (3, 2, 7): det*sign = "
+                                             "-0.0732; cycles (1, 8, 2) x (3, 2, 8): "
+                                             "det*sign = -0.0518"},
+            "passed": False}),
+ "pyramid": ({"conditions": {"diagonal": True,
+                             "lattice": True,
+                             "signature": True,
+                             "super-cycle-pairs": False,
+                             "vertex-minor-rank": True},
+              "details": {"signature": "signature (4, 0, 1), expected (4, 0, 1)",
+                          "super-cycle-pairs": "exhaustive, 1056 pairs; cycles (1, 4, 5, "
+                                               "2) x (2, 5, 3, 4): det*sign = -0.569; "
+                                               "cycles (1, 4, 5, 2) x (3, 2, 5, 4): "
+                                               "det*sign = -0.569; cycles (1, 4, 5, 2) x "
+                                               "(5, 3, 2, 4): det*sign = -0.569; cycles "
+                                               "(1, 4, 5, 2) x (3, 5, 4, 2): det*sign = "
+                                               "-0.569; cycles (1, 4, 5, 2) x (4, 3, 5, "
+                                               "2): det*sign = -0.569"},
+              "passed": False},
+             {"conditions": {"diagonal": True,
+                             "lattice": True,
+                             "psd": True,
+                             "rank": True,
+                             "super-cycle-pairs": False,
+                             "vertex-minor-rank": True},
+              "details": {"rank": "rank 4, expected 4",
+                          "super-cycle-pairs": "exhaustive, 1056 pairs; cycles (1, 4, 5, "
+                                               "2) x (2, 5, 3, 4): det*sign = -0.569; "
+                                               "cycles (1, 4, 5, 2) x (3, 2, 5, 4): "
+                                               "det*sign = -0.569; cycles (1, 4, 5, 2) x "
+                                               "(5, 3, 2, 4): det*sign = -0.569; cycles "
+                                               "(1, 4, 5, 2) x (3, 5, 4, 2): det*sign = "
+                                               "-0.569; cycles (1, 4, 5, 2) x (4, 3, 5, "
+                                               "2): det*sign = -0.569"},
+              "passed": False})}
+
+EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
+                                         "distinct-vertex-pairs": True,
+                                         "lattice": True,
+                                         "super-cycle-pairs": True,
+                                         "truncated-cycles": False,
+                                         "vertex-minor-rank": False},
+                          "details": {"distinct-vertex-pairs": "exhaustive, 6 pairs",
+                                      "super-cycle-pairs": "exhaustive, 12 pairs",
+                                      "truncated-cycles": "facets (1, 2) at ideal vertex "
+                                                          "2: det 0.75",
+                                      "vertex-minor-rank": "vertex 2: rank 2, expected 1"},
+                          "passed": False},
+ "flipped-compact-triangle": {"conditions": {"diagonal": True,
+                                             "distinct-vertex-pairs": False,
+                                             "lattice": True,
+                                             "super-cycle-pairs": True,
+                                             "truncated-cycles": True,
+                                             "vertex-minor-rank": True},
+                              "details": {"distinct-vertex-pairs": "exhaustive, 6 pairs; "
+                                                                   "cycles (1, 3) x (3, "
+                                                                   "2): det -1.21; cycles "
+                                                                   "(2, 1) x (3, 2): det "
+                                                                   "-1.21; cycles (3, 1) x "
+                                                                   "(2, 3): det -1.21; "
+                                                                   "cycles (1, 2) x (2, "
+                                                                   "3): det -1.21",
+                                          "super-cycle-pairs": "exhaustive, 12 pairs"},
+                              "passed": False},
+ "flipped-right-angled-pentagon": {"conditions": {"diagonal": True,
+                                                  "distinct-vertex-pairs": False,
+                                                  "lattice": True,
+                                                  "super-cycle-pairs": False,
+                                                  "truncated-cycles": True,
+                                                  "vertex-minor-rank": True},
+                                   "details": {"distinct-vertex-pairs": "exhaustive, 180 "
+                                                                        "pairs; cycles (1, "
+                                                                        "5) x (3, 2): det "
+                                                                        "-2.62; cycles (1, "
+                                                                        "5) x (3, 2): det "
+                                                                        "-2.62; cycles (1, "
+                                                                        "5) x (3, 2): det "
+                                                                        "-2.62; cycles (1, "
+                                                                        "5) x (4, 3): det "
+                                                                        "-2.62; cycles (1, "
+                                                                        "5) x (4, 3): det "
+                                                                        "-2.62",
+                                               "super-cycle-pairs": "exhaustive, 240 "
+                                                                    "pairs; cycles (1, 5, "
+                                                                    "2) x (3, 2, 4): "
+                                                                    "det*sign = -1.62; "
+                                                                    "cycles (1, 5, 2) x "
+                                                                    "(3, 2, 5): det*sign = "
+                                                                    "-2.62; cycles (1, 5, "
+                                                                    "2) x (4, 3, 2): "
+                                                                    "det*sign = -1.62; "
+                                                                    "cycles (1, 5, 2) x "
+                                                                    "(4, 3, 5): det*sign = "
+                                                                    "-1.62; cycles (1, 5, "
+                                                                    "2) x (5, 4, 2): "
+                                                                    "det*sign = -2.62"},
+                                   "passed": False}}
+
+
+class TestFailingDetails:
+    """Failing reports pinned in full, pair details included."""
+
+    @pytest.mark.parametrize("name", sorted(FLIPPED_EUCLIDEAN))
+    def test_flipped_normal_fails_super_cycle_pairs(self, name):
+        rel, d, G = FLIPPED_EUCLIDEAN[name]()
+        cand = GramianCandidate(G, BilinearForm.euclidean(d + 1), rel, d)
+        general, spherical = EXPECTED_EUCLIDEAN[name]
+        assert verify_gramian_conditions(cand).as_dict() == general
+        report = verify_spherical_conditions(rel, G, d).as_dict()
+        assert abs(float(report["details"].pop("psd").split()[-1])) < 1e-12
+        assert report == spherical
+
+    @pytest.mark.parametrize("name", sorted(FAILING_HYPERBOLIC))
+    def test_hyperbolic_failures(self, name):
+        rel, ideal, G = FAILING_HYPERBOLIC[name]()
+        assert verify_hyperbolic_conditions(rel, ideal, G, 2).as_dict() == \
+            EXPECTED_HYPERBOLIC[name]
+
+
+def test_batched_minor_dets_match_one_at_a_time():
+    """The chunked routine against np.linalg.det and the row-norm scale per minor."""
+    from polyrealize.gramian import _DET_CHUNK, _minor_dets
+
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((9, 9))
+    G = A + A.T
+    sequences = np.array([rng.permutation(9)[:4] for _ in range(70)])
+    pairs = [(a, b) for a in range(70) for b in range(70)]
+    assert len(pairs) > _DET_CHUNK
+    dets, scales = _minor_dets(G, sequences, pairs)
+    for k, (a, b) in enumerate(pairs):
+        minor = G[np.ix_(sequences[a], sequences[b])]
+        norms = np.linalg.norm(minor, axis=1)
+        assert dets[k] == np.linalg.det(minor)
+        assert scales[k] == max(float(np.prod(np.maximum(norms, 1e-30))), 1.0)
 
 
 class TestBlockGramian:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from polyrealize import (
@@ -19,6 +20,7 @@ from polyrealize.errors import (
     EmptyRelationError,
     FlagCapExceededError,
     NoExtraFacetError,
+    NotDiamondError,
     NotGradedError,
     RelationFormatError,
 )
@@ -30,14 +32,22 @@ from polyrealize.incidence import (
 )
 
 from conftest import (
+    cross_polytope,
+    cube,
     disjoint_squares,
     ngon,
+    octant_relation,
     pyramid_missing_incidence,
     pyramid_relation,
     random_relation,
     simplex,
+    triangular_prism,
 )
-from oracles import brute_force_maxbicliques, flag_graph_connected_explicit
+from oracles import (
+    brute_force_maxbicliques,
+    diamond_by_leq_scan,
+    flag_graph_connected_explicit,
+)
 
 
 def elements_as_pairs(lat):
@@ -224,6 +234,50 @@ class TestFlagConnectivity:
         lat = build_maxbiclique_lattice(rel)
         flags = enumerate_flags(lat)
         assert check_flag_connected_local(lat) == flag_graph_connected_explicit(flags)
+
+
+FAMILIES = [simplex(2), simplex(3), simplex(4), cube(3), cube(4), cross_polytope(3),
+            *(ngon(n) for n in range(3, 9)), pyramid_relation(), pyramid_missing_incidence(),
+            triangular_prism(), octant_relation(), disjoint_squares()]
+
+
+def _random_graded_lattices():
+    """Every graded lattice among 60 random relations."""
+    rng = np.random.default_rng(0)
+    lattices = [build_maxbiclique_lattice(random_relation(rng)) for _ in range(60)]
+    return [lat for lat in lattices if lat.is_graded]
+
+
+class TestRankTwoWalk:
+    """check_diamond and check_flag_connected_local against the definitions."""
+
+    random_lattices = _random_graded_lattices()
+    lattices = [build_maxbiclique_lattice(rel) for rel in FAMILIES] + random_lattices
+
+    def test_random_draws_cover_both_outcomes(self):
+        assert len(self.random_lattices) == 44
+        assert sum(not diamond_by_leq_scan(lat) for lat in self.random_lattices) == 22
+
+    def test_diamond_matches_leq_scan(self):
+        for lat in self.lattices:
+            assert check_diamond(lat) == diamond_by_leq_scan(lat)
+
+    def test_flag_connectivity_matches_explicit_flag_graph(self):
+        disconnected = 0
+        for lat in self.lattices:
+            if not diamond_by_leq_scan(lat):
+                with pytest.raises(NotDiamondError):
+                    check_flag_connected_local(lat)
+                continue
+            expected = flag_graph_connected_explicit(enumerate_flags(lat))
+            assert check_flag_connected_local(lat) == expected
+            disconnected += not expected
+        assert disconnected > 0
+
+    def test_flag_check_needs_the_diamond_condition(self):
+        lat = build_maxbiclique_lattice(pyramid_missing_incidence())
+        with pytest.raises(NotDiamondError):
+            check_flag_connected_local(lat)
 
 
 class TestFlags:
