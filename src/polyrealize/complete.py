@@ -5,7 +5,14 @@ incident pairs and strictly below 1 elsewhere; nothing prescribes how
 to find one.  This solver searches by alternating least squares over
 factors H (n x d) and W (d x m) with a hinge penalty pushing
 off-relation entries below 1 - margin, followed by joint gradient
-descent polishing.  Strict inequalities are handled quantitatively: a
+descent polishing.  Restart 0 starts from the cone form of the
+problem: the rank-(d+1) truncation of the 0/-1 pattern, refined by a
+few alternating projections onto that pattern and dehomogenized by the
+positive diagonal rescaling of ``numkernel.dehomogenize`` to a rank-d
+matrix near 1 on the incident pairs and below 1 elsewhere; from that
+start the easy families (simplices, cubes, cross-polytopes, polygons)
+realize after one sweep.  Later restarts start from seeded random
+factors.  Strict inequalities are handled quantitatively: a
 result is accepted when every off entry clears 1 - margin/2.  Failure
 never means nonrealizability, only that the search gave up.
 """
@@ -16,14 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoPositiveScalingError
 from .incidence import IncidenceRelation, check_filled_incidence
-from .numkernel import numeric_rank
+from .numkernel import DEFAULT_RANK_TOL, Svd, dehomogenize, numeric_rank
 
 STATUS_FOUND = "found"
 STATUS_NOT_FOUND = "not_found"
 
 CONVERGED_LOSS = 1e-14
 REL_IMPROVEMENT = 1e-12
+# Warm start: alternating projections refining the rank-(d+1) truncation
+# of the 0/-1 pattern, and the cap they keep off-pattern entries below.
+CONE_PROJECTIONS = 30
+CONE_FLOOR = 0.2
 
 
 @dataclass(frozen=True)
@@ -47,7 +59,10 @@ class CompletionResult:
     """Search outcome.  Found results carry factors with M = H @ W.
 
     best_residual is the final loss value (sum of squared fill errors
-    plus squared hinge overshoots), monotone over restarts.
+    plus squared hinge overshoots), monotone over restarts.  iterations
+    is the total work of the search: ALS sweeps plus polish loss
+    evaluations, summed over every restart run.  restart_index is the
+    winning restart, or the last one run when none validated.
     """
 
     status: str
@@ -77,36 +92,60 @@ def loss_and_gradient(H, W, problem: CompletionProblem):
     return loss, G @ W.T, H.T @ G
 
 
+def _cone_warm_start(problem: CompletionProblem):
+    """Restart 0's factors (see initialize_factors), or None.
+
+    None when a truncation has rank below d+1 or no positive rescaling
+    exists.
+    """
+    mask = problem.relation.mask
+    d = problem.d
+    k = d + 1
+    N1 = np.where(mask, 0.0, -1.0)
+    for _ in range(1 + CONE_PROJECTIONS):
+        N = np.where(mask, 0.0, np.minimum(N1, -CONE_FLOOR))
+        U, s, Vt = np.linalg.svd(N, full_matrices=False)
+        if len(s) < k or s[k - 1] <= DEFAULT_RANK_TOL * s[0]:
+            return None
+        N1 = (U[:, :k] * s[:k]) @ Vt[:k]
+    try:
+        M = dehomogenize(N1, Svd(U[:, :k], s[:k], Vt[:k].T, k), problem.seed)
+    except NoPositiveScalingError:
+        return None
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    root = np.sqrt(s[:d])
+    return U[:, :d] * root, root[:, None] * Vt[:d]
+
+
 def initialize_factors(problem: CompletionProblem, restart_index: int):
     """Deterministic starting factors for one restart.
 
-    Restart 0 uses the spectral initialization: the rank-d truncation of
-    the sign matrix of the relation (+1 on incident pairs, -1 off); any
-    singular values missing from the sign matrix are filled with small
-    seeded noise so the factors span d dimensions.  Later restarts draw
-    i.i.d. standard normal entries scaled by 1/sqrt(d).
+    Restart 0 uses the cone-form warm start.  Let N1 = U S V.T be the
+    rank-(d+1) truncation of the 0/-1 pattern (0 on incident pairs, -1
+    off), refined by alternating projections: set the incident entries
+    to 0, cap the others at -CONE_FLOOR, truncate to rank d+1 again,
+    CONE_PROJECTIONS times.  Find x, y with -U @ x > 0 and V @ y > 0,
+    normalize <x, S^-1 y> = 1, and form
+    M = diag(-Ux)^-1 N1 diag(Vy)^-1 + 1, which has rank d by
+    construction; its rank-d SVD factors (H = U sqrt(S), W = sqrt(S) V.T)
+    are the start.  For a polygon the pattern is circulant, its top
+    modes are the constant and the first Fourier pair, and M is the
+    regular polygon.  When the pattern has rank below d+1 or no positive
+    rescaling exists, restart 0 falls back to the seeded normal draw of
+    the later restarts: i.i.d. standard normal entries scaled by
+    1/sqrt(d).
     """
+    if restart_index == 0:
+        start = _cone_warm_start(problem)
+        if start is not None:
+            return start
     rel = problem.relation
     d = problem.d
-    n, m = rel.n_facets, rel.n_vertices
     rng = np.random.default_rng([problem.seed, restart_index])
-    if restart_index == 0:
-        S = np.where(rel.mask, 1.0, -1.0)
-        U, s, Vt = np.linalg.svd(S, full_matrices=False)
-        k = min(d, len(s))
-        root = np.sqrt(s[:k])
-        H = np.zeros((n, d))
-        W = np.zeros((d, m))
-        H[:, :k] = U[:, :k] * root
-        W[:k, :] = root[:, None] * Vt[:k]
-        if k < d or s[k - 1] <= 1e-12 * s[0]:
-            H += 1e-3 * rng.standard_normal((n, d))
-            W += 1e-3 * rng.standard_normal((d, m))
-        return H, W
     scale = 1.0 / np.sqrt(d)
     return (
-        scale * rng.standard_normal((n, d)),
-        scale * rng.standard_normal((d, m)),
+        scale * rng.standard_normal((rel.n_facets, d)),
+        scale * rng.standard_normal((d, rel.n_vertices)),
     )
 
 
@@ -208,6 +247,7 @@ def complete(problem: CompletionProblem) -> CompletionResult:
     mask = problem.relation.mask
     ceiling = 1.0 - problem.margin
     best_loss = float("inf")
+    total_work = 0
     total_restarts = max(problem.max_restarts, 1)
     for restart in range(total_restarts):
         H, W = initialize_factors(problem, restart)
@@ -227,14 +267,15 @@ def complete(problem: CompletionProblem) -> CompletionResult:
         if loss > CONVERGED_LOSS and used < problem.max_iters:
             H, W, loss, polished = _polish(H, W, problem, problem.max_iters - used)
             used += polished
+        total_work += used
         best_loss = min(best_loss, loss)
         M = _validate(H, W, problem)
         if M is not None:
             return CompletionResult(
                 STATUS_FOUND, H=H, W=W, matrix=M,
-                best_residual=loss, iterations=used, restart_index=restart,
+                best_residual=loss, iterations=total_work, restart_index=restart,
             )
     return CompletionResult(
         STATUS_NOT_FOUND, best_residual=best_loss,
-        iterations=problem.max_iters, restart_index=total_restarts - 1,
+        iterations=total_work, restart_index=total_restarts - 1,
     )

@@ -2,9 +2,11 @@
 
 Rank-revealing compact SVD, Moore-Penrose pseudoinverse, PSD square
 root, signatures of symmetric matrices, factoring a Gramian against a
-bilinear form, the metric Hodge star, and a small strict-feasibility LP
-solved by a dense two-phase simplex.  Everything operates on plain
-float64 numpy arrays; matrices must be finite.
+bilinear form, the metric Hodge star, a small strict-feasibility LP
+solved by a dense two-phase simplex, and the diagonal rescaling that
+turns a cone-form (fill 0, rank d+1) matrix into polytope form (fill 1,
+rank d).  Everything operates on plain float64 numpy arrays; matrices
+must be finite.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import (
     DegenerateFormError,
     DimensionMismatchError,
     MatrixFormatError,
+    NoPositiveScalingError,
     NotPsdError,
     SignatureMismatchError,
     ZeroMatrixError,
@@ -304,6 +307,64 @@ def lp_strict_feasibility(
     if t > margin_tol:
         return LpResult(True, h, float(t))
     return LpResult(False, None, float(t))
+
+
+def _positive_image_vector(B: np.ndarray, seed: int) -> np.ndarray:
+    """Find z with B @ z > 0 entrywise, or None.
+
+    Solved as a strict-feasibility LP maximizing the worst entry; falls
+    back to seeded sampling when the LP fails numerically.  Such z
+    exists exactly when the rows of B lie in an open half space, which
+    for the singular factors of a facet-ray matrix expresses that the
+    cone is pointed.
+    """
+    k = B.shape[1]
+    constraints = [(-B[l], 0.0) for l in range(B.shape[0])]
+    res = lp_strict_feasibility([], constraints, dim=k)
+    if res.feasible:
+        z = res.witness / max(np.abs(res.witness).max(), 1e-300)
+        if np.all(B @ z > 0):
+            return z
+    rng = np.random.default_rng(seed)
+    for _ in range(500):
+        z = rng.standard_normal(k)
+        if np.all(B @ z > 0):
+            return z
+    return None
+
+
+def dehomogenize(N, svd: Svd, seed: int = 0) -> np.ndarray:
+    """Rescale a rank-(d+1) cone-form matrix to a rank-d matrix plus ones.
+
+    svd is U S V.T = N at rank d+1.  Finds x, y making -U @ x and V @ y
+    entrywise positive, normalizes <x, S^-1 y> = 1, and returns
+    M = D1 N D2 + 1 with D1 = diag(-Ux)^-1, D2 = diag(Vy)^-1.  As
+    D1 U x = -1 and D2 V y = 1, M = D1 U (S - x y.T) V.T D2, and the
+    normalization makes S - x y.T singular: the rank-one update cancels
+    exactly one singular direction, so M has rank d, and its entries
+    keep the signs of N shifted by 1.  seed drives the sampling fallback
+    of the search for x (seed + 1) and y (seed).  Raises
+    NoPositiveScalingError when no such x, y exist.
+    """
+    y = _positive_image_vector(svd.V, seed)
+    x = _positive_image_vector(-svd.U, seed + 1)
+    if x is None or y is None:
+        raise NoPositiveScalingError(
+            "no positive diagonal scaling preserves the sign pattern; "
+            "the matrix is not a facet-ray matrix of a cone over a polytope"
+        )
+    s = float(x @ (y / svd.sigma))
+    if s <= 0:
+        # for genuine facet-ray matrices this pairing is positive (it is
+        # the inner product of an interior point with a dual interior
+        # point); anything else means the input is not one
+        raise NoPositiveScalingError(
+            "scaling vectors pair nonpositively against the singular values"
+        )
+    x = x / s
+    d1 = 1.0 / (-(svd.U @ x))
+    d2 = 1.0 / (svd.V @ y)
+    return d1[:, None] * N * d2[None, :] + 1.0
 
 
 def _pivot(T, basis, row, col):

@@ -27,7 +27,6 @@ from .complete import (
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
-    NoPositiveScalingError,
     PatternViolationError,
     RankAnomalyError,
     RankMismatchError,
@@ -50,6 +49,7 @@ from .numkernel import (
     DEFAULT_RANK_TOL,
     as_matrix,
     compact_svd,
+    dehomogenize,
     lp_strict_feasibility,
     numeric_rank,
 )
@@ -175,30 +175,6 @@ def polytope_to_cone_matrix(fim: FilledIncidenceMatrix, rank_tol: float = DEFAUL
     return FilledIncidenceMatrix(N, fim.relation, 0.0, fim.eq_tol, fim.slack_tol)
 
 
-def _positive_image_vector(B: np.ndarray, seed: int) -> np.ndarray:
-    """Find z with B @ z > 0 entrywise, or None.
-
-    Solved as a strict-feasibility LP maximizing the worst entry; falls
-    back to seeded sampling when the LP fails numerically.  Such z
-    exists exactly when the rows of B lie in an open half space, which
-    for the singular factors of a facet-ray matrix expresses that the
-    cone is pointed.
-    """
-    k = B.shape[1]
-    constraints = [(-B[l], 0.0) for l in range(B.shape[0])]
-    res = lp_strict_feasibility([], constraints, dim=k)
-    if res.feasible:
-        z = res.witness / max(np.abs(res.witness).max(), 1e-300)
-        if np.all(B @ z > 0):
-            return z
-    rng = np.random.default_rng(seed)
-    for _ in range(500):
-        z = rng.standard_normal(k)
-        if np.all(B @ z > 0):
-            return z
-    return None
-
-
 def cone_to_polytope_matrix(
     fim: FilledIncidenceMatrix,
     rank_tol: float = DEFAULT_RANK_TOL,
@@ -206,38 +182,19 @@ def cone_to_polytope_matrix(
 ) -> FilledIncidenceMatrix:
     """Dehomogenize a filled 0-incidence matrix by diagonal rescaling.
 
-    With N = U S V.T of rank d+1, find x, y making -U @ x and V @ y
-    entrywise positive, normalize <x, S^-1 y> = 1, and return
-    M = D1 N D2 + 1 with D1 = diag(-Ux)^-1, D2 = diag(Vy)^-1.
-    The rank-one update cancels exactly one singular direction, so M has
-    rank d and keeps the sign pattern of N shifted to fill 1.  The
-    positive vectors exist whenever N is a facet-ray matrix of a pointed
-    cone over a polytope; their choice picks the cutting hyperplanes.
+    With N = U S V.T of rank d+1, ``numkernel.dehomogenize`` returns
+    M = D1 N D2 + 1 of rank d with the sign pattern of N shifted to
+    fill 1.  The positive scalings exist whenever N is a facet-ray
+    matrix of a pointed cone over a polytope; their choice picks the
+    cutting hyperplanes.  Raises NoPositiveScalingError when they do
+    not exist.
     """
     if fim.fill != 0.0:
         raise ValueError("cone_to_polytope_matrix needs a fill-0 matrix")
     N = fim.matrix
     svd = compact_svd(N, rank_tol)
     d = svd.rank - 1
-    y = _positive_image_vector(svd.V, seed)
-    x = _positive_image_vector(-svd.U, seed + 1)
-    if x is None or y is None:
-        raise NoPositiveScalingError(
-            "no positive diagonal scaling preserves the sign pattern; "
-            "the matrix is not a facet-ray matrix of a cone over a polytope"
-        )
-    s = float(x @ (y / svd.sigma))
-    if s <= 0:
-        # for genuine facet-ray matrices this pairing is positive (it is
-        # the inner product of an interior point with a dual interior
-        # point); anything else means the input is not one
-        raise NoPositiveScalingError(
-            "scaling vectors pair nonpositively against the singular values"
-        )
-    x = x / s
-    d1 = 1.0 / (-(svd.U @ x))
-    d2 = 1.0 / (svd.V @ y)
-    M = d1[:, None] * N * d2[None, :] + 1.0
+    M = dehomogenize(N, svd, seed)
     if numeric_rank(M, rank_tol) != d:
         raise RankAnomalyError(
             f"rescaled matrix has rank {numeric_rank(M, rank_tol)}, expected {d}"

@@ -87,8 +87,8 @@ class TestRealize:
     def test_starved_solver_is_inconclusive(self, workdir, capsys):
         from conftest import ngon
 
-        dump_relation(ngon(10), workdir / "tengon.json")
-        code = run("realize", workdir / "tengon.json", "--d", "2",
+        dump_relation(ngon(20), workdir / "twentygon.json")
+        code = run("realize", workdir / "twentygon.json", "--d", "2",
                    "--restarts", "1", "--iters", "1", "--format", "json")
         assert code == 2
         report = json.loads(capsys.readouterr().out)

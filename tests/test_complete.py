@@ -5,16 +5,29 @@ import pytest
 
 from polyrealize import (
     CompletionProblem,
+    FilledIncidenceMatrix,
     IncidenceRelation,
+    build_maxbiclique_lattice,
     check_filled_incidence,
     complete,
+    grunbaum_oracle,
     initialize_factors,
     loss_and_gradient,
+    realize_from_matrix,
 )
 from polyrealize.complete import STATUS_FOUND, STATUS_NOT_FOUND
 from polyrealize.numkernel import numeric_rank
 
-from conftest import SQUARE_MATRIX, ngon, pyramid_relation, random_relation
+from conftest import (
+    SQUARE_MATRIX,
+    cross_polytope,
+    cube,
+    ngon,
+    pyramid_relation,
+    random_relation,
+    simplex,
+    triangular_prism,
+)
 from oracles import central_difference_gradients
 
 
@@ -81,8 +94,8 @@ class TestInitializeFactors:
         assert np.abs(H1 - H2).max() > 1e-6
 
     def test_spectral_start_on_square(self, square):
-        # the square's sign matrix already has rank 2, so restart 0 is a
-        # valid matrix and the solver converges in a handful of sweeps
+        # restart 0 dehomogenizes the square's cone-form pattern to a
+        # rank-2 matrix, and the solver converges in a handful of sweeps
         problem = CompletionProblem(square, 2)
         H0, W0 = initialize_factors(problem, 0)
         assert numeric_rank(H0 @ W0) == 2
@@ -90,6 +103,15 @@ class TestInitializeFactors:
         assert result.status == STATUS_FOUND
         assert result.restart_index == 0
         assert result.iterations <= 5
+
+    def test_warm_start_falls_back_to_the_seeded_draw(self, pyramid):
+        # the pyramid's 0/-1 pattern has rank 4, one short of the d + 1 = 5
+        # a 4-dimensional cone form needs, so restart 0 draws like the rest
+        problem = CompletionProblem(pyramid, 4, seed=3)
+        H, W = initialize_factors(problem, 0)
+        rng = np.random.default_rng([3, 0])
+        np.testing.assert_array_equal(H, rng.standard_normal((5, 4)) / 2.0)
+        np.testing.assert_array_equal(W, rng.standard_normal((4, 5)) / 2.0)
 
 
 class TestComplete:
@@ -144,6 +166,16 @@ class TestComplete:
         ]
         assert all(a >= b for a, b in zip(residuals, residuals[1:]))
 
+    def test_iterations_count_every_restart(self, square):
+        # restarts are deterministic, so each extra restart adds its own
+        # sweeps and polish evaluations to the reported total
+        totals = [
+            complete(CompletionProblem(square, 1, max_restarts=k, max_iters=40)).iterations
+            for k in (1, 2, 3)
+        ]
+        assert totals[0] == 40  # restart 0 runs out of sweeps
+        assert totals[0] < totals[1] < totals[2]
+
     def test_found_matrices_validate(self):
         for rel, d in [(ngon(5), 2), (ngon(6), 2), (pyramid_relation(), 3)]:
             result = complete(CompletionProblem(rel, d))
@@ -158,3 +190,49 @@ class TestComplete:
             CompletionProblem(ngon(4), 2, margin=1.5)
         with pytest.raises(ValueError):
             CompletionProblem(ngon(4), 0)
+
+
+def sphere_hull(seed: int, n: int) -> IncidenceRelation:
+    """Simplicial 3-polytope: hull of n seeded points on the unit sphere."""
+    spatial = pytest.importorskip("scipy.spatial")
+    pts = np.random.default_rng([seed, n]).standard_normal((n, 3))
+    hull = spatial.ConvexHull(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    assert len(hull.vertices) == n
+    pairs = [(i + 1, int(j) + 1) for i, tri in enumerate(hull.simplices) for j in tri]
+    return IncidenceRelation.from_pairs(len(hull.simplices), n, pairs)
+
+
+EASY_FAMILIES = (
+    [(f"simplex-{d}", lambda d=d: simplex(d), d) for d in range(2, 9)]
+    + [(f"cube-{d}", lambda d=d: cube(d), d) for d in range(2, 6)]
+    + [(f"cross-{d}", lambda d=d: cross_polytope(d), d) for d in range(2, 6)]
+    + [(f"gon-{n}", lambda n=n: ngon(n), 2) for n in range(3, 17)]
+    + [("prism", triangular_prism, 3), ("pyramid", pyramid_relation, 3)]
+    + [(f"hull{n}-{s}", lambda s=s, n=n: sphere_hull(s, n), 3)
+       for n in (8, 10, 12) for s in range(4)]
+)
+ORACLE_MAX_VERTICES = 10
+
+
+@pytest.mark.parametrize(
+    "build, d", [case[1:] for case in EASY_FAMILIES], ids=[case[0] for case in EASY_FAMILIES]
+)
+class TestConeWarmStart:
+    """Restart 0's cone-form warm start realizes the easy families at once."""
+
+    def test_warm_start_has_rank_d(self, build, d):
+        H, W = initialize_factors(CompletionProblem(build(), d), 0)
+        assert numeric_rank(H @ W) == d
+
+    def test_realizes_at_restart_zero(self, build, d):
+        rel = build()
+        result = complete(CompletionProblem(rel, d))
+        assert result.status == STATUS_FOUND
+        assert result.restart_index == 0
+        assert result.iterations <= 3
+        fim = FilledIncidenceMatrix(result.matrix, rel, 1.0)
+        real = realize_from_matrix(fim, d)
+        assert np.abs(real.H.T @ real.W - fim.matrix).max() < 1e-9
+        if rel.n_vertices <= ORACLE_MAX_VERTICES:
+            assert grunbaum_oracle(real.W, build_maxbiclique_lattice(rel),
+                                   cap=ORACLE_MAX_VERTICES)
