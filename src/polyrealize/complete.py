@@ -201,13 +201,16 @@ def _als_sweep(H, W, mask, ceiling):
 
 
 def _polish(H, W, problem, budget):
-    """Joint gradient descent with backtracking, polishing an ALS solution."""
+    """Joint gradient descent with backtracking, polishing an ALS solution.
+
+    Spends at most ``budget`` loss evaluations, line searches included.
+    """
     step = 1e-2
     loss, gH, gW = loss_and_gradient(H, W, problem)
     used = 0
     while used < budget and loss > CONVERGED_LOSS:
         accepted = False
-        for _ in range(30):
+        for _ in range(min(30, budget - used)):
             H2 = H - step * gH
             W2 = W - step * gW
             loss2, gH2, gW2 = loss_and_gradient(H2, W2, problem)

@@ -311,7 +311,7 @@ def realize_cone_from_gramian(
     rel = cand.relation
     H = factor_against_form(cand.G, cand.form, rank_tol)
     lat = build_maxbiclique_lattice(rel)
-    cycles = enumerate_super_cycles_per_vertex(lat, rel, orientation=orientation)
+    cycles = enumerate_super_cycles_per_vertex(lat, orientation=orientation)
     r = cand.form.size
     W = np.zeros((r, rel.n_vertices))
     for j in range(1, rel.n_vertices + 1):

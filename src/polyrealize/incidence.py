@@ -375,62 +375,53 @@ def _bits_of(vertices: Iterable[int]) -> int:
     return bits
 
 
-def _next_closed_set(rel: IncidenceRelation, current: frozenset, m: int):
-    """Next Galois-closed vertex set in lectic order, or None when done."""
-    for i in range(m, 0, -1):
-        if i in current:
-            continue
-        candidate = frozenset(v for v in current if v < i) | {i}
-        closed = rel.closure(candidate)
-        if all(v in current for v in closed if v < i):
-            return closed
-    return None
-
-
 def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     """Enumerate all maxbicliques of the relation, ordered by vertex set.
 
-    Uses the NextClosure iteration over Galois-closed vertex sets, so the
-    closure property ``J = vertices_of(facets_of(J))`` holds for every
-    element by construction.  The result is always a complete lattice;
+    With each facet row as a vertex bitmask, the Galois-closed vertex
+    sets ``J = vertices_of(facets_of(J))`` are exactly the intersections
+    of rows, the empty intersection being the full vertex set; they are
+    collected by cutting every set found so far with each row in turn.
+    The lower covers of b are the maximal sets among its cuts
+    ``b & row != b``: each cut is closed, and every closed set strictly
+    below b lies in one.  The result is always a complete lattice;
     whether it is graded, diamond, and so on is decided separately.
     """
     m = rel.n_vertices
-    closed_sets = []
-    current = rel.closure(frozenset())
-    while current is not None:
-        closed_sets.append(current)
-        current = _next_closed_set(rel, current, m)
+    rows = [_bits_of(rel.vertices_of_facet(i)) for i in range(1, rel.n_facets + 1)]
+    distinct = set(rows)
+    full = (1 << m) - 1
+    closed = {full}
+    for r in distinct:
+        closed |= {c & r for c in closed}
 
-    elements = []
-    for vs in closed_sets:
-        fs = rel.facets_of(vs)
-        elements.append(Maxbiclique(tuple(sorted(fs)), tuple(sorted(vs))))
-    elements.sort(key=lambda el: el.vertex_set)
-    elements = tuple(elements)
-
-    vbits = tuple(_bits_of(el.vertex_set) for el in elements)
+    by_vertex_set = sorted(
+        (tuple(j for j in range(1, m + 1) if c >> (j - 1) & 1), c) for c in closed
+    )
+    elements = tuple(
+        Maxbiclique(tuple(i for i, r in enumerate(rows, start=1) if c & r == c), vs)
+        for vs, c in by_vertex_set
+    )
+    vbits = tuple(c for _, c in by_vertex_set)
     index = {bits: k for k, bits in enumerate(vbits)}
     size = len(elements)
 
     order = sorted(range(size), key=lambda k: (len(elements[k].vertex_set), k))
     bottom = order[0]
-    top = index[_bits_of(range(1, m + 1))]
+    top = index[full]
 
-    lower = [[] for _ in range(size)]
+    lower = []
     upper = [[] for _ in range(size)]
-    for b in range(size):
-        below = [a for a in range(size) if a != b and (vbits[a] & vbits[b]) == vbits[a]]
+    for b, bits in enumerate(vbits):
+        cuts = {bits & r for r in distinct} - {bits}
+        below = sorted(
+            index[a] for a in cuts if not any(a != c and a & c == a for c in cuts)
+        )
+        lower.append(tuple(below))
         for a in below:
-            if any(
-                c != a and (vbits[a] & vbits[c]) == vbits[a] and (vbits[c] & vbits[b]) == vbits[c]
-                for c in below
-            ):
-                continue
-            lower[b].append(a)
             upper[a].append(b)
-    lower_covers = tuple(tuple(sorted(l)) for l in lower)
-    upper_covers = tuple(tuple(sorted(u)) for u in upper)
+    lower_covers = tuple(lower)
+    upper_covers = tuple(tuple(u) for u in upper)
 
     ranks = [0] * size
     for k in order:
@@ -629,9 +620,8 @@ def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP)
 
 
 def _facet_element_index(lat: MaxbicliqueLattice, facet: int) -> int:
-    """Lattice element generated by a facet: the closure of its vertex set."""
-    closed = lat.relation.closure(lat.relation.vertices_of_facet(facet))
-    return lat.index_of_vertex_set(closed)
+    """Lattice element of a facet: its vertex set, which is already closed."""
+    return lat.index_of_vertex_set(lat.relation.vertices_of_facet(facet))
 
 
 def cycles_at_vertex(lat: MaxbicliqueLattice, vertex: int) -> Iterator:
@@ -716,7 +706,6 @@ def enumerate_super_cycles(
 
 def enumerate_super_cycles_per_vertex(
     lat: MaxbicliqueLattice,
-    rel: IncidenceRelation = None,
     orientation: int = 0,
     cap: int = DEFAULT_FLAG_CAP,
 ) -> dict:
@@ -727,8 +716,7 @@ def enumerate_super_cycles_per_vertex(
     smallest facet avoiding the vertex is appended.  Requires a graded
     lattice with a bipartite flag graph.
     """
-    if rel is None:
-        rel = lat.relation
+    rel = lat.relation
     coloring = flag_graph_bipartition(lat, cap)
     chosen = {}
     for j in range(1, rel.n_vertices + 1):

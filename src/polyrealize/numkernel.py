@@ -369,9 +369,9 @@ def dehomogenize(N, svd: Svd, seed: int = 0) -> np.ndarray:
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
     basis[row] = col
 
 

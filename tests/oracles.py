@@ -33,6 +33,43 @@ def brute_force_maxbicliques(rel):
     return found
 
 
+def covers_by_definition(rel) -> dict:
+    """Cover relation, ranks, bottom and top of the lattice, from the definitions.
+
+    The closed vertex sets are vertices_of(F) over every facet subset F;
+    a is covered by b when a is strictly below b and no closed set lies
+    strictly between them.  An element's rank is the length of its
+    chains of covers down to the bottom, and the lattice is graded (else
+    "ranks" is None) when all those chains have one length.  Elements
+    are keyed by their sorted vertex tuples.
+    """
+    closed = set()
+    for size in range(rel.n_facets + 1):
+        for subset in itertools.combinations(range(1, rel.n_facets + 1), size):
+            closed.add(rel.vertices_of(subset))
+    lower = {
+        b: {a for a in closed if a < b and not any(a < c < b for c in closed)}
+        for b in closed
+    }
+    upper = {a: {b for b in closed if a in lower[b]} for a in closed}
+    bottom = frozenset.intersection(*closed)
+    longest, shortest = {}, {}
+    for b in sorted(closed, key=len):
+        longest[b] = max((longest[a] + 1 for a in lower[b]), default=0)
+        shortest[b] = min((shortest[a] + 1 for a in lower[b]), default=0)
+
+    def key(s):
+        return tuple(sorted(s))
+
+    return {
+        "lower": {key(b): sorted(map(key, lower[b])) for b in closed},
+        "upper": {key(a): sorted(map(key, upper[a])) for a in closed},
+        "ranks": {key(b): longest[b] for b in closed} if longest == shortest else None,
+        "bottom": key(bottom),
+        "top": tuple(range(1, rel.n_vertices + 1)),
+    }
+
+
 def flag_graph_connected_explicit(flags) -> bool:
     """Connectivity of the flag graph built by pairwise comparison."""
     if not flags:

@@ -175,6 +175,7 @@ class TestComplete:
         ]
         assert totals[0] == 40  # restart 0 runs out of sweeps
         assert totals[0] < totals[1] < totals[2]
+        assert totals[2] <= 3 * 40
 
     def test_found_matrices_validate(self):
         for rel, d in [(ngon(5), 2), (ngon(6), 2), (pyramid_relation(), 3)]:

@@ -45,6 +45,7 @@ from conftest import (
 )
 from oracles import (
     brute_force_maxbicliques,
+    covers_by_definition,
     diamond_by_leq_scan,
     flag_graph_connected_explicit,
 )
@@ -52,6 +53,29 @@ from oracles import (
 
 def elements_as_pairs(lat):
     return {(el.facet_set, el.vertex_set) for el in lat.elements}
+
+
+def structure_by_vertex_sets(lat):
+    """The lattice's covers, ranks, bottom and top, keyed like covers_by_definition."""
+    vs = [el.vertex_set for el in lat.elements]
+    return {
+        "lower": {vs[b]: [vs[a] for a in lat.lower_covers[b]] for b in range(len(lat))},
+        "upper": {vs[a]: [vs[b] for b in lat.upper_covers[a]] for a in range(len(lat))},
+        "ranks": None if lat.ranks is None else dict(zip(vs, lat.ranks)),
+        "bottom": vs[lat.bottom],
+        "top": vs[lat.top],
+    }
+
+
+def assert_matches_definitions(rel):
+    lat = build_maxbiclique_lattice(rel)
+    assert elements_as_pairs(lat) == brute_force_maxbicliques(rel)
+    assert structure_by_vertex_sets(lat) == covers_by_definition(rel)
+
+
+FAMILIES = [simplex(2), simplex(3), simplex(4), cube(3), cube(4), cross_polytope(3),
+            *(ngon(n) for n in range(3, 9)), pyramid_relation(), pyramid_missing_incidence(),
+            triangular_prism(), octant_relation(), disjoint_squares()]
 
 
 class TestRelation:
@@ -130,12 +154,12 @@ class TestLatticeConstruction:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force_on_random_relations(self, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
-        rel = random_relation(rng)
-        lat = build_maxbiclique_lattice(rel)
-        assert elements_as_pairs(lat) == brute_force_maxbicliques(rel)
+        assert_matches_definitions(random_relation(rng))
+
+    @pytest.mark.parametrize("rel", FAMILIES)
+    def test_matches_brute_force_on_families(self, rel):
+        assert_matches_definitions(rel)
 
     @pytest.mark.parametrize(
         "rel",
@@ -234,11 +258,6 @@ class TestFlagConnectivity:
         lat = build_maxbiclique_lattice(rel)
         flags = enumerate_flags(lat)
         assert check_flag_connected_local(lat) == flag_graph_connected_explicit(flags)
-
-
-FAMILIES = [simplex(2), simplex(3), simplex(4), cube(3), cube(4), cross_polytope(3),
-            *(ngon(n) for n in range(3, 9)), pyramid_relation(), pyramid_missing_incidence(),
-            triangular_prism(), octant_relation(), disjoint_squares()]
 
 
 def _random_graded_lattices():
