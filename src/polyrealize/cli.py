@@ -322,9 +322,7 @@ def cmd_gramian_verify(args) -> int:
         _emit({"passed": False, "error": str(exc)}, cfg)
         return EXIT_REJECTED
     report = verify_gramian_conditions(
-        cand, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol,
-        seed=cfg.seed, flag_cap=cfg.flag_cap,
-    )
+        cand, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap)
     _emit(report.as_dict(), cfg)
     return EXIT_OK if report.passed else EXIT_REJECTED
 
@@ -338,9 +336,7 @@ def cmd_gramian_realize(args) -> int:
         _emit({"passed": False, "error": str(exc)}, cfg)
         return EXIT_REJECTED
     report = verify_gramian_conditions(
-        cand, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol,
-        seed=cfg.seed, flag_cap=cfg.flag_cap,
-    )
+        cand, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap)
     if not report.passed:
         _emit(report.as_dict(), cfg)
         return EXIT_REJECTED
@@ -369,9 +365,7 @@ def cmd_spherical_verify(args) -> int:
     rel = load_relation(args.relation)
     G = read_matrix_csv(args.gramian)
     report = verify_spherical_conditions(
-        rel, G, cfg.d, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol,
-        seed=cfg.seed, flag_cap=cfg.flag_cap,
-    )
+        rel, G, cfg.d, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap)
     _emit(report.as_dict(), cfg)
     return EXIT_OK if report.passed else EXIT_REJECTED
 
@@ -384,7 +378,7 @@ def cmd_hyperbolic_verify(args) -> int:
     ideal = [int(v) for v in args.ideal.split(",") if v.strip()] if args.ideal else []
     report = verify_hyperbolic_conditions(
         rel, ideal, G, cfg.d, rank_tol=cfg.rank_tol,
-        det_zero_tol=cfg.det_zero_tol, seed=cfg.seed, flag_cap=cfg.flag_cap,
+        det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap,
     )
     _emit(report.as_dict(), cfg)
     return EXIT_OK if report.passed else EXIT_REJECTED
@@ -399,14 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, completion=False):
+    def common(p, *, completion=False, seeded=False):
         p.add_argument("--d", type=int, default=None, help="target polytope dimension")
         p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
         p.add_argument("--eq-tol", dest="eq_tol", type=float, default=None)
         p.add_argument("--slack-tol", dest="slack_tol", type=float, default=None)
         p.add_argument("--det-zero-tol", dest="det_zero_tol", type=float, default=None)
         p.add_argument("--flag-cap", dest="flag_cap", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if completion or seeded:
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--out", default=None, help="output file or directory")
         if completion:
@@ -434,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert between polytope and cone matrices")
     p.add_argument("matrix")
     p.add_argument("direction", choices=("polytope-to-cone", "cone-to-polytope"))
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("gale", help="Gale dual of a cone or polytope matrix")

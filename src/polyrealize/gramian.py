@@ -16,7 +16,6 @@ ideal vertices allowed) cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -49,14 +48,11 @@ from .numkernel import (
     factor_against_form,
     hodge_star,
     numeric_rank,
-    signature,
     sqrt_psd,
 )
 from .realize import FilledIncidenceMatrix
 
 DEFAULT_DET_ZERO_TOL = 1e-8
-DEFAULT_PAIR_CAP = 100_000
-DEFAULT_SAMPLE_SIZE = 10_000
 DIAG_TOL = 1e-7
 _DET_CHUNK = 4096
 
@@ -128,25 +124,23 @@ _LATTICE_DETAILS = {
 }
 
 
-def _minor_dets(G, sequences, pairs) -> tuple:
-    """Determinants and Hadamard-style scales of paired minors of G.
+def _minor_dets(G, rows, cols) -> tuple:
+    """Determinants and Hadamard-style scales of minors of G.
 
-    ``sequences`` is a (K, s) array of 0-based facet sequences and
-    ``pairs`` a list of index pairs; pair (a, b) selects the minor with
-    rows ``sequences[a]`` and columns ``sequences[b]``.  Returns
-    (dets, scales), one entry per pair; the scale is the product of the
-    minor's row norms, at least 1, for zero tests.  Minors are gathered
-    and factored _DET_CHUNK pairs at a time.
+    ``rows`` and ``cols`` are (P, s) arrays of 0-based facet indices;
+    minor k is G restricted to rows ``rows[k]`` and columns ``cols[k]``.
+    Returns (dets, scales), one entry per minor; the scale is the product
+    of the minor's row norms, at least 1, for zero tests.  Minors are
+    gathered and factored _DET_CHUNK at a time.
     """
-    dets = np.empty(len(pairs))
-    scales = np.empty(len(pairs))
-    for start in range(0, len(pairs), _DET_CHUNK):
-        rows, cols = np.array(pairs[start:start + _DET_CHUNK]).T
-        minors = G[sequences[rows][:, :, None], sequences[cols][:, None, :]]
-        stop = start + len(rows)
-        dets[start:stop] = np.linalg.det(minors)
+    dets = np.empty(len(rows))
+    scales = np.empty(len(rows))
+    for start in range(0, len(rows), _DET_CHUNK):
+        at = slice(start, start + _DET_CHUNK)
+        minors = G[rows[at][:, :, None], cols[at][:, None, :]]
+        dets[at] = np.linalg.det(minors)
         norms = np.linalg.norm(minors, axis=2)
-        scales[start:stop] = np.maximum(np.prod(np.maximum(norms, 1e-30), axis=1), 1.0)
+        scales[at] = np.maximum(np.prod(np.maximum(norms, 1e-30), axis=1), 1.0)
     return dets, scales
 
 
@@ -175,59 +169,54 @@ def _vertex_rank_condition(G, rel, d, rank_tol, ideal=frozenset()):
     )
 
 
-def _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed):
-    """Unordered index pairs (including diagonal) within each orientation class.
-
-    Exhaustive below the cap; above it, a seeded sample plus every pair
-    sharing a vertex.  Returns (pairs, exhaustive_flag)."""
-    by_class = {0: [], 1: []}
-    for idx, sc in enumerate(super_cycles):
-        by_class[sc.orientation].append(idx)
-    total = sum(len(v) * (len(v) + 1) // 2 for v in by_class.values())
-    if total <= pair_cap:
-        return [p for v in by_class.values() for p in combinations_with_replacement(v, 2)], True
-    rng = np.random.default_rng(seed)
-    chosen = set()
-    for members in by_class.values():
-        members_by_vertex = {}
-        for idx in members:
-            members_by_vertex.setdefault(super_cycles[idx].vertex, []).append(idx)
-        for verts in members_by_vertex.values():
-            chosen.update(combinations_with_replacement(verts, 2))
-        if len(members) > 1:
-            draws = np.sort(rng.integers(0, len(members), size=(sample_size, 2)), axis=1)
-            chosen.update((members[a], members[b]) for a, b in draws)
-    return sorted(chosen), False
+def _signature_check(w, thr, expected) -> ConditionCheck:
+    """Counts of eigenvalues w above thr, below -thr and within, against expected."""
+    p, q = int(np.count_nonzero(w > thr)), int(np.count_nonzero(w < -thr))
+    sig = (p, q, len(w) - p - q)
+    return ConditionCheck("signature", sig == expected, f"signature {sig}, expected {expected}")
 
 
-def _pair_condition(G, cycles, pairs, det_factor, name, label, exhaustive, ztol):
-    """Dets of paired cycle minors, multiplied by det_factor, must be positive.
+def _pair_detail(count, failures) -> str:
+    return f"exhaustive, {count} pairs" + ("; " + "; ".join(failures) if failures else "")
 
-    ``cycles`` are 1-based facet sequences of one length; pair (a, b)
-    takes the rows of cycles[a] against the columns of cycles[b].  The
-    first five failures are listed, each value prefixed by ``label``.
+
+def _super_cycle_condition(G, super_cycles, det_factor, ztol) -> ConditionCheck:
+    """det G[a, b] * det_factor > 0 over same-orientation super-cycle pairs.
+
+    G has rank d+1, so G = H* Phi' H with H of d+1 rows and Phi' = +-1
+    diagonal, and det G[a, b] = det H_a * det Phi' * det H_b.  Every pair
+    of a class (a = b included) passes exactly when det G[a, a0] *
+    det_factor > ztol * scale for each a, with a0 the class's cycle of
+    largest |det G[a, a]| / scale.  The detail counts all 2K determinants.
     """
-    dets, scales = _minor_dets(G, np.array(cycles) - 1, pairs)
+    cycles = [sc.facet_sequence for sc in super_cycles]
+    sequences = np.array(cycles) - 1
+    orientation = np.array([sc.orientation for sc in super_cycles])
+    refs = np.empty(len(cycles), dtype=int)
+    for c in np.unique(orientation):
+        members = np.flatnonzero(orientation == c)
+        dets, scales = _minor_dets(G, sequences[members], sequences[members])
+        refs[members] = members[np.argmax(np.abs(dets) / scales)]
+    dets, scales = _minor_dets(G, sequences, sequences[refs])
     values = det_factor * dets
     failures = [
-        f"cycles {cycles[pairs[k][0]]} x {cycles[pairs[k][1]]}: {label}{values[k]:.3g}"
+        f"cycles {cycles[k]} x {cycles[refs[k]]}: det*sign = {values[k]:.3g}"
         for k in np.flatnonzero(values <= ztol * scales)[:5]
     ]
-    mode = "exhaustive" if exhaustive else "sampled"
-    detail = f"{mode}, {len(pairs)} pairs" + ("; " + "; ".join(failures) if failures else "")
-    return ConditionCheck(name, not failures, detail)
+    return ConditionCheck("super-cycle-pairs", not failures,
+                          _pair_detail(2 * len(cycles), failures))
 
 
-def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, pair_cap,
-            sample_size, seed, flag_cap, ideal=frozenset()):
+def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_cap,
+            ideal=frozenset()):
     """The check sequence every Gramian verifier shares.
 
-    Runs the lattice gate, the flag bipartition, ``form_checks()`` (the
-    checks particular to the form), vertex minor ranks, then positivity
-    of det(minor) * det_factor over same-orientation super-cycle pairs.
-    Returns (checks, cycles): cycles is (lattice, super cycles, pairs,
-    exhaustive) for a caller adding checks of its own, or None when the
-    gate failed and ``checks`` holds only the failed lattice check.
+    Runs the lattice gate, the flag bipartition, ``form_checks(w, thr)``
+    (the checks particular to the form, given G's eigenvalues w and zero
+    threshold thr), vertex minor ranks, then the super-cycle condition,
+    left undecided and failed unless G has rank d+1.  Returns (checks,
+    cycles): cycles is (lattice, super cycles) for a caller adding checks
+    of its own, or None when the gate failed.
     """
     lat, d, reason = lattice_gate(rel, d)
     if reason is not None:
@@ -237,15 +226,18 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, pair_
             detail = _LATTICE_DETAILS[reason]
         return [ConditionCheck("lattice", False, detail)], None
     coloring = flag_graph_bipartition(lat, flag_cap)
-    checks = [ConditionCheck("lattice", True), *form_checks()]
+    w = np.linalg.eigvalsh(0.5 * (G + G.T))
+    thr = rank_tol * max(np.abs(w).max(), 1e-300)
+    checks = [ConditionCheck("lattice", True), *form_checks(w, thr)]
     checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
     super_cycles = enumerate_super_cycles(lat, coloring)
-    pairs, exhaustive = _same_orientation_pairs(super_cycles, pair_cap, sample_size, seed)
-    checks.append(_pair_condition(
-        G, [sc.facet_sequence for sc in super_cycles], pairs, det_factor,
-        "super-cycle-pairs", "det*sign = ", exhaustive, det_zero_tol,
-    ))
-    return checks, (lat, super_cycles, pairs, exhaustive)
+    rank = int(np.count_nonzero(np.abs(w) > thr))
+    if rank == d + 1:
+        checks.append(_super_cycle_condition(G, super_cycles, det_factor, det_zero_tol))
+    else:
+        checks.append(ConditionCheck(
+            "super-cycle-pairs", False, f"not decided: rank {rank}, expected {d + 1}"))
+    return checks, (lat, super_cycles)
 
 
 def _report(checks) -> ConditionReport:
@@ -257,9 +249,6 @@ def verify_gramian_conditions(
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
     det_zero_tol: float = DEFAULT_DET_ZERO_TOL,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    seed: int = 0,
     flag_cap: int = DEFAULT_FLAG_CAP,
 ) -> ConditionReport:
     """Check whether the candidate can be the Gramian of a type-R cone.
@@ -267,26 +256,21 @@ def verify_gramian_conditions(
     Conditions: the lattice preamble, signature of G matching the form
     (with n - d - 1 zeros), diagonals +-1, every vertex's principal
     minor of rank d, and positivity of det(minor) * sign(det Phi) for
-    same-orientation super-cycle pairs.  Pair enumeration is exhaustive
-    below pair_cap, otherwise sampled (disclosed in the report detail).
+    every same-orientation super-cycle pair, decided through one reference
+    minor per super cycle; det_zero_tol bounds det H_a * det H_a0.
     """
     G = cand.G
     rel = cand.relation
+    expected = (*cand.form.signature, rel.n_facets - cand.form.size)
 
-    def form_checks():
-        p, q = cand.form.signature
-        sig = signature(G, rank_tol)
-        expected = (p, q, rel.n_facets - cand.form.size)
+    def form_checks(w, thr):
         return [
-            ConditionCheck("signature", sig == expected, f"signature {sig}, expected {expected}"),
+            _signature_check(w, thr, expected),
             ConditionCheck("diagonal", bool(np.abs(np.abs(np.diag(G)) - 1.0).max() <= DIAG_TOL)),
         ]
 
-    checks, _ = _verify(
-        rel, G, cand.d, form_checks, cand.form.det_sign(), rank_tol=rank_tol,
-        det_zero_tol=det_zero_tol, pair_cap=pair_cap, sample_size=sample_size,
-        seed=seed, flag_cap=flag_cap,
-    )
+    checks, _ = _verify(rel, G, cand.d, form_checks, cand.form.det_sign(), rank_tol=rank_tol,
+                        det_zero_tol=det_zero_tol, flag_cap=flag_cap)
     return _report(checks)
 
 
@@ -305,7 +289,7 @@ def realize_cone_from_gramian(
     cycle's normals; N = (Phi H)* W then vanishes exactly on incident
     pairs.  If the first nonzero entry of N is positive the sign of W is
     flipped so all nonzero entries are negative.  A final fill-0 pattern
-    and rank check backstops sampled condition verification; its failure
+    and rank check guards against an unverified candidate; its failure
     raises PatternViolationError rather than returning a wrong cone.
     """
     rel = cand.relation
@@ -366,22 +350,17 @@ def verify_spherical_conditions(
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
     det_zero_tol: float = DEFAULT_DET_ZERO_TOL,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    seed: int = 0,
     flag_cap: int = DEFAULT_FLAG_CAP,
 ) -> ConditionReport:
     """Conditions for G to be the Gramian of a spherical d-polytope.
 
     G must be positive semi-definite of rank d+1 with unit diagonals,
-    vertex minors of rank d, and positive determinants on
-    same-orientation super-cycle pairs.
+    vertex minors of rank d, and positive determinants on every pair of
+    same-orientation super cycles, decided as in verify_gramian_conditions.
     """
     G = as_matrix(G, "gramian")
 
-    def form_checks():
-        w = np.linalg.eigvalsh(0.5 * (G + G.T))
-        thr = rank_tol * max(np.abs(w).max(), 1e-300)
+    def form_checks(w, thr):
         r = int(np.count_nonzero(w > thr))
         return [
             ConditionCheck("psd", bool(w.min() >= -thr), f"min eigenvalue {w.min():.3g}"),
@@ -389,10 +368,8 @@ def verify_spherical_conditions(
             _unit_diagonal(G),
         ]
 
-    checks, _ = _verify(
-        rel, G, d, form_checks, 1.0, rank_tol=rank_tol, det_zero_tol=det_zero_tol,
-        pair_cap=pair_cap, sample_size=sample_size, seed=seed, flag_cap=flag_cap,
-    )
+    checks, _ = _verify(rel, G, d, form_checks, 1.0, rank_tol=rank_tol,
+                        det_zero_tol=det_zero_tol, flag_cap=flag_cap)
     return _report(checks)
 
 
@@ -418,6 +395,20 @@ def _truncated_cycles(lat: MaxbicliqueLattice, d: int):
     return seen
 
 
+def _distinct_vertex_pairs(orientation, vertex):
+    """(rows, cols) index arrays of the pairs a <= b of one orientation class
+    at distinct vertices, in row-major order, in blocks of at most _DET_CHUNK."""
+    for c in np.unique(orientation):
+        members = np.flatnonzero(orientation == c)
+        starts = np.concatenate([[0], np.cumsum(np.arange(len(members), 0, -1))])
+        for first in range(0, starts[-1], _DET_CHUNK):
+            t = np.arange(first, min(first + _DET_CHUNK, starts[-1]))
+            row = np.searchsorted(starts, t, side="right") - 1
+            a, b = members[row], members[row + t - starts[row]]
+            keep = vertex[a] != vertex[b]
+            yield a[keep], b[keep]
+
+
 def verify_hyperbolic_conditions(
     rel: IncidenceRelation,
     ideal_vertices,
@@ -426,35 +417,33 @@ def verify_hyperbolic_conditions(
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
     det_zero_tol: float = DEFAULT_DET_ZERO_TOL,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    seed: int = 0,
     flag_cap: int = DEFAULT_FLAG_CAP,
 ) -> ConditionReport:
     """Conditions for G to be the Gramian of a finite-volume hyperbolic polytope.
 
-    Against the Lorentzian form diag(1, ..., 1, -1): unit diagonals;
-    vertex minors of rank d; same-orientation super-cycle pair
-    determinants negative; truncated-cycle principal minors zero at
+    Against the Lorentzian form diag(1, ..., 1, -1): signature (d, 1,
+    n - d - 1); unit diagonals; vertex minors of rank d; same-orientation
+    super-cycle pair determinants negative, decided as in
+    verify_gramian_conditions; truncated-cycle principal minors zero at
     ideal vertices, positive at finite vertices and at all higher faces;
     and cross determinants of same-orientation cycles at different
     vertices positive.  The last condition uses the d x d minors over
     the cycle parts, which carry the pairwise form values of the
     generators; the full super-cycle minors already appear (negated) in
-    the second condition.
+    the super-cycle condition.
     """
     G = as_matrix(G, "gramian")
     ideal = frozenset(int(v) for v in ideal_vertices)
     if not ideal <= set(range(1, rel.n_vertices + 1)):
         raise ValueError(f"ideal vertices {sorted(ideal)} out of range")
+    expected = (d, 1, rel.n_facets - d - 1)
     checks, cycles = _verify(
-        rel, G, d, lambda: [_unit_diagonal(G)], -1.0, rank_tol=rank_tol,
-        det_zero_tol=det_zero_tol, pair_cap=pair_cap, sample_size=sample_size,
-        seed=seed, flag_cap=flag_cap, ideal=ideal,
+        rel, G, d, lambda w, thr: [_signature_check(w, thr, expected), _unit_diagonal(G)],
+        -1.0, rank_tol=rank_tol, det_zero_tol=det_zero_tol, flag_cap=flag_cap, ideal=ideal,
     )
     if cycles is None:
         return _report(checks)
-    lat, super_cycles, pairs, exhaustive = cycles
+    lat, super_cycles = cycles
 
     # principal minors, one _minor_dets call per truncated-cycle length
     truncated = [(tuple(sorted(f)), el) for f, el in _truncated_cycles(lat, d).items()]
@@ -462,7 +451,7 @@ def verify_hyperbolic_conditions(
     for s in {len(facets) for facets, _ in truncated}:
         at = [k for k, (facets, _) in enumerate(truncated) if len(facets) == s]
         sequences = np.array([truncated[k][0] for k in at]) - 1
-        dets[at], scales = _minor_dets(G, sequences, [(k, k) for k in range(len(at))])
+        dets[at], scales = _minor_dets(G, sequences, sequences)
         ztols[at] = det_zero_tol * scales
     failures = []
     for (facets, meet_el), det, ztol in zip(truncated, dets, ztols):
@@ -476,11 +465,20 @@ def verify_hyperbolic_conditions(
             break
     checks.append(ConditionCheck("truncated-cycles", not failures, "; ".join(failures)))
 
-    cross = [(a, b) for a, b in pairs if super_cycles[a].vertex != super_cycles[b].vertex]
-    checks.append(_pair_condition(
-        G, [sc.facet_sequence[:-1] for sc in super_cycles], cross, 1.0,
-        "distinct-vertex-pairs", "det ", exhaustive, det_zero_tol,
-    ))
+    parts = [sc.facet_sequence[:-1] for sc in super_cycles]
+    sequences = np.array(parts) - 1
+    orientation = np.array([sc.orientation for sc in super_cycles])
+    vertex = np.array([sc.vertex for sc in super_cycles])
+    count, failures = 0, []
+    for rows, cols in _distinct_vertex_pairs(orientation, vertex):
+        dets, scales = _minor_dets(G, sequences[rows], sequences[cols])
+        count += len(rows)
+        failures += [
+            f"cycles {parts[rows[k]]} x {parts[cols[k]]}: det {dets[k]:.3g}"
+            for k in np.flatnonzero(dets <= det_zero_tol * scales)[:5 - len(failures)]
+        ]
+    checks.append(ConditionCheck(
+        "distinct-vertex-pairs", not failures, _pair_detail(count, failures)))
     return _report(checks)
 
 

@@ -170,3 +170,21 @@ def random_form_matrix(rng, size, negatives):
     eigs = rng.uniform(0.5, 2.0, size)
     eigs[:negatives] *= -1.0
     return (Q * eigs) @ Q.T
+
+
+def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -> bool:
+    """The pairwise super-cycle condition, one determinant per pair.
+
+    Every pair (a, b), a <= b, of super cycles in one orientation class
+    needs det G[a, b] * det_factor above det_zero_tol times the product
+    of the minor's row norms (at least 1), where G[a, b] takes the rows
+    of a's facet sequence and the columns of b's.
+    """
+    for a, b in itertools.combinations_with_replacement(super_cycles, 2):
+        if a.orientation != b.orientation:
+            continue
+        minor = G[np.ix_(np.array(a.facet_sequence) - 1, np.array(b.facet_sequence) - 1)]
+        scale = max(float(np.prod(np.maximum(np.linalg.norm(minor, axis=1), 1e-30))), 1.0)
+        if np.linalg.det(minor) * det_factor <= det_zero_tol * scale:
+            return False
+    return True

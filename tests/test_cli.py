@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyrealize import dump_relation
-from polyrealize.cli import main
+from polyrealize.cli import build_parser, main
 from polyrealize.numkernel import read_matrix_csv, write_matrix_csv
 
 from conftest import (
@@ -199,3 +199,12 @@ class TestContracts:
 
     def test_unknown_flag_is_input_error(self, workdir):
         assert run("check", workdir / "pyramid.json", "--bogus") == 3
+
+    def test_seed_only_on_commands_that_read_it(self, workdir, capsys):
+        assert run("gramian-verify", workdir / "octant.json", workdir / "gram3.csv",
+                   workdir / "phi3.csv", "--d", "2", "--seed", "1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyrealize")
+        assert "error: unrecognized arguments: --seed 1" in err
+        args = build_parser().parse_args(["convert", "N.csv", "cone-to-polytope", "--seed", "3"])
+        assert args.seed == 3

@@ -7,12 +7,17 @@ from polyrealize import (
     BilinearForm,
     FilledIncidenceMatrix,
     GramianCandidate,
+    IncidenceRelation,
     block_gramian,
     build_maxbiclique_lattice,
     check_filled_incidence,
     compact_svd,
+    enumerate_super_cycles,
     enumerate_super_cycles_per_vertex,
+    flag_graph_bipartition,
     gramian_of_cone,
+    polytope_to_cone_matrix,
+    realizability_check,
     realize_cone_from_gramian,
     realize_from_matrix,
     verify_gramian_conditions,
@@ -26,7 +31,17 @@ from polyrealize.errors import (
 )
 from polyrealize.numkernel import factor_against_form, numeric_rank
 
-from conftest import PYRAMID_MATRIX, cube, ngon, octant_relation, pyramid_relation
+from conftest import (
+    PYRAMID_MATRIX,
+    cross_polytope,
+    cube,
+    ngon,
+    octant_relation,
+    pyramid_relation,
+    simplex,
+    triangular_prism,
+)
+from oracles import super_cycle_pairs_by_definition
 
 IDEAL_TRIANGLE_RELATION = lambda: __import__("conftest").ngon(3)
 
@@ -89,13 +104,6 @@ class TestVerifyGramianConditions:
     def test_pyramid_candidate_passes(self):
         report = verify_gramian_conditions(pyramid_cone_candidate())
         assert report.passed
-
-    def test_sampled_pair_mode_above_cap(self):
-        cand = pyramid_cone_candidate()
-        report = verify_gramian_conditions(cand, pair_cap=10, sample_size=50, seed=3)
-        assert report.passed
-        detail = report.check("super-cycle-pairs").detail
-        assert detail.startswith("sampled")
 
     def test_flag_cap_propagates(self):
         from polyrealize.errors import FlagCapExceededError
@@ -306,6 +314,7 @@ class TestHyperbolic:
     def test_spherical_gramian_fails_hyperbolic(self, octant):
         report = verify_hyperbolic_conditions(octant, [], np.eye(3), 2)
         assert not report.passed
+        assert not report.check("signature").passed
 
 
 def _cube_gramian(d):
@@ -365,21 +374,22 @@ FAILING_HYPERBOLIC = {
         np.array([[1.0, -0.5, -1.0], [-0.5, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
 }
 
-# captured before the pair determinants were batched; the spherical
-# reports leave out the "psd" detail, a rounding-level eigenvalue
+# pass flags captured before the pair determinants were batched, details
+# with one reference minor per super cycle; the spherical reports leave
+# out the "psd" detail, a rounding-level eigenvalue
 EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                             "lattice": True,
                             "signature": True,
                             "super-cycle-pairs": False,
                             "vertex-minor-rank": True},
              "details": {"signature": "signature (4, 0, 2), expected (4, 0, 2)",
-                         "super-cycle-pairs": "exhaustive, 5256 pairs; cycles (2, 6, 4, 1) "
-                                              "x (2, 6, 4, 3): det*sign = -0.25; cycles "
-                                              "(2, 6, 4, 1) x (2, 6, 4, 5): det*sign = "
-                                              "-0.25; cycles (2, 6, 4, 1) x (4, 2, 6, 3): "
-                                              "det*sign = -0.25; cycles (2, 6, 4, 1) x (4, "
-                                              "2, 6, 5): det*sign = -0.25; cycles (2, 6, "
-                                              "4, 1) x (6, 4, 2, 3): det*sign = -0.25"},
+                         "super-cycle-pairs": "exhaustive, 288 pairs; cycles (2, 4, 6, 3) "
+                                              "x (2, 4, 6, 1): det*sign = -0.25; cycles "
+                                              "(2, 4, 6, 5) x (2, 4, 6, 1): det*sign = "
+                                              "-0.25; cycles (2, 6, 4, 3) x (2, 6, 4, 1): "
+                                              "det*sign = -0.25; cycles (2, 6, 4, 5) x (2, "
+                                              "6, 4, 1): det*sign = -0.25; cycles (4, 2, "
+                                              "6, 3) x (2, 6, 4, 1): det*sign = -0.25"},
              "passed": False},
             {"conditions": {"diagonal": True,
                             "lattice": True,
@@ -388,13 +398,13 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                             "super-cycle-pairs": False,
                             "vertex-minor-rank": True},
              "details": {"rank": "rank 4, expected 4",
-                         "super-cycle-pairs": "exhaustive, 5256 pairs; cycles (2, 6, 4, 1) "
-                                              "x (2, 6, 4, 3): det*sign = -0.25; cycles "
-                                              "(2, 6, 4, 1) x (2, 6, 4, 5): det*sign = "
-                                              "-0.25; cycles (2, 6, 4, 1) x (4, 2, 6, 3): "
-                                              "det*sign = -0.25; cycles (2, 6, 4, 1) x (4, "
-                                              "2, 6, 5): det*sign = -0.25; cycles (2, 6, "
-                                              "4, 1) x (6, 4, 2, 3): det*sign = -0.25"},
+                         "super-cycle-pairs": "exhaustive, 288 pairs; cycles (2, 4, 6, 3) "
+                                              "x (2, 4, 6, 1): det*sign = -0.25; cycles "
+                                              "(2, 4, 6, 5) x (2, 4, 6, 1): det*sign = "
+                                              "-0.25; cycles (2, 6, 4, 3) x (2, 6, 4, 1): "
+                                              "det*sign = -0.25; cycles (2, 6, 4, 5) x (2, "
+                                              "6, 4, 1): det*sign = -0.25; cycles (4, 2, "
+                                              "6, 3) x (2, 6, 4, 1): det*sign = -0.25"},
              "passed": False}),
  "gon-8": ({"conditions": {"diagonal": True,
                            "lattice": True,
@@ -402,13 +412,13 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                            "super-cycle-pairs": False,
                            "vertex-minor-rank": True},
             "details": {"signature": "signature (3, 0, 5), expected (3, 0, 5)",
-                        "super-cycle-pairs": "exhaustive, 2352 pairs; cycles (1, 8, 2) x "
-                                             "(3, 2, 4): det*sign = -0.0214; cycles (1, 8, "
-                                             "2) x (3, 2, 5): det*sign = -0.0518; cycles "
-                                             "(1, 8, 2) x (3, 2, 6): det*sign = -0.0732; "
-                                             "cycles (1, 8, 2) x (3, 2, 7): det*sign = "
-                                             "-0.0732; cycles (1, 8, 2) x (3, 2, 8): "
-                                             "det*sign = -0.0518"},
+                        "super-cycle-pairs": "exhaustive, 192 pairs; cycles (8, 1, 2) x "
+                                             "(6, 7, 2): det*sign = -0.0732; cycles (8, 1, "
+                                             "3) x (6, 7, 2): det*sign = -0.177; cycles "
+                                             "(8, 1, 4) x (6, 7, 2): det*sign = -0.25; "
+                                             "cycles (8, 1, 5) x (6, 7, 2): det*sign = "
+                                             "-0.25; cycles (8, 1, 6) x (6, 7, 2): "
+                                             "det*sign = -0.177"},
             "passed": False},
            {"conditions": {"diagonal": True,
                            "lattice": True,
@@ -417,13 +427,13 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                            "super-cycle-pairs": False,
                            "vertex-minor-rank": True},
             "details": {"rank": "rank 3, expected 3",
-                        "super-cycle-pairs": "exhaustive, 2352 pairs; cycles (1, 8, 2) x "
-                                             "(3, 2, 4): det*sign = -0.0214; cycles (1, 8, "
-                                             "2) x (3, 2, 5): det*sign = -0.0518; cycles "
-                                             "(1, 8, 2) x (3, 2, 6): det*sign = -0.0732; "
-                                             "cycles (1, 8, 2) x (3, 2, 7): det*sign = "
-                                             "-0.0732; cycles (1, 8, 2) x (3, 2, 8): "
-                                             "det*sign = -0.0518"},
+                        "super-cycle-pairs": "exhaustive, 192 pairs; cycles (8, 1, 2) x "
+                                             "(6, 7, 2): det*sign = -0.0732; cycles (8, 1, "
+                                             "3) x (6, 7, 2): det*sign = -0.177; cycles "
+                                             "(8, 1, 4) x (6, 7, 2): det*sign = -0.25; "
+                                             "cycles (8, 1, 5) x (6, 7, 2): det*sign = "
+                                             "-0.25; cycles (8, 1, 6) x (6, 7, 2): "
+                                             "det*sign = -0.177"},
             "passed": False}),
  "pyramid": ({"conditions": {"diagonal": True,
                              "lattice": True,
@@ -431,14 +441,14 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                              "super-cycle-pairs": False,
                              "vertex-minor-rank": True},
               "details": {"signature": "signature (4, 0, 1), expected (4, 0, 1)",
-                          "super-cycle-pairs": "exhaustive, 1056 pairs; cycles (1, 4, 5, "
-                                               "2) x (2, 5, 3, 4): det*sign = -0.569; "
-                                               "cycles (1, 4, 5, 2) x (3, 2, 5, 4): "
-                                               "det*sign = -0.569; cycles (1, 4, 5, 2) x "
-                                               "(5, 3, 2, 4): det*sign = -0.569; cycles "
-                                               "(1, 4, 5, 2) x (3, 5, 4, 2): det*sign = "
-                                               "-0.569; cycles (1, 4, 5, 2) x (4, 3, 5, "
-                                               "2): det*sign = -0.569"},
+                          "super-cycle-pairs": "exhaustive, 128 pairs; cycles (2, 3, 5, "
+                                               "4) x (1, 5, 4, 3): det*sign = -0.569; "
+                                               "cycles (2, 5, 3, 4) x (1, 4, 5, 3): "
+                                               "det*sign = -0.569; cycles (3, 2, 5, 4) x "
+                                               "(1, 4, 5, 3): det*sign = -0.569; cycles "
+                                               "(3, 5, 2, 4) x (1, 5, 4, 3): det*sign = "
+                                               "-0.569; cycles (5, 2, 3, 4) x (1, 5, 4, "
+                                               "3): det*sign = -0.569"},
               "passed": False},
              {"conditions": {"diagonal": True,
                              "lattice": True,
@@ -447,23 +457,25 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                              "super-cycle-pairs": False,
                              "vertex-minor-rank": True},
               "details": {"rank": "rank 4, expected 4",
-                          "super-cycle-pairs": "exhaustive, 1056 pairs; cycles (1, 4, 5, "
-                                               "2) x (2, 5, 3, 4): det*sign = -0.569; "
-                                               "cycles (1, 4, 5, 2) x (3, 2, 5, 4): "
-                                               "det*sign = -0.569; cycles (1, 4, 5, 2) x "
-                                               "(5, 3, 2, 4): det*sign = -0.569; cycles "
-                                               "(1, 4, 5, 2) x (3, 5, 4, 2): det*sign = "
-                                               "-0.569; cycles (1, 4, 5, 2) x (4, 3, 5, "
-                                               "2): det*sign = -0.569"},
+                          "super-cycle-pairs": "exhaustive, 128 pairs; cycles (2, 3, 5, "
+                                               "4) x (1, 5, 4, 3): det*sign = -0.569; "
+                                               "cycles (2, 5, 3, 4) x (1, 4, 5, 3): "
+                                               "det*sign = -0.569; cycles (3, 2, 5, 4) x "
+                                               "(1, 4, 5, 3): det*sign = -0.569; cycles "
+                                               "(3, 5, 2, 4) x (1, 5, 4, 3): det*sign = "
+                                               "-0.569; cycles (5, 2, 3, 4) x (1, 5, 4, "
+                                               "3): det*sign = -0.569"},
               "passed": False})}
 
 EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
                                          "distinct-vertex-pairs": True,
                                          "lattice": True,
+                                         "signature": True,
                                          "super-cycle-pairs": True,
                                          "truncated-cycles": False,
                                          "vertex-minor-rank": False},
                           "details": {"distinct-vertex-pairs": "exhaustive, 6 pairs",
+                                      "signature": "signature (2, 1, 0), expected (2, 1, 0)",
                                       "super-cycle-pairs": "exhaustive, 12 pairs",
                                       "truncated-cycles": "facets (1, 2) at ideal vertex "
                                                           "2: det 0.75",
@@ -472,6 +484,7 @@ EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
  "flipped-compact-triangle": {"conditions": {"diagonal": True,
                                              "distinct-vertex-pairs": False,
                                              "lattice": True,
+                                             "signature": True,
                                              "super-cycle-pairs": True,
                                              "truncated-cycles": True,
                                              "vertex-minor-rank": True},
@@ -483,11 +496,14 @@ EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
                                                                    "(2, 3): det -1.21; "
                                                                    "cycles (1, 2) x (2, "
                                                                    "3): det -1.21",
+                                          "signature": "signature (2, 1, 0), expected "
+                                                       "(2, 1, 0)",
                                           "super-cycle-pairs": "exhaustive, 12 pairs"},
                               "passed": False},
  "flipped-right-angled-pentagon": {"conditions": {"diagonal": True,
                                                   "distinct-vertex-pairs": False,
                                                   "lattice": True,
+                                                  "signature": True,
                                                   "super-cycle-pairs": False,
                                                   "truncated-cycles": True,
                                                   "vertex-minor-rank": True},
@@ -503,19 +519,20 @@ EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
                                                                         "-2.62; cycles (1, "
                                                                         "5) x (4, 3): det "
                                                                         "-2.62",
-                                               "super-cycle-pairs": "exhaustive, 240 "
-                                                                    "pairs; cycles (1, 5, "
-                                                                    "2) x (3, 2, 4): "
-                                                                    "det*sign = -1.62; "
-                                                                    "cycles (1, 5, 2) x "
-                                                                    "(3, 2, 5): det*sign = "
-                                                                    "-2.62; cycles (1, 5, "
-                                                                    "2) x (4, 3, 2): "
-                                                                    "det*sign = -1.62; "
-                                                                    "cycles (1, 5, 2) x "
-                                                                    "(4, 3, 5): det*sign = "
-                                                                    "-1.62; cycles (1, 5, "
-                                                                    "2) x (5, 4, 2): "
+                                               "signature": "signature (2, 1, 2), expected (2, 1, 2)",
+                                               "super-cycle-pairs": "exhaustive, 60 "
+                                                                    "pairs; cycles (2, 3, "
+                                                                    "4) x (5, 1, 3): "
+                                                                    "det*sign = -2.62; "
+                                                                    "cycles (2, 3, 5) x "
+                                                                    "(5, 1, 3): det*sign = "
+                                                                    "-4.24; cycles (3, 2, "
+                                                                    "4) x (1, 5, 3): "
+                                                                    "det*sign = -2.62; "
+                                                                    "cycles (3, 2, 5) x "
+                                                                    "(1, 5, 3): det*sign = "
+                                                                    "-4.24; cycles (3, 4, "
+                                                                    "2) x (5, 1, 3): "
                                                                     "det*sign = -2.62"},
                                    "passed": False}}
 
@@ -540,6 +557,123 @@ class TestFailingDetails:
             EXPECTED_HYPERBOLIC[name]
 
 
+# the six vertices (columns) of the benchmark's gramian-workload member
+# hull6-0 at seed 8, and the vertices of each of its eight facets; its
+# thinnest super cycle has |det H_a| / prod |h_i| about 9e-5
+HULL6_VERTICES = np.array([
+    [0.659589497040055, 0.8947672445218039, 0.41252289176644946,
+     -0.12328598269277381, -0.6040093374680289, -0.6521904723375488],
+    [-0.49212458004684173, -0.3979360164746421, -0.48216847512472033,
+     0.26797240501781544, -0.1615549252736105, 0.4407018629795913],
+    [-0.52411588513422, 0.05786248062696847, -0.6648897756973253,
+     -1.0492860190315187, -0.9010249468785464, 0.6268798270073683],
+])
+HULL6_FACETS = [(2, 4, 6), (1, 2, 4), (4, 5, 6), (1, 2, 3),
+                (2, 3, 6), (3, 5, 6), (1, 3, 4), (3, 4, 5)]
+
+
+def test_thin_hull_gramian_passes():
+    """A genuine Gramian whose super-cycle pair dets come within det_zero_tol."""
+    rel = IncidenceRelation.from_pairs(
+        8, 6, [(i, j) for i, facet in enumerate(HULL6_FACETS, 1) for j in facet])
+    H = np.column_stack([np.linalg.solve(HULL6_VERTICES[:, np.array(f) - 1].T, np.ones(3))
+                         for f in HULL6_FACETS])
+    form = BilinearForm.euclidean(4)
+    G = gramian_of_cone(np.vstack([H, -np.ones(8)]), form)
+    assert verify_gramian_conditions(GramianCandidate(G, form, rel, 3)).passed
+    assert verify_spherical_conditions(rel, G, 3).passed
+
+
+def _family_gramian(rel, d):
+    verdict = realizability_check(rel, d)
+    N = polytope_to_cone_matrix(verdict.matrix)
+    return gramian_of_cone(realize_from_matrix(N, d).H, BilinearForm.euclidean(d + 1))
+
+
+# relations small enough for the one-determinant-per-pair oracle
+ORACLE_FAMILIES = {
+    "simplex-2": lambda: (simplex(2), 2), "simplex-3": lambda: (simplex(3), 3),
+    "simplex-4": lambda: (simplex(4), 4), "square": lambda: (cube(2), 2),
+    "cube-3": lambda: (cube(3), 3), "cross-3": lambda: (cross_polytope(3), 3),
+    "gon-5": lambda: (ngon(5), 2), "gon-8": lambda: (ngon(8), 2),
+    "prism": lambda: (triangular_prism(), 3), "pyramid": lambda: (pyramid_relation(), 3),
+}
+
+
+def _assert_matches_pairwise(rel, G, d, det_factor, *reports):
+    """super-cycle-pairs against the pairwise oracle where G has rank d+1."""
+    checks = [report.check("super-cycle-pairs") for report in reports]
+    if numeric_rank(G) != d + 1:
+        assert all(not c.passed and c.detail.startswith("not decided") for c in checks)
+        return
+    lat = build_maxbiclique_lattice(rel)
+    cycles = enumerate_super_cycles(lat, flag_graph_bipartition(lat))
+    expected = super_cycle_pairs_by_definition(G, cycles, det_factor, 1e-8)
+    assert all(c.passed == expected for c in checks)
+
+
+class TestSuperCycleReference:
+    """One reference minor per super cycle decides every same-orientation pair."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_genuine_and_flipped(self, name):
+        rel, d = ORACLE_FAMILIES[name]()
+        genuine = _family_gramian(rel, d)
+        for G in (genuine, _flip_first_normal(genuine)):
+            cand = GramianCandidate(G, BilinearForm.euclidean(d + 1), rel, d)
+            _assert_matches_pairwise(rel, G, d, 1.0, verify_gramian_conditions(cand),
+                                     verify_spherical_conditions(rel, G, d))
+
+    @pytest.mark.parametrize("name", sorted(FLIPPED_EUCLIDEAN))
+    def test_flipped_euclidean(self, name):
+        rel, d, G = FLIPPED_EUCLIDEAN[name]()
+        cand = GramianCandidate(G, BilinearForm.euclidean(d + 1), rel, d)
+        _assert_matches_pairwise(rel, G, d, 1.0, verify_gramian_conditions(cand))
+
+    @pytest.mark.parametrize("name", ["ideal-triangle", "right-angled-pentagon",
+                                      "compact-triangle", *sorted(FAILING_HYPERBOLIC)])
+    def test_hyperbolic(self, name):
+        cases = {
+            "ideal-triangle": lambda: (ngon(3), [1, 2, 3], np.array(
+                [[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
+            "right-angled-pentagon": lambda: (ngon(5), [], _right_angled_pentagon()),
+            "compact-triangle": lambda: (ngon(3), [], _compact_triangle()),
+            **FAILING_HYPERBOLIC,
+        }
+        rel, ideal, G = cases[name]()
+        _assert_matches_pairwise(rel, G, 2, -1.0, verify_hyperbolic_conditions(rel, ideal, G, 2))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_seeded_random_normals(self, name):
+        """Genuine normals under seeded noise of three sizes, and plain random normals."""
+        rng = np.random.default_rng(sorted(ORACLE_FAMILIES).index(name))
+        rel, d = ORACLE_FAMILIES[name]()
+        form = BilinearForm.euclidean(d + 1)
+        H = factor_against_form(_family_gramian(rel, d), form)
+        for noise in (0.05, 0.3, 1.0, None):
+            if noise is None:
+                Hr = rng.standard_normal(H.shape)
+            else:
+                Hr = H + noise * rng.standard_normal(H.shape)
+            G = gramian_of_cone(Hr, form)
+            cand = GramianCandidate(G, form, rel, d)
+            _assert_matches_pairwise(rel, G, d, 1.0, verify_gramian_conditions(cand))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_perturbed_gramians_fail(self, seed):
+        """One off-diagonal entry moved, as in the benchmark's perturbed members."""
+        rng = np.random.default_rng(seed)
+        name = ("cube-3", "cross-3", "gon-8", "prism", "pyramid")[seed % 5]
+        rel, d = ORACLE_FAMILIES[name]()
+        G = _family_gramian(rel, d)
+        i, j = sorted(rng.choice(len(G), size=2, replace=False))
+        G[i, j] = G[j, i] = G[i, j] + rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.3)
+        cand = GramianCandidate(G, BilinearForm.euclidean(d + 1), rel, d)
+        general, spherical = verify_gramian_conditions(cand), verify_spherical_conditions(rel, G, d)
+        assert not general.passed and not spherical.passed
+        _assert_matches_pairwise(rel, G, d, 1.0, general, spherical)
+
+
 def test_batched_minor_dets_match_one_at_a_time():
     """The chunked routine against np.linalg.det and the row-norm scale per minor."""
     from polyrealize.gramian import _DET_CHUNK, _minor_dets
@@ -548,14 +682,35 @@ def test_batched_minor_dets_match_one_at_a_time():
     A = rng.standard_normal((9, 9))
     G = A + A.T
     sequences = np.array([rng.permutation(9)[:4] for _ in range(70)])
-    pairs = [(a, b) for a in range(70) for b in range(70)]
-    assert len(pairs) > _DET_CHUNK
-    dets, scales = _minor_dets(G, sequences, pairs)
-    for k, (a, b) in enumerate(pairs):
+    rows, cols = np.divmod(np.arange(70 * 70), 70)
+    assert len(rows) > _DET_CHUNK
+    dets, scales = _minor_dets(G, sequences[rows], sequences[cols])
+    for k, (a, b) in enumerate(zip(rows, cols)):
         minor = G[np.ix_(sequences[a], sequences[b])]
         norms = np.linalg.norm(minor, axis=1)
         assert dets[k] == np.linalg.det(minor)
         assert scales[k] == max(float(np.prod(np.maximum(norms, 1e-30))), 1.0)
+
+
+def test_distinct_vertex_pair_blocks_match_the_pair_loop():
+    """Blocked index pairs against combinations_with_replacement, across a block boundary."""
+    from itertools import combinations_with_replacement
+
+    from polyrealize.gramian import _DET_CHUNK, _distinct_vertex_pairs
+
+    rng = np.random.default_rng(2)
+    orientation = rng.integers(0, 2, 230)
+    vertex = rng.integers(1, 9, 230)
+    expected = [
+        (a, b)
+        for c in (0, 1)
+        for a, b in combinations_with_replacement(np.flatnonzero(orientation == c), 2)
+        if vertex[a] != vertex[b]
+    ]
+    blocks = list(_distinct_vertex_pairs(orientation, vertex))
+    assert len(blocks) > 2 and all(len(rows) <= _DET_CHUNK for rows, _ in blocks)
+    rows, cols = (np.concatenate(x) for x in zip(*blocks))
+    assert list(zip(rows.tolist(), cols.tolist())) == [(int(a), int(b)) for a, b in expected]
 
 
 class TestBlockGramian:
