@@ -40,6 +40,7 @@ from .incidence import (
     DEFAULT_EQ_TOL,
     DEFAULT_FLAG_CAP,
     DEFAULT_SLACK_TOL,
+    REASON_ATOMS_COATOMS,
     REASON_DIAMOND,
     REASON_RANK,
     IncidenceRelation,
@@ -149,7 +150,8 @@ def _lattice_report(rel: IncidenceRelation, d) -> tuple:
         if d is not None:
             conditions["lattice_rank"] = reason != REASON_RANK
         conditions["diamond"] = reason not in (REASON_RANK, REASON_DIAMOND)
-        conditions["flag_connected"] = reason is None
+        conditions["flag_connected"] = reason in (None, REASON_ATOMS_COATOMS)
+        conditions["atoms_coatoms"] = reason is None
     if reason is not None:
         report["reason"] = reason
     return report, reason is None

@@ -21,22 +21,21 @@ import numpy as np
 
 from .errors import (
     LightlikeNormalError,
+    NotBipartiteError,
     PatternViolationError,
 )
 from .incidence import (
     DEFAULT_FLAG_CAP,
+    REASON_ATOMS_COATOMS,
     REASON_DIAMOND,
     REASON_FLAG_CONNECTIVITY,
     REASON_NOT_GRADED,
     REASON_RANK,
     IncidenceRelation,
-    MaxbicliqueLattice,
-    _facet_element_index,
+    _cycle_per_vertex,
+    _cycle_table,
     build_maxbiclique_lattice,
     check_filled_incidence,
-    cycles_at_vertex,
-    enumerate_super_cycles,
-    enumerate_super_cycles_per_vertex,
     flag_graph_bipartition,
     lattice_gate,
 )
@@ -121,6 +120,7 @@ _LATTICE_DETAILS = {
     REASON_NOT_GRADED: "lattice is not graded",
     REASON_DIAMOND: "diamond condition fails",
     REASON_FLAG_CONNECTIVITY: "flag graph is disconnected",
+    REASON_ATOMS_COATOMS: "a vertex is not an atom or a facet not a coatom of its own",
 }
 
 
@@ -180,19 +180,22 @@ def _pair_detail(count, failures) -> str:
     return f"exhaustive, {count} pairs" + ("; " + "; ".join(failures) if failures else "")
 
 
-def _super_cycle_condition(G, super_cycles, det_factor, ztol) -> ConditionCheck:
+def _named(sequence) -> tuple:
+    """A row of 0-based facet indices as the 1-based tuple reports print."""
+    return tuple((sequence + 1).tolist())
+
+
+def _super_cycle_condition(G, sequences, orientation, det_factor, ztol) -> ConditionCheck:
     """det G[a, b] * det_factor > 0 over same-orientation super-cycle pairs.
 
+    Super cycles are rows of 0-based facet indices, with their classes.
     G has rank d+1, so G = H* Phi' H with H of d+1 rows and Phi' = +-1
     diagonal, and det G[a, b] = det H_a * det Phi' * det H_b.  Every pair
     of a class (a = b included) passes exactly when det G[a, a0] *
     det_factor > ztol * scale for each a, with a0 the class's cycle of
     largest |det G[a, a]| / scale.  The detail counts all 2K determinants.
     """
-    cycles = [sc.facet_sequence for sc in super_cycles]
-    sequences = np.array(cycles) - 1
-    orientation = np.array([sc.orientation for sc in super_cycles])
-    refs = np.empty(len(cycles), dtype=int)
+    refs = np.empty(len(sequences), dtype=int)
     for c in np.unique(orientation):
         members = np.flatnonzero(orientation == c)
         dets, scales = _minor_dets(G, sequences[members], sequences[members])
@@ -200,11 +203,12 @@ def _super_cycle_condition(G, super_cycles, det_factor, ztol) -> ConditionCheck:
     dets, scales = _minor_dets(G, sequences, sequences[refs])
     values = det_factor * dets
     failures = [
-        f"cycles {cycles[k]} x {cycles[refs[k]]}: det*sign = {values[k]:.3g}"
+        f"cycles {_named(sequences[k])} x {_named(sequences[refs[k]])}: "
+        f"det*sign = {values[k]:.3g}"
         for k in np.flatnonzero(values <= ztol * scales)[:5]
     ]
     return ConditionCheck("super-cycle-pairs", not failures,
-                          _pair_detail(2 * len(cycles), failures))
+                          _pair_detail(2 * len(sequences), failures))
 
 
 def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_cap,
@@ -214,9 +218,10 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
     Runs the lattice gate, the flag bipartition, ``form_checks(w, thr)``
     (the checks particular to the form, given G's eigenvalues w and zero
     threshold thr), vertex minor ranks, then the super-cycle condition,
-    left undecided and failed unless G has rank d+1.  Returns (checks,
-    cycles): cycles is (lattice, super cycles) for a caller adding checks
-    of its own, or None when the gate failed.
+    left undecided and failed unless G has rank d+1.  A flag graph that
+    is not bipartite fails the lattice check.  Returns (checks, cycles):
+    cycles is (lattice, cycle table) for a caller adding checks of its
+    own, or None when the lattice check failed.
     """
     lat, d, reason = lattice_gate(rel, d)
     if reason is not None:
@@ -225,19 +230,26 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
         else:
             detail = _LATTICE_DETAILS[reason]
         return [ConditionCheck("lattice", False, detail)], None
-    coloring = flag_graph_bipartition(lat, flag_cap)
+    try:
+        coloring = flag_graph_bipartition(lat, flag_cap)
+    except NotBipartiteError:
+        return [ConditionCheck("lattice", False, "flag graph is not bipartite")], None
     w = np.linalg.eigvalsh(0.5 * (G + G.T))
     thr = rank_tol * max(np.abs(w).max(), 1e-300)
     checks = [ConditionCheck("lattice", True), *form_checks(w, thr)]
     checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
-    super_cycles = enumerate_super_cycles(lat, coloring)
+    table = _cycle_table(lat, coloring)
     rank = int(np.count_nonzero(np.abs(w) > thr))
     if rank == d + 1:
-        checks.append(_super_cycle_condition(G, super_cycles, det_factor, det_zero_tol))
+        # each cycle followed by every facet avoiding its vertex, in order
+        rows, extras = np.nonzero(~rel.mask[:, table.vertex - 1].T)
+        sequences = np.column_stack([table.facets[rows] - 1, extras])
+        checks.append(_super_cycle_condition(
+            G, sequences, table.orientation[rows], det_factor, det_zero_tol))
     else:
         checks.append(ConditionCheck(
             "super-cycle-pairs", False, f"not decided: rank {rank}, expected {d + 1}"))
-    return checks, (lat, super_cycles)
+    return checks, (lat, table)
 
 
 def _report(checks) -> ConditionReport:
@@ -295,12 +307,10 @@ def realize_cone_from_gramian(
     rel = cand.relation
     H = factor_against_form(cand.G, cand.form, rank_tol)
     lat = build_maxbiclique_lattice(rel)
-    cycles = enumerate_super_cycles_per_vertex(lat, orientation=orientation)
-    r = cand.form.size
-    W = np.zeros((r, rel.n_vertices))
-    for j in range(1, rel.n_vertices + 1):
-        cycle = cycles[j].facet_sequence[:-1]
-        W[:, j - 1] = hodge_star([H[:, i - 1] for i in cycle], cand.form)
+    table, rows = _cycle_per_vertex(lat, orientation, DEFAULT_FLAG_CAP)
+    W = np.zeros((cand.form.size, rel.n_vertices))
+    for j, cycle in enumerate(table.facets[rows] - 1):
+        W[:, j] = hodge_star([H[:, i] for i in cycle], cand.form)
     N = H.T @ cand.form.phi @ W
     flat = N.ravel()
     nonzero = flat[np.abs(flat) > 1e-12 * max(np.abs(flat).max(), 1e-300)]
@@ -373,28 +383,6 @@ def verify_spherical_conditions(
     return _report(checks)
 
 
-def _truncated_cycles(lat: MaxbicliqueLattice, d: int):
-    """All (facet subset, meet element) pairs from proper cycle prefixes.
-
-    A truncated cycle of length s (2 <= s <= d) is a prefix of a cycle:
-    its partial meets descend one rank per step, ending at an element of
-    rank d+1-s.  Only the facet set matters for principal minors, so
-    sets are deduplicated.
-    """
-    rel = lat.relation
-    seen = {}
-    felem = {i: _facet_element_index(lat, i) for i in range(1, rel.n_facets + 1)}
-    for j in range(1, rel.n_vertices + 1):
-        for cycle in cycles_at_vertex(lat, j):
-            current = None
-            for t, i in enumerate(cycle):
-                current = felem[i] if t == 0 else lat.meet(current, felem[i])
-                s = t + 1
-                if 2 <= s <= d:
-                    seen.setdefault(frozenset(cycle[: t + 1]), current)
-    return seen
-
-
 def _distinct_vertex_pairs(orientation, vertex):
     """(rows, cols) index arrays of the pairs a <= b of one orientation class
     at distinct vertices, in row-major order, in blocks of at most _DET_CHUNK."""
@@ -443,38 +431,35 @@ def verify_hyperbolic_conditions(
     )
     if cycles is None:
         return _report(checks)
-    lat, super_cycles = cycles
+    lat, table = cycles
+    sequences = table.facets - 1
 
-    # principal minors, one _minor_dets call per truncated-cycle length
-    truncated = [(tuple(sorted(f)), el) for f, el in _truncated_cycles(lat, d).items()]
-    dets, ztols = np.empty(len(truncated)), np.empty(len(truncated))
-    for s in {len(facets) for facets, _ in truncated}:
-        at = [k for k, (facets, _) in enumerate(truncated) if len(facets) == s]
-        sequences = np.array([truncated[k][0] for k in at]) - 1
-        dets[at], scales = _minor_dets(G, sequences, sequences)
-        ztols[at] = det_zero_tol * scales
-    failures = []
-    for (facets, meet_el), det, ztol in zip(truncated, dets, ztols):
-        vset = lat.elements[meet_el].vertex_set
-        if len(vset) == 1 and vset[0] in ideal:
-            if abs(det) > ztol:
-                failures.append(f"facets {facets} at ideal vertex {vset[0]}: det {det:.3g}")
-        elif det <= ztol:
-            failures.append(f"facets {facets}: det {det:.3g}")
-        if len(failures) >= 5:
-            break
+    # principal minors over the truncated cycles: the facet sets of the
+    # cycle prefixes of length s = 2..d, each with its meet, failures in
+    # the order the walk first reaches the set
+    found = []
+    for s in range(2, d + 1):
+        facets, first = np.unique(np.sort(sequences[:, :s], axis=1), axis=0,
+                                  return_index=True)
+        dets, scales = _minor_dets(G, facets, facets)
+        for k, row, det, ztol in zip(first.tolist(), facets, dets, det_zero_tol * scales):
+            vset = lat.elements[table.meets[k, s - 1]].vertex_set
+            if len(vset) == 1 and vset[0] in ideal:
+                if abs(det) > ztol:
+                    found.append((k, s, f"facets {_named(row)} at ideal vertex {vset[0]}: "
+                                        f"det {det:.3g}"))
+            elif det <= ztol:
+                found.append((k, s, f"facets {_named(row)}: det {det:.3g}"))
+    failures = [text for _, _, text in sorted(found)[:5]]
     checks.append(ConditionCheck("truncated-cycles", not failures, "; ".join(failures)))
 
-    parts = [sc.facet_sequence[:-1] for sc in super_cycles]
-    sequences = np.array(parts) - 1
-    orientation = np.array([sc.orientation for sc in super_cycles])
-    vertex = np.array([sc.vertex for sc in super_cycles])
     count, failures = 0, []
-    for rows, cols in _distinct_vertex_pairs(orientation, vertex):
+    for rows, cols in _distinct_vertex_pairs(table.orientation, table.vertex):
         dets, scales = _minor_dets(G, sequences[rows], sequences[cols])
         count += len(rows)
         failures += [
-            f"cycles {parts[rows[k]]} x {parts[cols[k]]}: det {dets[k]:.3g}"
+            f"cycles {_named(sequences[rows[k]])} x {_named(sequences[cols[k]])}: "
+            f"det {dets[k]:.3g}"
             for k in np.flatnonzero(dets <= det_zero_tol * scales)[:5 - len(failures)]
         ]
     checks.append(ConditionCheck(

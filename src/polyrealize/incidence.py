@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -48,6 +48,7 @@ REASON_NOT_GRADED = "not-graded"
 REASON_RANK = "lattice-rank"
 REASON_DIAMOND = "diamond"
 REASON_FLAG_CONNECTIVITY = "flag-connectivity"
+REASON_ATOMS_COATOMS = "atoms-coatoms"
 
 
 @dataclass(frozen=True)
@@ -512,13 +513,27 @@ def check_flag_connected_local(lat: MaxbicliqueLattice) -> bool:
     return reason is None
 
 
+def _atoms_and_coatoms(lat: MaxbicliqueLattice) -> bool:
+    """True iff each vertex is an atom and each facet a coatom, of its own.
+
+    Vertex j is an atom of its own iff {j} is closed, and facet i a
+    coatom of its own iff no other facet contains i's vertices: the
+    elements with one vertex, and those with one facet, are then one
+    per vertex and one per facet.  Otherwise a vertex sits inside a
+    face or two facets share one face, which no polytope has.
+    """
+    rel = lat.relation
+    return (sum(len(el.vertex_set) == 1 for el in lat.elements) == rel.n_vertices
+            and sum(len(el.facet_set) == 1 for el in lat.elements) == rel.n_facets)
+
+
 def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
     """Run the lattice conditions; returns (lattice, d, failed reason).
 
     The reason is None when the relation passes gradedness, rank d+1,
-    diamond, and local flag connectivity, else the REASON_* string of
-    the first condition that fails.  When d is not supplied it is
-    inferred from the lattice rank.  Raises DegenerateRelationError
+    diamond, local flag connectivity, and atoms and coatoms of their
+    own, else the REASON_* string of the first condition that fails.
+    When d is not supplied it is inferred from the lattice rank.  Raises DegenerateRelationError
     for a degenerate relation.
     """
     rel.require_nondegenerate()
@@ -529,7 +544,10 @@ def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
         d = lat.rank - 1
     if lat.rank != d + 1:
         return lat, d, REASON_RANK
-    return lat, d, _rank2_failure(lat)
+    reason = _rank2_failure(lat)
+    if reason is None and not _atoms_and_coatoms(lat):
+        reason = REASON_ATOMS_COATOMS
+    return lat, d, reason
 
 
 def count_flags(lat: MaxbicliqueLattice) -> int:
@@ -619,64 +637,77 @@ def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP)
     return {flags[k]: color[k] for k in range(len(flags))}
 
 
-def _facet_element_index(lat: MaxbicliqueLattice, facet: int) -> int:
-    """Lattice element of a facet: its vertex set, which is already closed."""
-    return lat.index_of_vertex_set(lat.relation.vertices_of_facet(facet))
+@dataclass(frozen=True, eq=False)
+class _CycleTable:
+    """Every cycle of a graded lattice, one row per cycle, vertex-major.
+
+    ``facets`` (C x d) holds the facet sequences, ``vertex`` (C) the
+    vertex each meets in, ``meets`` (C x d) the partial meets (column t
+    has rank d - t; reversed between bottom and top they are the induced
+    flag) and ``orientation`` (C) that flag's bipartition class.  ``stop``
+    is the first vertex whose closure is not of rank 1, or None.
+    """
+
+    facets: np.ndarray
+    vertex: np.ndarray
+    meets: np.ndarray
+    orientation: np.ndarray
+    stop: object
 
 
-def cycles_at_vertex(lat: MaxbicliqueLattice, vertex: int) -> Iterator:
-    """All facet sequences whose partial meets descend one rank per step to the vertex.
+def _cycle_table(lat: MaxbicliqueLattice, coloring: Mapping) -> _CycleTable:
+    """One walk per vertex, in order, up to ``stop``, over its cycles.
 
-    Sequences are yielded in lexicographic order.  Every facet of a
-    cycle contains the vertex; the t-th partial meet has rank d+1-t,
-    ending at the vertex atom (rank 1) after d steps.
+    A cycle at a vertex is a sequence of d facets through it whose
+    partial meets descend one rank per step to the vertex atom; each
+    vertex's cycles come in lexicographic order.  ``coloring`` maps flags
+    to bipartition classes, as produced by flag_graph_bipartition.
     """
     if not lat.is_graded:
         raise NotGradedError("cycle search needs a graded lattice")
     d = lat.rank - 1
     rel = lat.relation
-    atom = lat.index_of_vertex_set(rel.closure({vertex}))
-    if lat.ranks[atom] != 1:
-        raise NoCycleError(f"vertex {vertex} does not generate a rank-1 element")
-    candidates = sorted(rel.facets_of_vertex(vertex))
-    felem = {i: _facet_element_index(lat, i) for i in candidates}
+    ranks, vbits, index = lat.ranks, lat._vbits, lat._index
+    felem = [None] + [lat.index_of_vertex_set(rel.vertices_of_facet(i))
+                      for i in range(1, rel.n_facets + 1)]
+    facets, meets, vertex = [], [], []
+    seq, chain = [], []
 
-    seq = []
-
-    def extend(current):
+    def extend(current):  # runs in the vertex loop below, reading its j, atom, candidates
         t = len(seq)
         if t == d:
             if current == atom:
-                yield tuple(seq)
+                facets.append(tuple(seq))
+                meets.append(tuple(chain))
+                vertex.append(j)
             return
         for i in candidates:
             if i in seq:
                 continue
-            nxt = felem[i] if t == 0 else lat.meet(current, felem[i])
-            if lat.ranks[nxt] != d - t:
-                continue
-            seq.append(i)
-            yield from extend(nxt)
-            seq.pop()
+            nxt = felem[i] if t == 0 else index[vbits[current] & vbits[felem[i]]]
+            if ranks[nxt] == d - t:
+                seq.append(i)
+                chain.append(nxt)
+                extend(nxt)
+                seq.pop()
+                chain.pop()
 
-    yield from extend(None)
+    stop = None
+    for j in range(1, rel.n_vertices + 1):
+        atom = lat.index_of_vertex_set(rel.closure({j}))
+        if ranks[atom] != 1:
+            stop = j
+            break
+        candidates = sorted(rel.facets_of_vertex(j))
+        extend(None)
+    orientation = np.array([coloring[_induced_flag(lat, m)] for m in meets], dtype=int)
+    facets, meets = (np.array(a, dtype=int).reshape(len(a), max(d, 0)) for a in (facets, meets))
+    return _CycleTable(facets, np.array(vertex, dtype=int), meets, orientation, stop)
 
 
-def induced_flag(lat: MaxbicliqueLattice, cycle) -> Flag:
-    """Flag induced by a cycle: bottom, the partial meets, then top."""
-    meets = []
-    current = None
-    for t, i in enumerate(cycle):
-        el = _facet_element_index(lat, i)
-        current = el if t == 0 else lat.meet(current, el)
-        meets.append(current)
-    chain = (lat.bottom, *reversed(meets), lat.top)
-    return Flag(chain)
-
-
-def _facets_avoiding(rel: IncidenceRelation, vertex: int) -> list:
-    """Facets not incident to the vertex, ascending: the super-cycle extras."""
-    return sorted(set(range(1, rel.n_facets + 1)) - rel.facets_of_vertex(vertex))
+def _induced_flag(lat: MaxbicliqueLattice, meets) -> Flag:
+    """Flag induced by a cycle: bottom, its partial meets reversed, then top."""
+    return Flag((lat.bottom, *reversed(meets), lat.top))
 
 
 def enumerate_super_cycles(
@@ -690,18 +721,38 @@ def enumerate_super_cycles(
     ``coloring`` maps flags to bipartition classes, as produced by
     flag_graph_bipartition.
     """
+    table = _cycle_table(lat, coloring)
+    if table.stop is not None:
+        raise NoCycleError(f"vertex {table.stop} does not generate a rank-1 element")
+    flags = [_induced_flag(lat, m) for m in table.meets.tolist()]
+    facets, vertex, orientation = (a.tolist() for a in (table.facets, table.vertex,
+                                                         table.orientation))
+    rows, extras = np.nonzero(~lat.relation.mask[:, table.vertex - 1].T)
+    return tuple(
+        SuperCycle((*facets[k], extra + 1), vertex[k], flags[k], orientation[k])
+        for k, extra in zip(rows.tolist(), extras.tolist())
+    )
+
+
+def _cycle_per_vertex(lat: MaxbicliqueLattice, orientation: int, cap: int) -> tuple:
+    """(cycle table, rows): rows[j - 1] is vertex j's first cycle of the orientation.
+
+    Raises, for the first vertex that has one, NoExtraFacetError when
+    every facet contains it and NoCycleError when it has no such cycle.
+    """
     rel = lat.relation
-    result = []
+    table = _cycle_table(lat, flag_graph_bipartition(lat, cap))
+    hits = np.flatnonzero(table.orientation == orientation)
+    found, at = np.unique(table.vertex[hits], return_index=True)
+    first = dict(zip(found.tolist(), hits[at].tolist()))
     for j in range(1, rel.n_vertices + 1):
-        others = _facets_avoiding(rel, j)
-        for cycle in cycles_at_vertex(lat, j):
-            flag = induced_flag(lat, cycle)
-            orient = coloring[flag]
-            for extra in others:
-                result.append(
-                    SuperCycle(cycle + (extra,), j, flag, orient)
-                )
-    return tuple(result)
+        if rel.mask[:, j - 1].all():
+            raise NoExtraFacetError(f"every facet is incident to vertex {j}")
+        if j == table.stop:
+            raise NoCycleError(f"vertex {j} does not generate a rank-1 element")
+        if j not in first:
+            raise NoCycleError(f"no cycle of orientation {orientation} exists at vertex {j}")
+    return table, np.array([first[j] for j in range(1, rel.n_vertices + 1)])
 
 
 def enumerate_super_cycles_per_vertex(
@@ -716,22 +767,10 @@ def enumerate_super_cycles_per_vertex(
     smallest facet avoiding the vertex is appended.  Requires a graded
     lattice with a bipartite flag graph.
     """
-    rel = lat.relation
-    coloring = flag_graph_bipartition(lat, cap)
-    chosen = {}
-    for j in range(1, rel.n_vertices + 1):
-        others = _facets_avoiding(rel, j)
-        if not others:
-            raise NoExtraFacetError(f"every facet is incident to vertex {j}")
-        picked = None
-        for cycle in cycles_at_vertex(lat, j):
-            flag = induced_flag(lat, cycle)
-            if coloring[flag] == orientation:
-                picked = SuperCycle(cycle + (others[0],), j, flag, orientation)
-                break
-        if picked is None:
-            raise NoCycleError(
-                f"no cycle of orientation {orientation} exists at vertex {j}"
-            )
-        chosen[j] = picked
-    return chosen
+    table, rows = _cycle_per_vertex(lat, orientation, cap)
+    extras = np.argmin(lat.relation.mask, axis=0) + 1
+    return {
+        j: SuperCycle((*table.facets[k].tolist(), int(extras[j - 1])), j,
+                      _induced_flag(lat, table.meets[k].tolist()), orientation)
+        for j, k in enumerate(rows.tolist(), start=1)
+    }

@@ -34,6 +34,7 @@ from .errors import (
 from .incidence import (  # REASON_* and the Pattern* types stay importable from here
     DEFAULT_EQ_TOL,
     DEFAULT_SLACK_TOL,
+    REASON_ATOMS_COATOMS,
     REASON_DIAMOND,
     REASON_FLAG_CONNECTIVITY,
     REASON_NOT_GRADED,

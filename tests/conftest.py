@@ -110,6 +110,15 @@ def pyramid_missing_incidence() -> IncidenceRelation:
     return IncidenceRelation.from_pairs(5, 5, pairs)
 
 
+def hemi_dodecahedron() -> IncidenceRelation:
+    """The dodecahedron with antipodes identified: six pentagons on ten
+    vertices, a lattice that passes the gate on a non-orientable surface."""
+    facets = [(1, 2, 6, 7, 10), (1, 3, 5, 7, 8), (1, 4, 5, 6, 9),
+              (2, 3, 6, 8, 9), (2, 4, 5, 8, 10), (3, 4, 7, 9, 10)]
+    return IncidenceRelation.from_pairs(
+        6, 10, [(i, j) for i, facet in enumerate(facets, start=1) for j in facet])
+
+
 def random_relation(rng, max_side: int = 8) -> IncidenceRelation:
     n = int(rng.integers(1, max_side + 1))
     m = int(rng.integers(1, max_side + 1))

@@ -9,6 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from polyrealize import Flag, SuperCycle
+from polyrealize.errors import NoCycleError, NoExtraFacetError, NotGradedError
+
 
 def brute_force_maxbicliques(rel):
     """All maximal bicliques by closure over every subset of the smaller side.
@@ -186,5 +189,97 @@ def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -
         minor = G[np.ix_(np.array(a.facet_sequence) - 1, np.array(b.facet_sequence) - 1)]
         scale = max(float(np.prod(np.maximum(np.linalg.norm(minor, axis=1), 1e-30))), 1.0)
         if np.linalg.det(minor) * det_factor <= det_zero_tol * scale:
+            return False
+    return True
+
+
+def _cycles_at_vertex(lat, vertex):
+    """Facet sequences through the vertex whose partial meets descend one
+    rank per step to its atom, in lexicographic order, depth first."""
+    if not lat.is_graded:
+        raise NotGradedError("cycle search needs a graded lattice")
+    d = lat.rank - 1
+    rel = lat.relation
+    atom = lat.index_of_vertex_set(rel.closure({vertex}))
+    if lat.ranks[atom] != 1:
+        raise NoCycleError(f"vertex {vertex} does not generate a rank-1 element")
+    candidates = sorted(rel.facets_of_vertex(vertex))
+    felem = {i: lat.index_of_vertex_set(rel.vertices_of_facet(i)) for i in candidates}
+    seq = []
+
+    def extend(current):
+        t = len(seq)
+        if t == d:
+            if current == atom:
+                yield tuple(seq)
+            return
+        for i in candidates:
+            if i in seq:
+                continue
+            nxt = felem[i] if t == 0 else lat.meet(current, felem[i])
+            if lat.ranks[nxt] != d - t:
+                continue
+            seq.append(i)
+            yield from extend(nxt)
+            seq.pop()
+
+    yield from extend(None)
+
+
+def _induced_flag_by_meets(lat, cycle):
+    """Bottom, the partial meets of the cycle from the last, then top."""
+    meets, current = [], None
+    for t, i in enumerate(cycle):
+        el = lat.index_of_vertex_set(lat.relation.vertices_of_facet(i))
+        current = el if t == 0 else lat.meet(current, el)
+        meets.append(current)
+    return Flag((lat.bottom, *reversed(meets), lat.top))
+
+
+def super_cycles_by_walk(lat, coloring, orientation=None):
+    """Super cycles built one object at a time, vertex by vertex.
+
+    With no orientation: every super cycle, each cycle followed by every
+    facet avoiding its vertex in ascending order, as a tuple.  With one:
+    a dict from each vertex to its lexicographically first cycle of that
+    orientation followed by its smallest avoiding facet, raising
+    NoExtraFacetError or NoCycleError at the first vertex without one.
+    """
+    rel = lat.relation
+    found = [] if orientation is None else {}
+    for j in range(1, rel.n_vertices + 1):
+        others = sorted(set(range(1, rel.n_facets + 1)) - rel.facets_of_vertex(j))
+        if orientation is None:
+            for cycle in _cycles_at_vertex(lat, j):
+                flag = _induced_flag_by_meets(lat, cycle)
+                found += [SuperCycle(cycle + (extra,), j, flag, coloring[flag])
+                          for extra in others]
+            continue
+        if not others:
+            raise NoExtraFacetError(f"every facet is incident to vertex {j}")
+        for cycle in _cycles_at_vertex(lat, j):
+            flag = _induced_flag_by_meets(lat, cycle)
+            if coloring[flag] == orientation:
+                found[j] = SuperCycle(cycle + (others[0],), j, flag, orientation)
+                break
+        else:
+            raise NoCycleError(f"no cycle of orientation {orientation} exists at vertex {j}")
+    return tuple(found) if orientation is None else found
+
+
+def distinct_vertex_pairs_by_definition(G, super_cycles, det_zero_tol) -> bool:
+    """The hyperbolic cross condition over super cycles, one minor per pair.
+
+    Every pair (a, b), a before b, of one orientation class at distinct
+    vertices needs the d x d minor of G over the cycle parts (rows from
+    a, columns from b) above det_zero_tol times its row-norm scale.
+    """
+    for a, b in itertools.combinations(super_cycles, 2):
+        if a.orientation != b.orientation or a.vertex == b.vertex:
+            continue
+        minor = G[np.ix_(np.array(a.facet_sequence[:-1]) - 1,
+                         np.array(b.facet_sequence[:-1]) - 1)]
+        scale = max(float(np.prod(np.maximum(np.linalg.norm(minor, axis=1), 1e-30))), 1.0)
+        if np.linalg.det(minor) <= det_zero_tol * scale:
             return False
     return True

@@ -175,6 +175,16 @@ class TestGramianCommands:
         assert run("spherical-verify", workdir / "octant.json", workdir / "gram3.csv",
                    "--d", "2") == 0
 
+    def test_non_orientable_relation_exits_one(self, workdir, capsys):
+        from conftest import hemi_dodecahedron
+
+        dump_relation(hemi_dodecahedron(), workdir / "hemi.json")
+        write_matrix_csv(workdir / "gram6.csv", np.eye(6))
+        assert run("spherical-verify", workdir / "hemi.json", workdir / "gram6.csv",
+                   "--d", "3", "--format", "json") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["details"] == {"lattice": "flag graph is not bipartite"}
+
     def test_hyperbolic(self, workdir):
         from conftest import ngon
 

@@ -19,7 +19,9 @@ from polyrealize import (
 )
 from polyrealize.cli import main
 from polyrealize.errors import DegenerateRelationError
+from polyrealize.incidence import lattice_gate
 from polyrealize.realize import (
+    REASON_ATOMS_COATOMS,
     REASON_DIAMOND,
     REASON_FLAG_CONNECTIVITY,
     REASON_NOT_GRADED,
@@ -28,7 +30,9 @@ from polyrealize.realize import (
 
 from conftest import (
     PYRAMID_MATRIX,
+    cube,
     disjoint_squares,
+    hemi_dodecahedron,
     ngon,
     pyramid_missing_incidence,
     pyramid_relation,
@@ -36,11 +40,13 @@ from conftest import (
 )
 
 PYRAMID_REPORT = {
-    "conditions": {"diamond": True, "flag_connected": True, "graded": True,
-                   "nondegenerate": True},
+    "conditions": {"atoms_coatoms": True, "diamond": True, "flag_connected": True,
+                   "graded": True, "nondegenerate": True},
     "facets": 5, "incidences": 16, "lattice_rank": 4, "lattice_size": 20,
     "rank_profile": [1, 5, 8, 5, 1], "vertices": 5,
 }
+
+ATOMS_COATOMS_DETAIL = "a vertex is not an atom or a facet not a coatom of its own"
 
 # name, relation, d, realizability_check reason (None: it raises
 # DegenerateRelationError), Gramian "lattice" detail, check exit code and
@@ -84,8 +90,8 @@ CONTROLS = [
         "pyramid-missing-incidence",
         pyramid_missing_incidence(),
         3, REASON_DIAMOND, "diamond condition fails",
-        1, {"conditions": {"diamond": False, "flag_connected": False, "graded": True,
-                           "nondegenerate": True},
+        1, {"conditions": {"atoms_coatoms": False, "diamond": False, "flag_connected": False,
+                           "graded": True, "nondegenerate": True},
             "facets": 5, "incidences": 15, "lattice_rank": 4, "lattice_size": 17,
             "rank_profile": [1, 4, 6, 5, 1], "reason": "diamond", "vertices": 5},
     ),
@@ -93,10 +99,30 @@ CONTROLS = [
         "disjoint-squares",
         disjoint_squares(),
         2, REASON_FLAG_CONNECTIVITY, "flag graph is disconnected",
-        1, {"conditions": {"diamond": True, "flag_connected": False, "graded": True,
-                           "nondegenerate": True},
+        1, {"conditions": {"atoms_coatoms": False, "diamond": True, "flag_connected": False,
+                           "graded": True, "nondegenerate": True},
             "facets": 8, "incidences": 16, "lattice_rank": 3, "lattice_size": 18,
             "rank_profile": [1, 8, 8, 1], "reason": "flag-connectivity", "vertices": 8},
+    ),
+    (
+        # vertex 5 on facet 1 only: its closure is facet 1's edge
+        "vertex-inside-edge",
+        IncidenceRelation.from_pairs(4, 5, [*cube(2).incident, (1, 5)]),
+        2, REASON_ATOMS_COATOMS, ATOMS_COATOMS_DETAIL,
+        1, {"conditions": {"atoms_coatoms": False, "diamond": True, "flag_connected": True,
+                           "graded": True, "nondegenerate": True},
+            "facets": 4, "incidences": 9, "lattice_rank": 3, "lattice_size": 10,
+            "rank_profile": [1, 4, 4, 1], "reason": "atoms-coatoms", "vertices": 5},
+    ),
+    (
+        # facets 1 and 3 have the same vertex set
+        "duplicate-facet",
+        IncidenceRelation.from_pairs(3, 2, [(1, 1), (2, 2), (3, 1)]),
+        1, REASON_ATOMS_COATOMS, ATOMS_COATOMS_DETAIL,
+        1, {"conditions": {"atoms_coatoms": False, "diamond": True, "flag_connected": True,
+                           "graded": True, "nondegenerate": True},
+            "facets": 3, "incidences": 3, "lattice_rank": 2, "lattice_size": 4,
+            "rank_profile": [1, 2, 1], "reason": "atoms-coatoms", "vertices": 2},
     ),
 ]
 
@@ -135,6 +161,44 @@ def test_gate_controls(rel, d, reason, detail, code, report, tmp_path, capsys):
     dump_relation(rel, tmp_path / "rel.json")
     assert main(["check", str(tmp_path / "rel.json"), "--format", "json"]) == code
     assert json.loads(capsys.readouterr().out) == report
+
+
+def _atoms_and_coatoms_by_definition(rel):
+    """Every {j} is closed, and no facet but i contains facet i's vertices."""
+    return (all(rel.closure({j}) == {j} for j in range(1, rel.n_vertices + 1))
+            and all(rel.facets_of(rel.vertices_of_facet(i)) == {i}
+                    for i in range(1, rel.n_facets + 1)))
+
+
+def test_atoms_and_coatoms_on_random_relations():
+    """Of the draws passing the other gate conditions, exactly those failing
+    the definition are rejected for it."""
+    rng = np.random.default_rng(0)
+    passing = rejected = 0
+    for _ in range(3000):
+        rel = random_relation(rng)
+        if rel.degeneracy_reason() is not None:
+            continue
+        _, _, reason = lattice_gate(rel)
+        if reason not in (None, REASON_ATOMS_COATOMS):
+            continue
+        passing += 1
+        assert (reason is None) == _atoms_and_coatoms_by_definition(rel)
+        if reason is not None:
+            rejected += 1
+            assert realizability_check(rel).reason == REASON_ATOMS_COATOMS
+    assert (passing, rejected) == (35, 29)
+
+
+def test_non_orientable_relation_fails_the_lattice_check():
+    """The hemi-dodecahedron passes the gate; its flag graph is not bipartite."""
+    rel = hemi_dodecahedron()
+    assert lattice_gate(rel, 3)[2] is None
+    for verify in _verifiers(rel, 3):
+        result = verify()
+        assert not result.passed
+        assert [c.name for c in result.checks] == ["lattice"]
+        assert result.check("lattice").detail == "flag graph is not bipartite"
 
 
 def test_pattern_violations_in_row_major_order(pyramid):

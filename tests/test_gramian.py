@@ -41,7 +41,11 @@ from conftest import (
     simplex,
     triangular_prism,
 )
-from oracles import super_cycle_pairs_by_definition
+from oracles import (
+    distinct_vertex_pairs_by_definition,
+    super_cycle_pairs_by_definition,
+    super_cycles_by_walk,
+)
 
 IDEAL_TRIANGLE_RELATION = lambda: __import__("conftest").ngon(3)
 
@@ -375,8 +379,9 @@ FAILING_HYPERBOLIC = {
 }
 
 # pass flags captured before the pair determinants were batched, details
-# with one reference minor per super cycle; the spherical reports leave
-# out the "psd" detail, a rounding-level eigenvalue
+# with one reference minor per super cycle and distinct-vertex pairs over
+# cycles; the spherical reports leave out the "psd" detail, a
+# rounding-level eigenvalue
 EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                             "lattice": True,
                             "signature": True,
@@ -507,17 +512,17 @@ EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
                                                   "super-cycle-pairs": False,
                                                   "truncated-cycles": True,
                                                   "vertex-minor-rank": True},
-                                   "details": {"distinct-vertex-pairs": "exhaustive, 180 "
+                                   "details": {"distinct-vertex-pairs": "exhaustive, 20 "
                                                                         "pairs; cycles (1, "
                                                                         "5) x (3, 2): det "
                                                                         "-2.62; cycles (1, "
-                                                                        "5) x (3, 2): det "
-                                                                        "-2.62; cycles (1, "
-                                                                        "5) x (3, 2): det "
-                                                                        "-2.62; cycles (1, "
                                                                         "5) x (4, 3): det "
                                                                         "-2.62; cycles (1, "
-                                                                        "5) x (4, 3): det "
+                                                                        "5) x (5, 4): det "
+                                                                        "-1.62; cycles (2, "
+                                                                        "1) x (3, 2): det "
+                                                                        "-1.62; cycles (2, "
+                                                                        "1) x (4, 3): det "
                                                                         "-2.62",
                                                "signature": "signature (2, 1, 2), expected (2, 1, 2)",
                                                "super-cycle-pairs": "exhaustive, 60 "
@@ -612,6 +617,14 @@ def _assert_matches_pairwise(rel, G, d, det_factor, *reports):
     assert all(c.passed == expected for c in checks)
 
 
+def _assert_distinct_vertex_pairs_match(rel, ideal, G, d):
+    """distinct-vertex-pairs over cycles against the oracle over super cycles."""
+    check = verify_hyperbolic_conditions(rel, ideal, G, d).check("distinct-vertex-pairs")
+    lat = build_maxbiclique_lattice(rel)
+    cycles = super_cycles_by_walk(lat, flag_graph_bipartition(lat))
+    assert check.passed == distinct_vertex_pairs_by_definition(G, cycles, 1e-8)
+
+
 class TestSuperCycleReference:
     """One reference minor per super cycle decides every same-orientation pair."""
 
@@ -642,6 +655,21 @@ class TestSuperCycleReference:
         }
         rel, ideal, G = cases[name]()
         _assert_matches_pairwise(rel, G, 2, -1.0, verify_hyperbolic_conditions(rel, ideal, G, 2))
+        _assert_distinct_vertex_pairs_match(rel, ideal, G, 2)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    def test_distinct_vertex_pairs(self, name):
+        """Genuine, flipped and seeded-noise normals through the hyperbolic verifier."""
+        rng = np.random.default_rng(sorted(ORACLE_FAMILIES).index(name))
+        rel, d = ORACLE_FAMILIES[name]()
+        genuine = _family_gramian(rel, d)
+        H = factor_against_form(genuine, BilinearForm.euclidean(d + 1))
+        gramians = [genuine, _flip_first_normal(genuine)] + [
+            gramian_of_cone(H + noise * rng.standard_normal(H.shape),
+                            BilinearForm.euclidean(d + 1))
+            for noise in (0.05, 0.3, 1.0)]
+        for G in gramians:
+            _assert_distinct_vertex_pairs_match(rel, [], G, d)
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
     def test_seeded_random_normals(self, name):
@@ -672,6 +700,44 @@ class TestSuperCycleReference:
         general, spherical = verify_gramian_conditions(cand), verify_spherical_conditions(rel, G, d)
         assert not general.passed and not spherical.passed
         _assert_matches_pairwise(rel, G, d, 1.0, general, spherical)
+
+
+@pytest.fixture
+def walk_counts(monkeypatch):
+    """Cycle walks and SuperCycle objects built while a test runs."""
+    from polyrealize import gramian, incidence
+
+    counts = {"walks": 0, "super_cycles": 0}
+    walk, super_cycle = incidence._cycle_table, incidence.SuperCycle
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_super_cycle(*args):
+        counts["super_cycles"] += 1
+        return super_cycle(*args)
+
+    monkeypatch.setattr(incidence, "_cycle_table", counted_walk)
+    monkeypatch.setattr(gramian, "_cycle_table", counted_walk)
+    monkeypatch.setattr(incidence, "SuperCycle", counted_super_cycle)
+    return counts
+
+
+@pytest.mark.parametrize("call", ["general", "spherical", "hyperbolic", "realize"])
+def test_one_cycle_walk_and_no_super_cycle_objects(call, walk_counts):
+    cand = pyramid_cone_candidate()
+    rel, G = cand.relation, cand.G
+    {
+        "general": lambda: verify_gramian_conditions(cand),
+        "spherical": lambda: verify_spherical_conditions(rel, G, 3),
+        "hyperbolic": lambda: verify_hyperbolic_conditions(rel, [], G, 3),
+        "realize": lambda: realize_cone_from_gramian(cand),
+    }[call]()
+    assert walk_counts == {"walks": 1, "super_cycles": 0}
+    # the counters see the public enumeration: one walk, one object per vertex
+    enumerate_super_cycles_per_vertex(build_maxbiclique_lattice(rel))
+    assert walk_counts == {"walks": 2, "super_cycles": 5}
 
 
 def test_batched_minor_dets_match_one_at_a_time():

@@ -1,6 +1,8 @@
 """Lattice construction, grading, diamond, flags, and cycles."""
 
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from polyrealize import (
     check_diamond,
     check_flag_connected_local,
     enumerate_flags,
+    enumerate_super_cycles,
     enumerate_super_cycles_per_vertex,
     flag_graph_bipartition,
     lattice_rank,
@@ -35,6 +38,7 @@ from conftest import (
     cross_polytope,
     cube,
     disjoint_squares,
+    hemi_dodecahedron,
     ngon,
     octant_relation,
     pyramid_missing_incidence,
@@ -48,6 +52,7 @@ from oracles import (
     covers_by_definition,
     diamond_by_leq_scan,
     flag_graph_connected_explicit,
+    super_cycles_by_walk,
 )
 
 
@@ -414,3 +419,67 @@ class TestSuperCycles:
         lat = build_maxbiclique_lattice(rel)
         with pytest.raises((NoExtraFacetError, NotGradedError)):
             enumerate_super_cycles_per_vertex(lat)
+
+
+def _gramian_workload_relations() -> dict:
+    """The relations of the benchmark's gramian workload at seeds 0 and 8."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return {f"{op.name}@{seed}": op.relation
+            for seed in (0, 8) for op in workloads.gramian_ops(seed)}
+
+
+# conftest families, then relations that make the walk or a pick fail:
+# not graded, a vertex inside an edge or on no facet, a vertex on every
+# facet, duplicate facets, the segment (one flag per vertex), failures at
+# two vertices in either order, a broken diamond, disjoint squares and a
+# non-bipartite flag graph
+WALK_RELATIONS = {
+    "simplex-2": simplex(2), "simplex-3": simplex(3), "simplex-4": simplex(4),
+    "square": cube(2), "cube-3": cube(3), "cross-3": cross_polytope(3),
+    "gon-3": ngon(3), "gon-5": ngon(5), "gon-8": ngon(8), "prism": triangular_prism(),
+    "pyramid": pyramid_relation(), "octant": octant_relation(),
+    "not-graded": IncidenceRelation.from_pairs(3, 3, [(1, 1), (1, 2), (2, 1), (3, 3)]),
+    "vertex-inside-edge": IncidenceRelation.from_pairs(4, 5, [*cube(2).incident, (1, 5)]),
+    "vertex-on-no-facet": IncidenceRelation.from_pairs(4, 5, ngon(4).incident),
+    "vertex-on-every-facet": IncidenceRelation.from_pairs(2, 2, [(1, 1), (1, 2), (2, 1)]),
+    "duplicate-facet": IncidenceRelation.from_pairs(3, 2, [(1, 1), (2, 2), (3, 1)]),
+    "segment": IncidenceRelation.from_pairs(2, 2, [(1, 1), (2, 2)]),
+    "segment-then-loose-vertex": IncidenceRelation.from_pairs(2, 3, [(1, 1), (2, 2)]),
+    "loose-vertex-then-apex": IncidenceRelation.from_pairs(
+        2, 4, [(1, 2), (2, 2), (1, 3), (2, 4)]),
+    "pyramid-missing-incidence": pyramid_missing_incidence(),
+    "disjoint-squares": disjoint_squares(),
+    "hemi-dodecahedron": hemi_dodecahedron(),
+    **_gramian_workload_relations(),
+}
+
+
+def _outcome(call):
+    """repr of the result, or the type and message of what it raised; repr
+    also tells a numpy integer from a Python int."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", list(WALK_RELATIONS))
+def test_super_cycles_match_the_walk(name):
+    """Both enumerations against one object per super cycle built by a
+    depth-first walk, errors and their precedence included."""
+    lat = build_maxbiclique_lattice(WALK_RELATIONS[name])
+    try:
+        coloring = flag_graph_bipartition(lat)
+    except Exception:
+        coloring = {}
+    assert _outcome(lambda: enumerate_super_cycles(lat, coloring)) == \
+        _outcome(lambda: super_cycles_by_walk(lat, coloring))
+    for orientation in (0, 1):
+        assert _outcome(lambda: enumerate_super_cycles_per_vertex(lat, orientation)) == \
+            _outcome(lambda: super_cycles_by_walk(lat, flag_graph_bipartition(lat),
+                                                  orientation))
