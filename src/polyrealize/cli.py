@@ -268,7 +268,7 @@ def cmd_convert(args) -> int:
         if args.direction == "polytope-to-cone":
             result = polytope_to_cone_matrix(fim, cfg.rank_tol)
         else:
-            result = cone_to_polytope_matrix(fim, cfg.rank_tol, seed=cfg.seed)
+            result = cone_to_polytope_matrix(fim, cfg.rank_tol)
     except (PatternViolationError, NoPositiveScalingError) as exc:
         _emit({"error": str(exc)}, cfg)
         return EXIT_REJECTED
@@ -395,76 +395,83 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, completion=False, seeded=False):
-        p.add_argument("--d", type=int, default=None, help="target polytope dimension")
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-        p.add_argument("--eq-tol", dest="eq_tol", type=float, default=None)
-        p.add_argument("--slack-tol", dest="slack_tol", type=float, default=None)
-        p.add_argument("--det-zero-tol", dest="det_zero_tol", type=float, default=None)
-        p.add_argument("--flag-cap", dest="flag_cap", type=int, default=None)
-        if completion or seeded:
-            p.add_argument("--seed", type=int, default=None)
+    options = {
+        "d": dict(type=int, help="target polytope dimension"),
+        "rank-tol": dict(type=float),
+        "eq-tol": dict(type=float),
+        "slack-tol": dict(type=float),
+        "det-zero-tol": dict(type=float),
+        "flag-cap": dict(type=int),
+        "seed": dict(type=int),
+        "out": dict(help="output file or directory"),
+        "margin": dict(type=float),
+        "restarts": dict(type=int),
+        "iters": dict(type=int),
+    }
+    tols = ("rank-tol", "eq-tol", "slack-tol")
+    gramian = ("d", "rank-tol", "det-zero-tol", "flag-cap")
+
+    def flags(p, *names):
+        """Register --format and the named options: those the command reads."""
+        for name in names:
+            p.add_argument(f"--{name}", dest=name.replace("-", "_"), default=None,
+                           **options[name])
         p.add_argument("--format", choices=("text", "json"), default=None)
-        p.add_argument("--out", default=None, help="output file or directory")
-        if completion:
-            p.add_argument("--margin", type=float, default=None)
-            p.add_argument("--restarts", type=int, default=None)
-            p.add_argument("--iters", type=int, default=None)
 
     p = sub.add_parser("check", help="run the combinatorial lattice conditions")
     p.add_argument("relation", help="relation JSON file")
-    common(p)
+    flags(p, "d")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("realize", help="search for a realization of a relation")
     p.add_argument("relation")
-    common(p, completion=True)
+    flags(p, "d", *tols, "seed", "out", "margin", "restarts", "iters")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="verify a matrix against a relation")
     p.add_argument("relation")
     p.add_argument("matrix", help="matrix CSV file")
     p.add_argument("--fill", type=float, default=None)
-    common(p)
+    flags(p, "d", *tols)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("convert", help="convert between polytope and cone matrices")
     p.add_argument("matrix")
     p.add_argument("direction", choices=("polytope-to-cone", "cone-to-polytope"))
-    common(p, seeded=True)
+    flags(p, *tols, "out")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("gale", help="Gale dual of a cone or polytope matrix")
     p.add_argument("matrix")
     p.add_argument("kind", choices=("cone", "polytope"))
-    common(p)
+    flags(p, "rank-tol", "out")
     p.set_defaults(func=cmd_gale)
 
     p = sub.add_parser("gramian-verify", help="verify a Gramian candidate")
     p.add_argument("relation")
     p.add_argument("gramian")
     p.add_argument("phi", help="bilinear form CSV file")
-    common(p)
+    flags(p, *gramian)
     p.set_defaults(func=cmd_gramian_verify)
 
     p = sub.add_parser("gramian-realize", help="realize a cone from a Gramian")
     p.add_argument("relation")
     p.add_argument("gramian")
     p.add_argument("phi")
-    common(p)
+    flags(p, *gramian, "out")
     p.set_defaults(func=cmd_gramian_realize)
 
     p = sub.add_parser("spherical-verify", help="spherical Gramian conditions")
     p.add_argument("relation")
     p.add_argument("gramian")
-    common(p)
+    flags(p, *gramian)
     p.set_defaults(func=cmd_spherical_verify)
 
     p = sub.add_parser("hyperbolic-verify", help="hyperbolic Gramian conditions")
     p.add_argument("relation")
     p.add_argument("gramian")
     p.add_argument("--ideal", default="", help="comma-separated ideal vertex indices")
-    common(p)
+    flags(p, *gramian)
     p.set_defaults(func=cmd_hyperbolic_verify)
 
     return parser

@@ -8,7 +8,7 @@ off-relation entries below 1 - margin, followed by joint gradient
 descent polishing.  Restart 0 starts from the cone form of the
 problem: the rank-(d+1) truncation of the 0/-1 pattern, refined by a
 few alternating projections onto that pattern and dehomogenized by the
-positive diagonal rescaling of ``numkernel.dehomogenize`` to a rank-d
+row- and column-sum rescaling of ``numkernel.dehomogenize`` to a rank-d
 matrix near 1 on the incident pairs and below 1 elsewhere; from that
 start the easy families (simplices, cubes, cross-polytopes, polygons)
 realize after one sweep.  Later restarts start from seeded random
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoPositiveScalingError
 from .incidence import IncidenceRelation, check_filled_incidence
-from .numkernel import DEFAULT_RANK_TOL, Svd, dehomogenize, numeric_rank
+from .numkernel import DEFAULT_RANK_TOL, dehomogenize, numeric_rank
 
 STATUS_FOUND = "found"
 STATUS_NOT_FOUND = "not_found"
@@ -95,8 +95,8 @@ def loss_and_gradient(H, W, problem: CompletionProblem):
 def _cone_warm_start(problem: CompletionProblem):
     """Restart 0's factors (see initialize_factors), or None.
 
-    None when a truncation has rank below d+1 or no positive rescaling
-    exists.
+    None when a truncation has rank below d+1 or a row or column sum of
+    the last one is not negative.
     """
     mask = problem.relation.mask
     d = problem.d
@@ -109,7 +109,7 @@ def _cone_warm_start(problem: CompletionProblem):
             return None
         N1 = (U[:, :k] * s[:k]) @ Vt[:k]
     try:
-        M = dehomogenize(N1, Svd(U[:, :k], s[:k], Vt[:k].T, k), problem.seed)
+        M = dehomogenize(N1)
     except NoPositiveScalingError:
         return None
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
@@ -120,20 +120,20 @@ def _cone_warm_start(problem: CompletionProblem):
 def initialize_factors(problem: CompletionProblem, restart_index: int):
     """Deterministic starting factors for one restart.
 
-    Restart 0 uses the cone-form warm start.  Let N1 = U S V.T be the
-    rank-(d+1) truncation of the 0/-1 pattern (0 on incident pairs, -1
-    off), refined by alternating projections: set the incident entries
-    to 0, cap the others at -CONE_FLOOR, truncate to rank d+1 again,
-    CONE_PROJECTIONS times.  Find x, y with -U @ x > 0 and V @ y > 0,
-    normalize <x, S^-1 y> = 1, and form
-    M = diag(-Ux)^-1 N1 diag(Vy)^-1 + 1, which has rank d by
-    construction; its rank-d SVD factors (H = U sqrt(S), W = sqrt(S) V.T)
-    are the start.  For a polygon the pattern is circulant, its top
-    modes are the constant and the first Fourier pair, and M is the
-    regular polygon.  When the pattern has rank below d+1 or no positive
-    rescaling exists, restart 0 falls back to the seeded normal draw of
-    the later restarts: i.i.d. standard normal entries scaled by
-    1/sqrt(d).
+    Restart 0 uses the cone-form warm start.  Let N1 be the rank-(d+1)
+    truncation of the 0/-1 pattern (0 on incident pairs, -1 off),
+    refined by alternating projections: set the incident entries to 0,
+    cap the others at -CONE_FLOOR, truncate to rank d+1 again,
+    CONE_PROJECTIONS times.  With r = -N1 1 and c = -N1.T 1 its negated
+    row and column sums and s = sum(r), form
+    M = diag(s / r) N1 diag(1 / c) + 1, which has rank d by construction
+    (``numkernel.dehomogenize``); its rank-d SVD factors
+    (H = U sqrt(S), W = sqrt(S) V.T of M = U S V.T) are the start.  For
+    a polygon the pattern is circulant, its top modes are the constant
+    and the first Fourier pair, and M is the regular polygon.  When the
+    pattern has rank below d+1 or a row or column sum of N1 is not
+    negative, restart 0 falls back to the seeded normal draw of the
+    later restarts: i.i.d. standard normal entries scaled by 1/sqrt(d).
     """
     if restart_index == 0:
         start = _cone_warm_start(problem)

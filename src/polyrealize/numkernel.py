@@ -309,62 +309,32 @@ def lp_strict_feasibility(
     return LpResult(False, None, float(t))
 
 
-def _positive_image_vector(B: np.ndarray, seed: int) -> np.ndarray:
-    """Find z with B @ z > 0 entrywise, or None.
-
-    Solved as a strict-feasibility LP maximizing the worst entry; falls
-    back to seeded sampling when the LP fails numerically.  Such z
-    exists exactly when the rows of B lie in an open half space, which
-    for the singular factors of a facet-ray matrix expresses that the
-    cone is pointed.
-    """
-    k = B.shape[1]
-    constraints = [(-B[l], 0.0) for l in range(B.shape[0])]
-    res = lp_strict_feasibility([], constraints, dim=k)
-    if res.feasible:
-        z = res.witness / max(np.abs(res.witness).max(), 1e-300)
-        if np.all(B @ z > 0):
-            return z
-    rng = np.random.default_rng(seed)
-    for _ in range(500):
-        z = rng.standard_normal(k)
-        if np.all(B @ z > 0):
-            return z
-    return None
-
-
-def dehomogenize(N, svd: Svd, seed: int = 0) -> np.ndarray:
+def dehomogenize(N) -> np.ndarray:
     """Rescale a rank-(d+1) cone-form matrix to a rank-d matrix plus ones.
 
-    svd is U S V.T = N at rank d+1.  Finds x, y making -U @ x and V @ y
-    entrywise positive, normalizes <x, S^-1 y> = 1, and returns
-    M = D1 N D2 + 1 with D1 = diag(-Ux)^-1, D2 = diag(Vy)^-1.  As
-    D1 U x = -1 and D2 V y = 1, M = D1 U (S - x y.T) V.T D2, and the
-    normalization makes S - x y.T singular: the rank-one update cancels
-    exactly one singular direction, so M has rank d, and its entries
-    keep the signs of N shifted by 1.  seed drives the sampling fallback
-    of the search for x (seed + 1) and y (seed).  Raises
-    NoPositiveScalingError when no such x, y exist.
+    N is a facet-ray matrix: <= 0, zero on the incidences, every facet
+    missing a vertex and every vertex missing a facet, so its negated
+    row sums r = -N 1 and column sums c = -N.T 1 are positive.  Returns
+    M = diag(s / r) N diag(1 / c) + 1 with s = sum(r).  With N = U S V.T
+    at rank d+1, x = S V.T 1 / s and y = -S U.T 1 give D1 U x = -1,
+    D2 V y = 1 and <x, S^-1 y> = 1 for D1 = diag(s / r), D2 = diag(1 / c),
+    so M = D1 U (S - x y.T) V.T D2 and the rank-one update cancels
+    exactly one singular direction: M has rank d, and its entries keep
+    the signs of N shifted by 1.  Any positive rescaling gives a
+    projectively equivalent polytope; this one is in closed form.
+    Raises NoPositiveScalingError when a row or column sum is not
+    negative.
     """
-    y = _positive_image_vector(svd.V, seed)
-    x = _positive_image_vector(-svd.U, seed + 1)
-    if x is None or y is None:
-        raise NoPositiveScalingError(
-            "no positive diagonal scaling preserves the sign pattern; "
-            "the matrix is not a facet-ray matrix of a cone over a polytope"
-        )
-    s = float(x @ (y / svd.sigma))
-    if s <= 0:
-        # for genuine facet-ray matrices this pairing is positive (it is
-        # the inner product of an interior point with a dual interior
-        # point); anything else means the input is not one
-        raise NoPositiveScalingError(
-            "scaling vectors pair nonpositively against the singular values"
-        )
-    x = x / s
-    d1 = 1.0 / (-(svd.U @ x))
-    d2 = 1.0 / (svd.V @ y)
-    return d1[:, None] * N * d2[None, :] + 1.0
+    N = as_matrix(N)
+    r = -N.sum(axis=1)
+    c = -N.sum(axis=0)
+    for sums, what in ((r, "row"), (c, "column")):
+        if not np.all(sums > 0):
+            raise NoPositiveScalingError(
+                f"{what} {int(np.argmin(sums)) + 1} has sum {-sums.min():g}, not negative; "
+                "the matrix is not a facet-ray matrix of a cone over a polytope"
+            )
+    return (r.sum() / r)[:, None] * N / c[None, :] + 1.0
 
 
 def _pivot(T, basis, row, col):

@@ -177,25 +177,22 @@ def polytope_to_cone_matrix(fim: FilledIncidenceMatrix, rank_tol: float = DEFAUL
 
 
 def cone_to_polytope_matrix(
-    fim: FilledIncidenceMatrix,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    seed: int = 0,
+    fim: FilledIncidenceMatrix, rank_tol: float = DEFAULT_RANK_TOL
 ) -> FilledIncidenceMatrix:
     """Dehomogenize a filled 0-incidence matrix by diagonal rescaling.
 
-    With N = U S V.T of rank d+1, ``numkernel.dehomogenize`` returns
+    For N of rank d+1, ``numkernel.dehomogenize`` rescales rows and
+    columns by N's negated row and column sums and returns
     M = D1 N D2 + 1 of rank d with the sign pattern of N shifted to
-    fill 1.  The positive scalings exist whenever N is a facet-ray
-    matrix of a pointed cone over a polytope; their choice picks the
-    cutting hyperplanes.  Raises NoPositiveScalingError when they do
-    not exist.
+    fill 1.  Any positive scaling gives a projectively equivalent
+    polytope; its choice picks the cutting hyperplanes.  Raises
+    NoPositiveScalingError when a facet lies on every vertex or a
+    vertex on every facet, so that a row or column sum is zero.
     """
     if fim.fill != 0.0:
         raise ValueError("cone_to_polytope_matrix needs a fill-0 matrix")
-    N = fim.matrix
-    svd = compact_svd(N, rank_tol)
-    d = svd.rank - 1
-    M = dehomogenize(N, svd, seed)
+    d = numeric_rank(fim.matrix, rank_tol) - 1
+    M = dehomogenize(fim.matrix)
     if numeric_rank(M, rank_tol) != d:
         raise RankAnomalyError(
             f"rescaled matrix has rank {numeric_rank(M, rank_tol)}, expected {d}"

@@ -216,5 +216,70 @@ class TestContracts:
         err = capsys.readouterr().err
         assert err.startswith("usage: polyrealize")
         assert "error: unrecognized arguments: --seed 1" in err
-        args = build_parser().parse_args(["convert", "N.csv", "cone-to-polytope", "--seed", "3"])
-        assert args.seed == 3
+        assert run("convert", "N.csv", "cone-to-polytope", "--seed", "3") == 3
+        assert "error: unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+# positional arguments of each command; files need not exist to parse
+POSITIONALS = {
+    "check": ["rel.json"],
+    "realize": ["rel.json"],
+    "verify": ["rel.json", "M.csv"],
+    "convert": ["M.csv", "cone-to-polytope"],
+    "gale": ["M.csv", "cone"],
+    "gramian-verify": ["rel.json", "G.csv", "phi.csv"],
+    "gramian-realize": ["rel.json", "G.csv", "phi.csv"],
+    "spherical-verify": ["rel.json", "G.csv"],
+    "hyperbolic-verify": ["rel.json", "G.csv"],
+}
+GRAMIAN_FLAGS = ["d", "rank-tol", "det-zero-tol", "flag-cap", "format"]
+# every option a command reads, and only those
+KEPT_FLAGS = {
+    "check": ["d", "format"],
+    "realize": ["d", "rank-tol", "eq-tol", "slack-tol", "seed", "out",
+                "margin", "restarts", "iters", "format"],
+    "verify": ["d", "fill", "rank-tol", "eq-tol", "slack-tol", "format"],
+    "convert": ["rank-tol", "eq-tol", "slack-tol", "out", "format"],
+    "gale": ["rank-tol", "out", "format"],
+    "gramian-verify": GRAMIAN_FLAGS,
+    "gramian-realize": GRAMIAN_FLAGS + ["out"],
+    "spherical-verify": GRAMIAN_FLAGS,
+    "hyperbolic-verify": GRAMIAN_FLAGS + ["ideal"],
+}
+DROPPED_FLAGS = {
+    "check": ["rank-tol", "eq-tol", "slack-tol", "det-zero-tol", "flag-cap", "out"],
+    "realize": ["det-zero-tol", "flag-cap"],
+    "verify": ["det-zero-tol", "flag-cap", "out"],
+    "convert": ["d", "det-zero-tol", "flag-cap", "seed"],
+    "gale": ["d", "eq-tol", "slack-tol", "det-zero-tol", "flag-cap"],
+    "gramian-verify": ["eq-tol", "slack-tol", "out"],
+    "gramian-realize": ["eq-tol", "slack-tol"],
+    "spherical-verify": ["eq-tol", "slack-tol", "out"],
+    "hyperbolic-verify": ["eq-tol", "slack-tol", "out"],
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (c, f) for c, flags in DROPPED_FLAGS.items() for f in flags
+])
+def test_flag_not_read_is_unrecognized(command, flag, capsys):
+    assert main([command, *POSITIONALS[command], f"--{flag}", "1"]) == 3
+    assert f"error: unrecognized arguments: --{flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    (c, f) for c, flags in KEPT_FLAGS.items() for f in flags
+])
+def test_flag_read_still_parses(command, flag):
+    value = "json" if flag == "format" else "1"
+    args = build_parser().parse_args([command, *POSITIONALS[command], f"--{flag}", value])
+    parsed = getattr(args, flag.replace("-", "_"))
+    assert parsed == "json" if flag == "format" else float(parsed) == 1.0
+
+
+def test_registrations_are_exactly_the_kept_flags():
+    sub = next(a for a in build_parser()._actions if a.choices and "check" in a.choices)
+    for command, parser in sub.choices.items():
+        registered = {o[2:] for a in parser._actions for o in a.option_strings
+                      if o.startswith("--") and o != "--help"}
+        assert registered == set(KEPT_FLAGS[command]), command

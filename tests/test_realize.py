@@ -19,9 +19,12 @@ from polyrealize.errors import (
     CapExceededError,
     DegenerateRelationError,
     DimensionMismatchError,
+    NoPositiveScalingError,
     PatternViolationError,
     RankMismatchError,
 )
+from polyrealize import numkernel
+from polyrealize.complete import CompletionProblem, initialize_factors
 from polyrealize.numkernel import numeric_rank
 from polyrealize.realize import (
     REASON_DIAMOND,
@@ -36,6 +39,7 @@ from conftest import (
     PYRAMID_MATRIX,
     PYRAMID_VERTICES,
     SQUARE_MATRIX,
+    cube,
     disjoint_squares,
     pyramid_missing_incidence,
     simplex,
@@ -125,6 +129,44 @@ class TestConversions:
         back = cone_to_polytope_matrix(N)
         assert numeric_rank(back.matrix) == 2
         assert check_filled_incidence(back.matrix, square, 1.0).ok
+
+    def test_rescaled_cones_convert_without_lp_or_sampling(self, pyramid, square, monkeypatch):
+        # any positive diagonal rescaling of a facet-ray matrix is one too,
+        # and must convert back to a rank-d filled 1-incidence matrix
+        cones = []
+        for name, M, rel, d in [("pyramid", PYRAMID_MATRIX, pyramid, 3),
+                                ("square", SQUARE_MATRIX, square, 2)]:
+            cones.append((name, polytope_to_cone_matrix(FilledIncidenceMatrix(M, rel, 1.0)), d))
+
+        def converts(fim, d):
+            back = cone_to_polytope_matrix(fim)
+            return numeric_rank(back.matrix) == d and check_filled_incidence(
+                back.matrix, fim.relation, 1.0
+            ).ok
+
+        failed = []
+        for name, fim, d in cones:
+            N = fim.matrix
+            for seed in range(200):
+                rng = np.random.default_rng(seed)
+                D1 = 10 ** rng.uniform(-2, 2, N.shape[0])
+                D2 = 10 ** rng.uniform(-2, 2, N.shape[1])
+                scaled = FilledIncidenceMatrix(D1[:, None] * N * D2, fim.relation, 0.0)
+                try:
+                    if not converts(scaled, d):
+                        failed.append((name, seed, "pattern or rank"))
+                except NoPositiveScalingError:
+                    failed.append((name, seed, "no positive scaling"))
+        assert failed == []
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the conversion path must not solve LPs or draw samples")
+
+        monkeypatch.setattr(numkernel, "lp_strict_feasibility", forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        assert all(converts(fim, d) for _, fim, d in cones)
+        H, W = initialize_factors(CompletionProblem(cube(3), 3), 0)
+        assert numeric_rank(H @ W) == 3
 
     def test_polar_transpose(self, pyramid):
         # the transpose of a verified fill-1 matrix verifies for the
