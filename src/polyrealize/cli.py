@@ -78,7 +78,6 @@ class RunConfig:
     d: int = None
     fill: float = 1.0
     margin: float = 0.1
-    restarts: int = 32
     iters: int = 2000
     seed: int = 0
     rank_tol: float = DEFAULT_RANK_TOL
@@ -173,7 +172,6 @@ def cmd_realize(args) -> int:
             rel,
             cfg.d,
             margin=cfg.margin,
-            max_restarts=cfg.restarts,
             max_iters=cfg.iters,
             seed=cfg.seed,
             eq_tol=cfg.eq_tol,
@@ -201,7 +199,6 @@ def cmd_realize(args) -> int:
             rel, verdict.d
         )
         report["solver"] = {
-            "restart": verdict.completion.restart_index,
             "iterations": verdict.completion.iterations,
             "loss": verdict.best_residual,
         }
@@ -405,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": dict(type=int),
         "out": dict(help="output file or directory"),
         "margin": dict(type=float),
-        "restarts": dict(type=int),
         "iters": dict(type=int),
     }
     tols = ("rank-tol", "eq-tol", "slack-tol")
@@ -425,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="search for a realization of a relation")
     p.add_argument("relation")
-    flags(p, "d", *tols, "seed", "out", "margin", "restarts", "iters")
+    flags(p, "d", *tols, "seed", "out", "margin", "iters")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="verify a matrix against a relation")

@@ -4,17 +4,17 @@ The realizability conditions require a rank-d matrix equal to 1 on the
 incident pairs and strictly below 1 elsewhere; nothing prescribes how
 to find one.  This solver searches by alternating least squares over
 factors H (n x d) and W (d x m) with a hinge penalty pushing
-off-relation entries below 1 - margin, followed by joint gradient
-descent polishing.  Restart 0 starts from the cone form of the
-problem: the rank-(d+1) truncation of the 0/-1 pattern, refined by a
-few alternating projections onto that pattern and dehomogenized by the
-row- and column-sum rescaling of ``numkernel.dehomogenize`` to a rank-d
-matrix near 1 on the incident pairs and below 1 elsewhere; from that
-start the easy families (simplices, cubes, cross-polytopes, polygons)
-realize after one sweep.  Later restarts start from seeded random
-factors.  Strict inequalities are handled quantitatively: a
-result is accepted when every off entry clears 1 - margin/2.  Failure
-never means nonrealizability, only that the search gave up.
+off-relation entries below 1 - margin, from one start.  The start is
+the cone form of the problem: the rank-(d+1) truncation of the 0/-1
+pattern, refined by a few alternating projections onto that pattern
+and dehomogenized by the row- and column-sum rescaling of
+``numkernel.dehomogenize`` to a rank-d matrix near 1 on the incident
+pairs and below 1 elsewhere; from that start the easy families
+(simplices, cubes, cross-polytopes, polygons) realize after one sweep.
+Where that start does not apply, the search starts from seeded random
+factors.  Strict inequalities are handled quantitatively: a result is
+accepted when every off entry clears 1 - margin/2.  Failure never
+means nonrealizability, only that the search gave up.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class CompletionProblem:
     relation: IncidenceRelation
     d: int
     margin: float = 0.1
-    max_restarts: int = 32
     max_iters: int = 2000
     seed: int = 0
 
@@ -52,6 +51,8 @@ class CompletionProblem:
             raise ValueError(f"margin must lie in (0, 1), got {self.margin}")
         if self.d < 1:
             raise ValueError(f"target rank must be >= 1, got {self.d}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +60,10 @@ class CompletionResult:
     """Search outcome.  Found results carry factors with M = H @ W.
 
     best_residual is the final loss value (sum of squared fill errors
-    plus squared hinge overshoots), monotone over restarts.  iterations
-    is the total work of the search: ALS sweeps plus polish loss
-    evaluations, summed over every restart run.  restart_index is the
-    winning restart, or the last one run when none validated.
+    plus squared hinge overshoots).  iterations is the number of ALS
+    sweeps run, at most max_iters.  restart_index is always 0: the
+    search runs one start, and the field stays only because the
+    benchmark's traced search counts restarts from it.
     """
 
     status: str
@@ -71,7 +72,7 @@ class CompletionResult:
     matrix: np.ndarray = None
     best_residual: float = float("inf")
     iterations: int = 0
-    restart_index: int = -1
+    restart_index: int = 0
 
 
 def loss_and_gradient(H, W, problem: CompletionProblem):
@@ -93,7 +94,7 @@ def loss_and_gradient(H, W, problem: CompletionProblem):
 
 
 def _cone_warm_start(problem: CompletionProblem):
-    """Restart 0's factors (see initialize_factors), or None.
+    """The cone-form starting factors (see initialize_factors), or None.
 
     None when a truncation has rank below d+1 or a row or column sum of
     the last one is not negative.
@@ -117,10 +118,10 @@ def _cone_warm_start(problem: CompletionProblem):
     return U[:, :d] * root, root[:, None] * Vt[:d]
 
 
-def initialize_factors(problem: CompletionProblem, restart_index: int):
-    """Deterministic starting factors for one restart.
+def initialize_factors(problem: CompletionProblem):
+    """Deterministic starting factors of the search.
 
-    Restart 0 uses the cone-form warm start.  Let N1 be the rank-(d+1)
+    The start is the cone-form warm start.  Let N1 be the rank-(d+1)
     truncation of the 0/-1 pattern (0 on incident pairs, -1 off),
     refined by alternating projections: set the incident entries to 0,
     cap the others at -CONE_FLOOR, truncate to rank d+1 again,
@@ -132,16 +133,15 @@ def initialize_factors(problem: CompletionProblem, restart_index: int):
     a polygon the pattern is circulant, its top modes are the constant
     and the first Fourier pair, and M is the regular polygon.  When the
     pattern has rank below d+1 or a row or column sum of N1 is not
-    negative, restart 0 falls back to the seeded normal draw of the
-    later restarts: i.i.d. standard normal entries scaled by 1/sqrt(d).
+    negative, the start is a seeded normal draw instead: i.i.d. standard
+    normal entries scaled by 1/sqrt(d), from default_rng([seed, 0]).
     """
-    if restart_index == 0:
-        start = _cone_warm_start(problem)
-        if start is not None:
-            return start
+    start = _cone_warm_start(problem)
+    if start is not None:
+        return start
     rel = problem.relation
     d = problem.d
-    rng = np.random.default_rng([problem.seed, restart_index])
+    rng = np.random.default_rng([problem.seed, 0])
     scale = 1.0 / np.sqrt(d)
     return (
         scale * rng.standard_normal((rel.n_facets, d)),
@@ -200,32 +200,6 @@ def _als_sweep(H, W, mask, ceiling):
     return H, W
 
 
-def _polish(H, W, problem, budget):
-    """Joint gradient descent with backtracking, polishing an ALS solution.
-
-    Spends at most ``budget`` loss evaluations, line searches included.
-    """
-    step = 1e-2
-    loss, gH, gW = loss_and_gradient(H, W, problem)
-    used = 0
-    while used < budget and loss > CONVERGED_LOSS:
-        accepted = False
-        for _ in range(min(30, budget - used)):
-            H2 = H - step * gH
-            W2 = W - step * gW
-            loss2, gH2, gW2 = loss_and_gradient(H2, W2, problem)
-            used += 1
-            if loss2 < loss:
-                H, W, loss, gH, gW = H2, W2, loss2, gH2, gW2
-                step *= 1.3
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return H, W, loss, used
-
-
 def _validate(H, W, problem, rank_tol=1e-9):
     """Pattern check with slack margin/2 and exact-rank check for a candidate."""
     M = H @ W
@@ -240,45 +214,28 @@ def _validate(H, W, problem, rank_tol=1e-9):
 def complete(problem: CompletionProblem) -> CompletionResult:
     """Search for a rank-d filled 1-incidence matrix of the relation.
 
-    Runs deterministic restarts; each does alternating least squares
-    until the loss converges or stalls, then gradient polishing.  The
-    first restart whose factors validate (pattern with slack >= margin/2
-    and numeric rank exactly d) wins; with the convergence threshold at
-    1e-14 no later restart could improve it meaningfully.  If no restart
-    validates, the best loss over all restarts is reported.
+    From the one deterministic start, runs alternating least squares
+    until the loss converges, stalls or max_iters sweeps are spent, then
+    validates the factors once (pattern with slack >= margin/2 and
+    numeric rank exactly d).  A result that does not validate is
+    reported as not found with its final loss.
     """
     mask = problem.relation.mask
     ceiling = 1.0 - problem.margin
-    best_loss = float("inf")
-    total_work = 0
-    total_restarts = max(problem.max_restarts, 1)
-    for restart in range(total_restarts):
-        H, W = initialize_factors(problem, restart)
-        loss, _, _ = loss_and_gradient(H, W, problem)
-        used = 0
-        while used < problem.max_iters:
-            H, W = _als_sweep(H, W, mask, ceiling)
-            used += 1
-            new_loss, _, _ = loss_and_gradient(H, W, problem)
-            if new_loss < CONVERGED_LOSS:
-                loss = new_loss
-                break
-            if loss - new_loss <= REL_IMPROVEMENT * max(loss, 1e-300):
-                loss = new_loss
-                break
-            loss = new_loss
-        if loss > CONVERGED_LOSS and used < problem.max_iters:
-            H, W, loss, polished = _polish(H, W, problem, problem.max_iters - used)
-            used += polished
-        total_work += used
-        best_loss = min(best_loss, loss)
-        M = _validate(H, W, problem)
-        if M is not None:
-            return CompletionResult(
-                STATUS_FOUND, H=H, W=W, matrix=M,
-                best_residual=loss, iterations=total_work, restart_index=restart,
-            )
+    H, W = initialize_factors(problem)
+    loss, _, _ = loss_and_gradient(H, W, problem)
+    sweeps = 0
+    while sweeps < problem.max_iters:
+        H, W = _als_sweep(H, W, mask, ceiling)
+        sweeps += 1
+        new_loss, _, _ = loss_and_gradient(H, W, problem)
+        stalled = loss - new_loss <= REL_IMPROVEMENT * max(loss, 1e-300)
+        loss = new_loss
+        if loss < CONVERGED_LOSS or stalled:
+            break
+    M = _validate(H, W, problem)
+    if M is None:
+        return CompletionResult(STATUS_NOT_FOUND, best_residual=loss, iterations=sweeps)
     return CompletionResult(
-        STATUS_NOT_FOUND, best_residual=best_loss,
-        iterations=total_work, restart_index=total_restarts - 1,
+        STATUS_FOUND, H=H, W=W, matrix=M, best_residual=loss, iterations=sweeps,
     )

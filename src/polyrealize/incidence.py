@@ -224,6 +224,11 @@ def relation_to_json_dict(rel: IncidenceRelation) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; bool is an int subclass in Python, so it is excluded."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def relation_from_json_dict(payload) -> IncidenceRelation:
     if not isinstance(payload, dict):
         raise RelationFormatError("relation payload is not a JSON object")
@@ -233,13 +238,13 @@ def relation_from_json_dict(payload) -> IncidenceRelation:
         pairs = payload["incident"]
     except (KeyError, TypeError) as exc:
         raise RelationFormatError(f"missing relation field: {exc}") from exc
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not _is_int(n) or not _is_int(m):
         raise RelationFormatError("facet and vertex counts must be integers")
     if not isinstance(pairs, list):
         raise RelationFormatError("incident must be a list of pairs")
     seen = set()
     for p in pairs:
-        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)):
+        if not (isinstance(p, list) and len(p) == 2 and all(_is_int(x) for x in p)):
             raise RelationFormatError(f"bad incidence pair {p!r}")
         t = (p[0], p[1])
         if t in seen:
@@ -327,20 +332,9 @@ class MaxbicliqueLattice:
         """Greatest lower bound; closed vertex sets are intersection-closed."""
         return self._index[self._vbits[a] & self._vbits[b]]
 
-    def join(self, a: int, b: int) -> int:
-        """Least upper bound: closure of the union of the vertex sets."""
-        union = set(self.elements[a].vertex_set) | set(self.elements[b].vertex_set)
-        closed = self.relation.closure(union)
-        return self._index[_bits_of(closed)]
-
     @property
     def is_graded(self) -> bool:
         return self.ranks is not None
-
-    def rank_of(self, a: int) -> int:
-        if self.ranks is None:
-            raise NotGradedError("lattice is not graded")
-        return self.ranks[a]
 
     @property
     def rank(self) -> int:
@@ -360,9 +354,6 @@ class MaxbicliqueLattice:
         if bits not in self._index:
             raise KeyError(f"no lattice element with vertex set {sorted(vertices)}")
         return self._index[bits]
-
-    def chain_elements(self, flag: Flag) -> tuple:
-        return tuple(self.elements[i] for i in flag.chain)
 
     def vertex_sets(self) -> frozenset:
         """The family of vertex sets of all elements, as frozensets."""

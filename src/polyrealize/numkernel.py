@@ -158,9 +158,6 @@ class BilinearForm:
     def value(self, x, y) -> float:
         return float(np.asarray(x, float) @ self.phi @ np.asarray(y, float))
 
-    def norm2(self, x) -> float:
-        return self.value(x, x)
-
     def det_sign(self) -> int:
         sign, _ = np.linalg.slogdet(self.phi)
         return int(sign)

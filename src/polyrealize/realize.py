@@ -205,7 +205,6 @@ def realizability_check(
     d: int = None,
     *,
     margin: float = 0.1,
-    max_restarts: int = 32,
     max_iters: int = 2000,
     seed: int = 0,
     eq_tol: float = DEFAULT_EQ_TOL,
@@ -224,10 +223,7 @@ def realizability_check(
     if reason is not None:
         return RealizabilityVerdict(STATUS_REJECTED, d if d is not None else -1,
                                     reason=reason, lattice=lat)
-    problem = CompletionProblem(
-        rel, d, margin=margin, max_restarts=max_restarts,
-        max_iters=max_iters, seed=seed,
-    )
+    problem = CompletionProblem(rel, d, margin=margin, max_iters=max_iters, seed=seed)
     result = run_completion(problem)
     if result.status != COMPLETION_FOUND:
         return RealizabilityVerdict(

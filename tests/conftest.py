@@ -119,6 +119,15 @@ def hemi_dodecahedron() -> IncidenceRelation:
         6, 10, [(i, j) for i, facet in enumerate(facets, start=1) for j in facet])
 
 
+def torus7() -> IncidenceRelation:
+    """Moebius' 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3}
+    mod 7, a lattice that passes the gate on a surface of Euler
+    characteristic 0."""
+    facets = [(i, i + k, i + 3) for i in range(7) for k in (1, 2)]
+    return IncidenceRelation.from_pairs(
+        14, 7, [(f, j % 7 + 1) for f, facet in enumerate(facets, start=1) for j in facet])
+
+
 def random_relation(rng, max_side: int = 8) -> IncidenceRelation:
     n = int(rng.integers(1, max_side + 1))
     m = int(rng.integers(1, max_side + 1))

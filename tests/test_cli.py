@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, files written, report determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,11 @@ class TestCheck:
     def test_missing_file(self, workdir):
         assert run("check", workdir / "nope.json") == 3
 
+    def test_boolean_counts_are_input_error(self, workdir):
+        (workdir / "bools.json").write_text(
+            '{"facets": true, "vertices": 2, "incident": [[true, 1], [1, 2]]}')
+        assert run("check", workdir / "bools.json") == 3
+
 
 class TestRealize:
     def test_pyramid_writes_matrices(self, workdir, capsys):
@@ -74,6 +81,7 @@ class TestRealize:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "realized"
         assert report["realization_space_dimension"] == 14
+        assert set(report["solver"]) == {"iterations", "loss"}
         M = read_matrix_csv(out / "M.csv")
         W = read_matrix_csv(out / "W.csv")
         H = read_matrix_csv(out / "H.csv")
@@ -89,7 +97,7 @@ class TestRealize:
 
         dump_relation(ngon(20), workdir / "twentygon.json")
         code = run("realize", workdir / "twentygon.json", "--d", "2",
-                   "--restarts", "1", "--iters", "1", "--format", "json")
+                   "--iters", "1", "--format", "json")
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "inconclusive"
@@ -97,6 +105,10 @@ class TestRealize:
 
     def test_diamond_failure_rejected(self, workdir):
         assert run("realize", workdir / "broken_pyramid.json", "--d", "3") == 1
+
+    def test_negative_iters_is_input_error(self, workdir, capsys):
+        assert run("realize", workdir / "pyramid.json", "--d", "3", "--iters", "-5") == 3
+        assert "max_iters must be >= 0" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -237,7 +249,7 @@ GRAMIAN_FLAGS = ["d", "rank-tol", "det-zero-tol", "flag-cap", "format"]
 KEPT_FLAGS = {
     "check": ["d", "format"],
     "realize": ["d", "rank-tol", "eq-tol", "slack-tol", "seed", "out",
-                "margin", "restarts", "iters", "format"],
+                "margin", "iters", "format"],
     "verify": ["d", "fill", "rank-tol", "eq-tol", "slack-tol", "format"],
     "convert": ["rank-tol", "eq-tol", "slack-tol", "out", "format"],
     "gale": ["rank-tol", "out", "format"],
@@ -248,7 +260,7 @@ KEPT_FLAGS = {
 }
 DROPPED_FLAGS = {
     "check": ["rank-tol", "eq-tol", "slack-tol", "det-zero-tol", "flag-cap", "out"],
-    "realize": ["det-zero-tol", "flag-cap"],
+    "realize": ["det-zero-tol", "flag-cap", "restarts"],
     "verify": ["det-zero-tol", "flag-cap", "out"],
     "convert": ["d", "det-zero-tol", "flag-cap", "seed"],
     "gale": ["d", "eq-tol", "slack-tol", "det-zero-tol", "flag-cap"],
@@ -277,9 +289,33 @@ def test_flag_read_still_parses(command, flag):
     assert parsed == "json" if flag == "format" else float(parsed) == 1.0
 
 
-def test_registrations_are_exactly_the_kept_flags():
+def registered_flags():
+    """{command: flags it registers, without the leading dashes}."""
     sub = next(a for a in build_parser()._actions if a.choices and "check" in a.choices)
-    for command, parser in sub.choices.items():
-        registered = {o[2:] for a in parser._actions for o in a.option_strings
-                      if o.startswith("--") and o != "--help"}
-        assert registered == set(KEPT_FLAGS[command]), command
+    return {
+        command: {o[2:] for a in parser._actions for o in a.option_strings
+                  if o.startswith("--") and o != "--help"}
+        for command, parser in sub.choices.items()
+    }
+
+
+def readme_flags():
+    """{command: flags} from the README's per-command table; every
+    command also takes --format."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
+    table_flags = {}
+    for row in table.splitlines()[2:]:
+        commands, flags = row.strip("|").split("|")
+        named = set(re.findall(r"`--([a-z-]+)`", flags)) | {"format"}
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            table_flags[command] = named
+    return table_flags
+
+
+def test_registrations_are_exactly_the_kept_flags():
+    assert registered_flags() == {c: set(f) for c, f in KEPT_FLAGS.items()}
+
+
+def test_readme_flag_table_matches_the_parser():
+    assert readme_flags() == registered_flags()

@@ -13,19 +13,23 @@ from polyrealize import (
     grunbaum_oracle,
     initialize_factors,
     loss_and_gradient,
+    realizability_check,
     realize_from_matrix,
 )
 from polyrealize.complete import STATUS_FOUND, STATUS_NOT_FOUND
 from polyrealize.numkernel import numeric_rank
+from polyrealize.realize import STATUS_INCONCLUSIVE
 
 from conftest import (
     SQUARE_MATRIX,
     cross_polytope,
     cube,
+    hemi_dodecahedron,
     ngon,
     pyramid_relation,
     random_relation,
     simplex,
+    torus7,
     triangular_prism,
 )
 from oracles import central_difference_gradients
@@ -82,22 +86,16 @@ class TestLossAndGradient:
 class TestInitializeFactors:
     def test_deterministic(self, square):
         problem = CompletionProblem(square, 2, seed=42)
-        H1, W1 = initialize_factors(problem, 3)
-        H2, W2 = initialize_factors(problem, 3)
+        H1, W1 = initialize_factors(problem)
+        H2, W2 = initialize_factors(problem)
         np.testing.assert_array_equal(H1, H2)
         np.testing.assert_array_equal(W1, W2)
 
-    def test_restarts_differ(self, square):
-        problem = CompletionProblem(square, 2)
-        H1, _ = initialize_factors(problem, 1)
-        H2, _ = initialize_factors(problem, 2)
-        assert np.abs(H1 - H2).max() > 1e-6
-
     def test_spectral_start_on_square(self, square):
-        # restart 0 dehomogenizes the square's cone-form pattern to a
+        # the start dehomogenizes the square's cone-form pattern to a
         # rank-2 matrix, and the solver converges in a handful of sweeps
         problem = CompletionProblem(square, 2)
-        H0, W0 = initialize_factors(problem, 0)
+        H0, W0 = initialize_factors(problem)
         assert numeric_rank(H0 @ W0) == 2
         result = complete(problem)
         assert result.status == STATUS_FOUND
@@ -106,9 +104,9 @@ class TestInitializeFactors:
 
     def test_warm_start_falls_back_to_the_seeded_draw(self, pyramid):
         # the pyramid's 0/-1 pattern has rank 4, one short of the d + 1 = 5
-        # a 4-dimensional cone form needs, so restart 0 draws like the rest
+        # a 4-dimensional cone form needs, so the start is the seeded draw
         problem = CompletionProblem(pyramid, 4, seed=3)
-        H, W = initialize_factors(problem, 0)
+        H, W = initialize_factors(problem)
         rng = np.random.default_rng([3, 0])
         np.testing.assert_array_equal(H, rng.standard_normal((5, 4)) / 2.0)
         np.testing.assert_array_equal(W, rng.standard_normal((4, 5)) / 2.0)
@@ -132,7 +130,6 @@ class TestComplete:
         # rank-4 filled matrices of the pyramid relation do exist (perturb
         # the rank-3 one off the pattern), so the bare solver finds one;
         # only the lattice gate rules out a 4-dimensional realization
-        from polyrealize import realizability_check
         from polyrealize.realize import REASON_RANK, STATUS_REJECTED
 
         result = complete(CompletionProblem(pyramid, 4))
@@ -145,7 +142,7 @@ class TestComplete:
     def test_impossible_pattern_not_found(self, square):
         # a rank-1 filled 1-incidence matrix of the square forces every
         # entry to 1, so no valid completion exists at d = 1
-        result = complete(CompletionProblem(square, 1, max_restarts=6, max_iters=80))
+        result = complete(CompletionProblem(square, 1, max_iters=80))
         assert result.status == STATUS_NOT_FOUND
         assert np.isfinite(result.best_residual)
         assert result.best_residual > 0
@@ -157,26 +154,17 @@ class TestComplete:
         assert r1.best_residual == r2.best_residual
         np.testing.assert_array_equal(r1.matrix, r2.matrix)
 
-    def test_monotone_best_residual_over_restarts(self, square):
-        residuals = [
-            complete(
-                CompletionProblem(square, 1, max_restarts=k, max_iters=40)
-            ).best_residual
-            for k in (1, 2, 4, 8)
-        ]
-        assert all(a >= b for a, b in zip(residuals, residuals[1:]))
-
-    def test_iterations_count_every_restart(self, square):
-        # restarts are deterministic, so each extra restart adds its own
-        # sweeps and polish evaluations to the reported total
-        budget = 30
-        totals = [
-            complete(CompletionProblem(square, 1, max_restarts=k, max_iters=budget)).iterations
-            for k in (1, 2, 3)
-        ]
-        assert totals[0] == budget  # restart 0 runs out of sweeps
-        assert totals[0] < totals[1] < totals[2]
-        assert totals[2] <= 3 * budget
+    def test_one_start_spends_at_most_max_iters_sweeps(self):
+        # no rank-3 matrix fits the hemi-dodecahedron, and its loss keeps
+        # falling, so the one start runs out of sweeps; iterations counts
+        # those sweeps and nothing else
+        rel = hemi_dodecahedron()
+        results = [complete(CompletionProblem(rel, 3, max_iters=k)) for k in (0, 1, 10, 30)]
+        assert [r.iterations for r in results] == [0, 1, 10, 30]
+        assert all(r.status == STATUS_NOT_FOUND and r.restart_index == 0 for r in results)
+        # a sweep never raises the loss, so the final loss falls with the budget
+        losses = [r.best_residual for r in results]
+        assert all(a >= b for a, b in zip(losses, losses[1:]))
 
     def test_found_matrices_validate(self):
         for rel, d in [(ngon(5), 2), (ngon(6), 2), (pyramid_relation(), 3)]:
@@ -192,6 +180,24 @@ class TestComplete:
             CompletionProblem(ngon(4), 2, margin=1.5)
         with pytest.raises(ValueError):
             CompletionProblem(ngon(4), 0)
+        with pytest.raises(ValueError, match="max_iters"):
+            CompletionProblem(ngon(4), 2, max_iters=-5)
+        assert CompletionProblem(ngon(4), 2, max_iters=0).max_iters == 0
+
+
+@pytest.mark.parametrize("build, d", [
+    (lambda: ngon(20), 2), (hemi_dodecahedron, 3), (torus7, 3),
+], ids=["gon-20", "hemi-dodecahedron", "torus7"])
+def test_inconclusive_inputs_spend_one_start(build, d):
+    # the 20-gon's slack at the default margin 0.1 is out of reach, and the
+    # other two pass the gate but are no polytopes: the search gives up
+    # after one start and at most max_iters sweeps
+    budget = 200
+    verdict = realizability_check(build(), d, max_iters=budget)
+    assert verdict.status == STATUS_INCONCLUSIVE
+    assert verdict.completion.restart_index == 0
+    assert verdict.completion.iterations <= budget
+    assert verdict.best_residual == verdict.completion.best_residual > 0
 
 
 def sphere_hull(seed: int, n: int) -> IncidenceRelation:
@@ -220,10 +226,10 @@ ORACLE_MAX_VERTICES = 10
     "build, d", [case[1:] for case in EASY_FAMILIES], ids=[case[0] for case in EASY_FAMILIES]
 )
 class TestConeWarmStart:
-    """Restart 0's cone-form warm start realizes the easy families at once."""
+    """The cone-form warm start realizes the easy families at once."""
 
     def test_warm_start_has_rank_d(self, build, d):
-        H, W = initialize_factors(CompletionProblem(build(), d), 0)
+        H, W = initialize_factors(CompletionProblem(build(), d))
         assert numeric_rank(H @ W) == d
 
     def test_realizes_at_restart_zero(self, build, d):

@@ -126,6 +126,17 @@ class TestRelation:
                 {"facets": 2, "vertices": 2, "incident": [[1, 1], [1, 1]]}
             )
 
+    @pytest.mark.parametrize("payload", [
+        {"facets": True, "vertices": 2, "incident": [[1, 1], [1, 2]]},
+        {"facets": 2, "vertices": False, "incident": [[1, 1]]},
+        {"facets": 2, "vertices": 2, "incident": [[True, 1], [1, 2]]},
+        {"facets": 2, "vertices": 2, "incident": [[1, 1], [2, True]]},
+    ])
+    def test_json_rejects_booleans(self, payload):
+        # bool is an int subclass in Python; JSON true/false are not counts
+        with pytest.raises(RelationFormatError):
+            relation_from_json_dict(payload)
+
 
 class TestLatticeConstruction:
     def test_square_lattice(self, square):

@@ -165,7 +165,7 @@ class TestConversions:
         monkeypatch.setattr(numkernel, "lp_strict_feasibility", forbidden)
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         assert all(converts(fim, d) for _, fim, d in cones)
-        H, W = initialize_factors(CompletionProblem(cube(3), 3), 0)
+        H, W = initialize_factors(CompletionProblem(cube(3), 3))
         assert numeric_rank(H @ W) == 3
 
     def test_polar_transpose(self, pyramid):
