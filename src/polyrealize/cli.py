@@ -5,7 +5,7 @@ gramian-realize | spherical-verify | hyperbolic-verify.
 
 Exit codes: 0 success or realized, 1 rejected or verification failure,
 2 inconclusive, 3 input error.  Reports are deterministic for identical
-inputs and seed.
+inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,43 +70,20 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared across commands."""
-
-    d: int = None
-    fill: float = 1.0
-    margin: float = 0.1
-    iters: int = 2000
-    seed: int = 0
-    rank_tol: float = DEFAULT_RANK_TOL
-    eq_tol: float = DEFAULT_EQ_TOL
-    slack_tol: float = DEFAULT_SLACK_TOL
-    det_zero_tol: float = DEFAULT_DET_ZERO_TOL
-    flag_cap: int = DEFAULT_FLAG_CAP
-    fmt: str = "text"
-    out: str = None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        cfg = cls()
-        for name in vars(cfg):
-            key = "format" if name == "fmt" else name
-            if hasattr(args, key) and getattr(args, key) is not None:
-                setattr(cfg, name, getattr(args, key))
-        for name in ("rank_tol", "eq_tol", "slack_tol", "det_zero_tol", "margin"):
-            if getattr(cfg, name) <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        return cfg
+def _positive(text: str) -> float:
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
-def _require_d(cfg: RunConfig) -> None:
-    if cfg.d is None:
+def _require_d(args) -> None:
+    if args.d is None:
         raise ValueError("this command needs --d")
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(report: dict, args) -> None:
+    if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         lines = []
@@ -157,36 +133,32 @@ def _lattice_report(rel: IncidenceRelation, d) -> tuple:
 
 
 def cmd_check(args) -> int:
-    cfg = RunConfig.from_args(args)
     rel = load_relation(args.relation)
-    report, ok = _lattice_report(rel, cfg.d)
-    _emit(report, cfg)
+    report, ok = _lattice_report(rel, args.d)
+    _emit(report, args)
     return EXIT_OK if ok else EXIT_REJECTED
 
 
 def cmd_realize(args) -> int:
-    cfg = RunConfig.from_args(args)
     rel = load_relation(args.relation)
     try:
         verdict = realizability_check(
             rel,
-            cfg.d,
-            margin=cfg.margin,
-            max_iters=cfg.iters,
-            seed=cfg.seed,
-            eq_tol=cfg.eq_tol,
-            slack_tol=cfg.slack_tol,
-            rank_tol=cfg.rank_tol,
+            args.d,
+            margin=args.margin,
+            max_iters=args.iters,
+            eq_tol=args.eq_tol,
+            slack_tol=args.slack_tol,
+            rank_tol=args.rank_tol,
         )
     except DegenerateRelationError as exc:
-        _emit({"verdict": "rejected", "reason": f"degenerate: {exc}"}, cfg)
+        _emit({"verdict": "rejected", "reason": f"degenerate: {exc}"}, args)
         return EXIT_REJECTED
     report = {
         "verdict": verdict.status,
         "d": verdict.d,
-        "tolerances": {"rank_tol": cfg.rank_tol, "eq_tol": cfg.eq_tol,
-                       "slack_tol": cfg.slack_tol},
-        "seed": cfg.seed,
+        "tolerances": {"rank_tol": args.rank_tol, "eq_tol": args.eq_tol,
+                       "slack_tol": args.slack_tol},
     }
     if verdict.lattice is not None and verdict.lattice.is_graded:
         report["lattice"] = {
@@ -206,33 +178,32 @@ def cmd_realize(args) -> int:
         report["reconstruction_residual"] = float(
             np.abs(recon - verdict.matrix.matrix).max()
         )
-        out_dir = cfg.out or "."
+        out_dir = args.out or "."
         os.makedirs(out_dir, exist_ok=True)
         write_matrix_csv(os.path.join(out_dir, "M.csv"), verdict.matrix.matrix)
         write_matrix_csv(os.path.join(out_dir, "W.csv"), verdict.realization.W)
         write_matrix_csv(os.path.join(out_dir, "H.csv"), verdict.realization.H)
         report["written"] = ["M.csv", "W.csv", "H.csv"]
-        _emit(report, cfg)
+        _emit(report, args)
         return EXIT_OK
     if verdict.status == STATUS_INCONCLUSIVE:
         report["best_residual"] = verdict.best_residual
-        _emit(report, cfg)
+        _emit(report, args)
         return EXIT_INCONCLUSIVE
     report["reason"] = verdict.reason
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_REJECTED
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require_d(cfg)
+    _require_d(args)
     rel = load_relation(args.relation)
     M = read_matrix_csv(args.matrix)
-    fill = cfg.fill
-    expected_rank = cfg.d if fill == 1.0 else cfg.d + 1
-    report = {"fill": fill, "d": cfg.d}
-    pattern = check_filled_incidence(M, rel, fill, cfg.eq_tol, cfg.slack_tol)
-    rank = numeric_rank(M, cfg.rank_tol)
+    fill = args.fill
+    expected_rank = args.d if fill == 1.0 else args.d + 1
+    report = {"fill": fill, "d": args.d}
+    pattern = check_filled_incidence(M, rel, fill, args.eq_tol, args.slack_tol)
+    rank = numeric_rank(M, args.rank_tol)
     report["pattern_ok"] = pattern.ok
     report["rank"] = rank
     report["rank_ok"] = rank == expected_rank
@@ -241,7 +212,7 @@ def cmd_verify(args) -> int:
             {"facet": v.facet, "vertex": v.vertex, "value": v.value, "kind": v.kind}
             for v in pattern.violations[:20]
         ]
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK if pattern.ok and rank == expected_rank else EXIT_REJECTED
 
 
@@ -256,38 +227,36 @@ def _infer_relation(M: np.ndarray, fill: float, eq_tol: float) -> IncidenceRelat
 
 
 def cmd_convert(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = read_matrix_csv(args.matrix)
     source_fill = 1.0 if args.direction == "polytope-to-cone" else 0.0
-    rel = _infer_relation(M, source_fill, cfg.eq_tol)
+    rel = _infer_relation(M, source_fill, args.eq_tol)
     try:
-        fim = FilledIncidenceMatrix(M, rel, source_fill, cfg.eq_tol, cfg.slack_tol)
+        fim = FilledIncidenceMatrix(M, rel, source_fill, args.eq_tol, args.slack_tol)
         if args.direction == "polytope-to-cone":
-            result = polytope_to_cone_matrix(fim, cfg.rank_tol)
+            result = polytope_to_cone_matrix(fim, args.rank_tol)
         else:
-            result = cone_to_polytope_matrix(fim, cfg.rank_tol)
+            result = cone_to_polytope_matrix(fim, args.rank_tol)
     except (PatternViolationError, NoPositiveScalingError) as exc:
-        _emit({"error": str(exc)}, cfg)
+        _emit({"error": str(exc)}, args)
         return EXIT_REJECTED
-    out = cfg.out or "converted.csv"
+    out = args.out or "converted.csv"
     write_matrix_csv(out, result.matrix)
     _emit(
         {
             "direction": args.direction,
-            "rank": numeric_rank(result.matrix, cfg.rank_tol),
+            "rank": numeric_rank(result.matrix, args.rank_tol),
             "written": out,
         },
-        cfg,
+        args,
     )
     return EXIT_OK
 
 
 def cmd_gale(args) -> int:
-    cfg = RunConfig.from_args(args)
     M = read_matrix_csv(args.matrix)
-    dual = gale_dual_cone(M, cfg.rank_tol) if args.kind == "cone" \
-        else gale_dual_polytope(M, cfg.rank_tol)
-    out = cfg.out or "gale.csv"
+    dual = gale_dual_cone(M, args.rank_tol) if args.kind == "cone" \
+        else gale_dual_polytope(M, args.rank_tol)
+    out = args.out or "gale.csv"
     report = {
         "kind": args.kind,
         "generators": int(dual.r_vectors.shape[0]),
@@ -300,51 +269,49 @@ def cmd_gale(args) -> int:
     else:
         write_matrix_csv(out, dual.coords)
         report["written"] = out
-    _emit(report, cfg)
+    _emit(report, args)
     return EXIT_OK
 
 
-def _load_candidate(args, cfg) -> GramianCandidate:
+def _load_candidate(args) -> GramianCandidate:
     rel = load_relation(args.relation)
     G = read_matrix_csv(args.gramian)
     phi = read_matrix_csv(args.phi)
     form = BilinearForm.from_matrix(phi)
-    return GramianCandidate(G, form, rel, cfg.d)
+    return GramianCandidate(G, form, rel, args.d)
 
 
 def cmd_gramian_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require_d(cfg)
+    _require_d(args)
     try:
-        cand = _load_candidate(args, cfg)
+        cand = _load_candidate(args)
     except ValueError as exc:
-        _emit({"passed": False, "error": str(exc)}, cfg)
+        _emit({"passed": False, "error": str(exc)}, args)
         return EXIT_REJECTED
     report = verify_gramian_conditions(
-        cand, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap)
-    _emit(report.as_dict(), cfg)
+        cand, rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
+    _emit(report.as_dict(), args)
     return EXIT_OK if report.passed else EXIT_REJECTED
 
 
 def cmd_gramian_realize(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require_d(cfg)
+    _require_d(args)
     try:
-        cand = _load_candidate(args, cfg)
+        cand = _load_candidate(args)
     except ValueError as exc:
-        _emit({"passed": False, "error": str(exc)}, cfg)
+        _emit({"passed": False, "error": str(exc)}, args)
         return EXIT_REJECTED
     report = verify_gramian_conditions(
-        cand, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap)
+        cand, rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
     if not report.passed:
-        _emit(report.as_dict(), cfg)
+        _emit(report.as_dict(), args)
         return EXIT_REJECTED
     try:
-        cone = realize_cone_from_gramian(cand, rank_tol=cfg.rank_tol)
+        cone = realize_cone_from_gramian(cand, rank_tol=args.rank_tol)
     except (PatternViolationError, SignatureMismatchError) as exc:
-        _emit({"passed": False, "error": str(exc)}, cfg)
+        _emit({"passed": False, "error": str(exc)}, args)
         return EXIT_REJECTED
-    out_dir = cfg.out or "."
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     write_matrix_csv(os.path.join(out_dir, "N.csv"), cone.N.matrix)
     write_matrix_csv(os.path.join(out_dir, "H.csv"), cone.H)
@@ -354,32 +321,30 @@ def cmd_gramian_realize(args) -> int:
     payload["gramian_residual"] = float(
         np.abs(gramian_of_cone(cone.H, cone.form) - cand.G).max()
     )
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
 def cmd_spherical_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require_d(cfg)
+    _require_d(args)
     rel = load_relation(args.relation)
     G = read_matrix_csv(args.gramian)
     report = verify_spherical_conditions(
-        rel, G, cfg.d, rank_tol=cfg.rank_tol, det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap)
-    _emit(report.as_dict(), cfg)
+        rel, G, args.d, rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
+    _emit(report.as_dict(), args)
     return EXIT_OK if report.passed else EXIT_REJECTED
 
 
 def cmd_hyperbolic_verify(args) -> int:
-    cfg = RunConfig.from_args(args)
-    _require_d(cfg)
+    _require_d(args)
     rel = load_relation(args.relation)
     G = read_matrix_csv(args.gramian)
     ideal = [int(v) for v in args.ideal.split(",") if v.strip()] if args.ideal else []
     report = verify_hyperbolic_conditions(
-        rel, ideal, G, cfg.d, rank_tol=cfg.rank_tol,
-        det_zero_tol=cfg.det_zero_tol, flag_cap=cfg.flag_cap,
+        rel, ideal, G, args.d, rank_tol=args.rank_tol,
+        det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap,
     )
-    _emit(report.as_dict(), cfg)
+    _emit(report.as_dict(), args)
     return EXIT_OK if report.passed else EXIT_REJECTED
 
 
@@ -394,15 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "d": dict(type=int, help="target polytope dimension"),
-        "rank-tol": dict(type=float),
-        "eq-tol": dict(type=float),
-        "slack-tol": dict(type=float),
-        "det-zero-tol": dict(type=float),
-        "flag-cap": dict(type=int),
-        "seed": dict(type=int),
+        "rank-tol": dict(type=_positive, default=DEFAULT_RANK_TOL),
+        "eq-tol": dict(type=_positive, default=DEFAULT_EQ_TOL),
+        "slack-tol": dict(type=_positive, default=DEFAULT_SLACK_TOL),
+        "det-zero-tol": dict(type=_positive, default=DEFAULT_DET_ZERO_TOL),
+        "flag-cap": dict(type=int, default=DEFAULT_FLAG_CAP),
         "out": dict(help="output file or directory"),
-        "margin": dict(type=float),
-        "iters": dict(type=int),
+        "margin": dict(type=_positive, default=0.1),
+        "iters": dict(type=int, default=2000),
     }
     tols = ("rank-tol", "eq-tol", "slack-tol")
     gramian = ("d", "rank-tol", "det-zero-tol", "flag-cap")
@@ -410,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     def flags(p, *names):
         """Register --format and the named options: those the command reads."""
         for name in names:
-            p.add_argument(f"--{name}", dest=name.replace("-", "_"), default=None,
-                           **options[name])
-        p.add_argument("--format", choices=("text", "json"), default=None)
+            p.add_argument(f"--{name}", dest=name.replace("-", "_"), **options[name])
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check", help="run the combinatorial lattice conditions")
     p.add_argument("relation", help="relation JSON file")
@@ -421,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="search for a realization of a relation")
     p.add_argument("relation")
-    flags(p, "d", *tols, "seed", "out", "margin", "iters")
+    flags(p, "d", *tols, "out", "margin", "iters")
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("verify", help="verify a matrix against a relation")
     p.add_argument("relation")
     p.add_argument("matrix", help="matrix CSV file")
-    p.add_argument("--fill", type=float, default=None)
+    p.add_argument("--fill", type=float, default=1.0)
     flags(p, "d", *tols)
     p.set_defaults(func=cmd_verify)
 

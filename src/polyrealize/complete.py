@@ -11,8 +11,8 @@ and dehomogenized by the row- and column-sum rescaling of
 ``numkernel.dehomogenize`` to a rank-d matrix near 1 on the incident
 pairs and below 1 elsewhere; from that start the easy families
 (simplices, cubes, cross-polytopes, polygons) realize after one sweep.
-Where that start does not apply, the search starts from seeded random
-factors.  Strict inequalities are handled quantitatively: a result is
+Where that start does not apply, the search starts from a fixed normal
+draw.  Strict inequalities are handled quantitatively: a result is
 accepted when every off entry clears 1 - margin/2.  Failure never
 means nonrealizability, only that the search gave up.
 """
@@ -36,6 +36,8 @@ REL_IMPROVEMENT = 1e-12
 # of the 0/-1 pattern, and the cap they keep off-pattern entries below.
 CONE_PROJECTIONS = 30
 CONE_FLOOR = 0.2
+# Active-set passes per row in one ALS half-sweep.
+ROW_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class CompletionProblem:
     d: int
     margin: float = 0.1
     max_iters: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.margin < 1.0:
@@ -133,15 +134,15 @@ def initialize_factors(problem: CompletionProblem):
     a polygon the pattern is circulant, its top modes are the constant
     and the first Fourier pair, and M is the regular polygon.  When the
     pattern has rank below d+1 or a row or column sum of N1 is not
-    negative, the start is a seeded normal draw instead: i.i.d. standard
-    normal entries scaled by 1/sqrt(d), from default_rng([seed, 0]).
+    negative, the start is a fixed normal draw instead: i.i.d. standard
+    normal entries scaled by 1/sqrt(d), from default_rng([0, 0]).
     """
     start = _cone_warm_start(problem)
     if start is not None:
         return start
     rel = problem.relation
     d = problem.d
-    rng = np.random.default_rng([problem.seed, 0])
+    rng = np.random.default_rng([0, 0])
     scale = 1.0 / np.sqrt(d)
     return (
         scale * rng.standard_normal((rel.n_facets, d)),
@@ -149,64 +150,59 @@ def initialize_factors(problem: CompletionProblem):
     )
 
 
-def _row_objective(Wt, h, on, off, ceiling):
-    vals = Wt @ h
-    on_err = vals[on] - 1.0
-    off_err = np.maximum(vals[off] - ceiling, 0.0)
-    return float(on_err @ on_err + off_err @ off_err)
+def _row_losses(vals, mask, ceiling):
+    err = np.where(mask, vals - 1.0, np.maximum(vals - ceiling, 0.0))
+    return np.einsum("ij,ij->i", err, err)
 
 
-def _best_row(Wt, h0, on, off, ceiling, inner=12):
-    """Minimize one row's convex piecewise-quadratic objective.
+def _best_rows(X, G, mask, ceiling):
+    """Minimize every row's convex piecewise-quadratic objective at once.
 
-    Iterates active-set least squares: rows in the current hinge active
-    set are pinned to the ceiling, incident rows to 1.  Keeps the best
-    iterate seen, so the sweep never increases the row objective.
+    Row i of X is scored against the rows of G: incident entries
+    (mask[i]) should equal 1, the others stay below the ceiling.  Each
+    pass solves active-set least squares for every live row in one
+    stacked pseudoinverse: incident entries are pinned to 1, off entries
+    above the ceiling to the ceiling, and a row with no active entry
+    gets 0.  Each row keeps the best iterate seen, so no row's objective
+    rises, and retires once its active set repeats; at most ROW_PASSES
+    passes.
     """
-    best = h0
-    best_f = _row_objective(Wt, h0, on, off, ceiling)
-    h = h0
-    prev_active = None
-    for _ in range(inner):
-        active = off[Wt[off] @ h > ceiling] if len(off) else off
-        rows = np.vstack([Wt[on], Wt[active]]) if (len(on) + len(active)) else None
-        if rows is None:
-            candidate = np.zeros_like(h0)
-        else:
-            targets = np.concatenate([np.ones(len(on)), np.full(len(active), ceiling)])
-            candidate, *_ = np.linalg.lstsq(rows, targets, rcond=None)
-        f = _row_objective(Wt, candidate, on, off, ceiling)
-        if f < best_f:
-            best, best_f = candidate, f
-        if prev_active is not None and np.array_equal(active, prev_active):
+    target = np.where(mask, 1.0, ceiling)
+    rcond = np.finfo(float).eps * max(G.shape)
+    best = X.copy()
+    vals = X @ G.T
+    best_f = _row_losses(vals, mask, ceiling)
+    live = np.arange(len(X))
+    prev = None
+    for _ in range(ROW_PASSES):
+        active = mask[live] | (vals > ceiling)
+        pinv = np.linalg.pinv(active[:, :, None] * G, rcond=rcond)
+        candidate = (pinv @ (active * target[live])[:, :, None])[:, :, 0]
+        vals = candidate @ G.T
+        f = _row_losses(vals, mask[live], ceiling)
+        better = f < best_f[live]
+        best[live[better]] = candidate[better]
+        best_f[live[better]] = f[better]
+        moved = np.ones(len(live), bool) if prev is None else (active != prev).any(axis=1)
+        live, vals, prev = live[moved], vals[moved], active[moved]
+        if not len(live):
             break
-        prev_active = active
-        h = candidate
     return best
 
 
 def _als_sweep(H, W, mask, ceiling):
-    n, m = mask.shape
-    Wt = W.T
-    for i in range(n):
-        on = np.flatnonzero(mask[i])
-        off = np.flatnonzero(~mask[i])
-        H[i] = _best_row(Wt, H[i], on, off, ceiling)
-    Ht = H
-    for j in range(m):
-        on = np.flatnonzero(mask[:, j])
-        off = np.flatnonzero(~mask[:, j])
-        W[:, j] = _best_row(Ht, W[:, j], on, off, ceiling)
+    H = _best_rows(H, W.T, mask, ceiling)
+    W = _best_rows(W.T, H, mask.T, ceiling).T
     return H, W
 
 
-def _validate(H, W, problem, rank_tol=1e-9):
+def _validate(H, W, problem):
     """Pattern check with slack margin/2 and exact-rank check for a candidate."""
     M = H @ W
     report = check_filled_incidence(
         M, problem.relation, 1.0, eq_tol=1e-7, slack_tol=problem.margin / 2.0
     )
-    if not report.ok or numeric_rank(M, rank_tol) != problem.d:
+    if not report.ok or numeric_rank(M, DEFAULT_RANK_TOL) != problem.d:
         return None
     return M
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     LightlikeNormalError,
     NotBipartiteError,
     PatternViolationError,
@@ -142,6 +143,15 @@ def _minor_dets(G, rows, cols) -> tuple:
         norms = np.linalg.norm(minors, axis=2)
         scales[at] = np.maximum(np.prod(np.maximum(norms, 1e-30), axis=1), 1.0)
     return dets, scales
+
+
+def _facet_gramian(G, rel) -> np.ndarray:
+    """G as a matrix, which must be square with one row per facet."""
+    G = as_matrix(G, "gramian")
+    if G.shape != (rel.n_facets, rel.n_facets):
+        raise DimensionMismatchError(
+            f"gramian shape {G.shape} does not match {rel.n_facets} facets")
+    return G
 
 
 def _unit_diagonal(G) -> ConditionCheck:
@@ -368,7 +378,7 @@ def verify_spherical_conditions(
     vertex minors of rank d, and positive determinants on every pair of
     same-orientation super cycles, decided as in verify_gramian_conditions.
     """
-    G = as_matrix(G, "gramian")
+    G = _facet_gramian(G, rel)
 
     def form_checks(w, thr):
         r = int(np.count_nonzero(w > thr))
@@ -420,7 +430,7 @@ def verify_hyperbolic_conditions(
     generators; the full super-cycle minors already appear (negated) in
     the super-cycle condition.
     """
-    G = as_matrix(G, "gramian")
+    G = _facet_gramian(G, rel)
     ideal = frozenset(int(v) for v in ideal_vertices)
     if not ideal <= set(range(1, rel.n_vertices + 1)):
         raise ValueError(f"ideal vertices {sorted(ideal)} out of range")

@@ -160,6 +160,51 @@ def central_difference_gradients(loss_fn, H, W, step=1e-6):
     return gH, gW
 
 
+def _row_objective(Wt, h, on, off, ceiling):
+    vals = Wt @ h
+    on_err = vals[on] - 1.0
+    off_err = np.maximum(vals[off] - ceiling, 0.0)
+    return float(on_err @ on_err + off_err @ off_err)
+
+
+def _best_row(Wt, h0, on, off, ceiling, inner=12):
+    """Minimize one row's convex piecewise-quadratic objective.
+
+    Iterates active-set least squares: rows in the current hinge active
+    set are pinned to the ceiling, incident rows to 1.  Keeps the best
+    iterate seen, so the sweep never increases the row objective.
+    """
+    best = h0
+    best_f = _row_objective(Wt, h0, on, off, ceiling)
+    h = h0
+    prev_active = None
+    for _ in range(inner):
+        active = off[Wt[off] @ h > ceiling] if len(off) else off
+        rows = np.vstack([Wt[on], Wt[active]]) if (len(on) + len(active)) else None
+        if rows is None:
+            candidate = np.zeros_like(h0)
+        else:
+            targets = np.concatenate([np.ones(len(on)), np.full(len(active), ceiling)])
+            candidate, *_ = np.linalg.lstsq(rows, targets, rcond=None)
+        f = _row_objective(Wt, candidate, on, off, ceiling)
+        if f < best_f:
+            best, best_f = candidate, f
+        if prev_active is not None and np.array_equal(active, prev_active):
+            break
+        prev_active = active
+        h = candidate
+    return best
+
+
+def best_rows_one_at_a_time(X, G, mask, ceiling):
+    """One ALS half-sweep row by row: each row of X solved by its own
+    active-set least squares against the rows of G (lstsq per pass)."""
+    return np.array([
+        _best_row(G, X[i], np.flatnonzero(mask[i]), np.flatnonzero(~mask[i]), ceiling)
+        for i in range(len(X))
+    ])
+
+
 def top_star(form_matrix, columns) -> float:
     """Top-degree star: sqrt(|det phi|) times the determinant of the columns."""
     return float(

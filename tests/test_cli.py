@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyrealize import dump_relation
+from polyrealize import IncidenceRelation, dump_relation
 from polyrealize.cli import build_parser, main
 from polyrealize.numkernel import read_matrix_csv, write_matrix_csv
 
@@ -106,6 +106,29 @@ class TestRealize:
     def test_diamond_failure_rejected(self, workdir):
         assert run("realize", workdir / "broken_pyramid.json", "--d", "3") == 1
 
+    @pytest.mark.parametrize("argv, code, keys", [
+        (("pyramid.json", "--d", "3"), 0,
+         {"lattice", "realization_space_dimension", "solver", "reconstruction_residual",
+          "written"}),
+        (("twentygon.json", "--d", "2", "--iters", "1"), 2, {"lattice", "best_residual"}),
+        (("pyramid.json", "--d", "2"), 1, {"lattice", "reason"}),
+        (("degenerate.json",), 1, None),
+    ], ids=["realized", "inconclusive", "rejected", "degenerate"])
+    def test_report_keys(self, workdir, capsys, argv, code, keys):
+        from conftest import ngon
+
+        dump_relation(ngon(20), workdir / "twentygon.json")
+        dump_relation(IncidenceRelation.from_pairs(2, 2, [(1, 1), (1, 2), (2, 1)]),
+                      workdir / "degenerate.json")
+        relation, *flags = argv
+        assert run("realize", workdir / relation, *flags, "--out", workdir / "out",
+                   "--format", "json") == code
+        report = json.loads(capsys.readouterr().out)
+        if keys is None:
+            assert set(report) == {"verdict", "reason"}
+        else:
+            assert set(report) == {"verdict", "d", "tolerances"} | keys
+
     def test_negative_iters_is_input_error(self, workdir, capsys):
         assert run("realize", workdir / "pyramid.json", "--d", "3", "--iters", "-5") == 3
         assert "max_iters must be >= 0" in capsys.readouterr().err
@@ -197,6 +220,18 @@ class TestGramianCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["details"] == {"lattice": "flag graph is not bipartite"}
 
+    @pytest.mark.parametrize("command", ["spherical-verify", "hyperbolic-verify"])
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_gramian_of_the_wrong_size_is_input_error(self, workdir, capsys, command, size):
+        from conftest import ngon
+
+        dump_relation(ngon(4), workdir / "square.json")
+        write_matrix_csv(workdir / "wrong.csv", np.eye(size))
+        assert run(command, workdir / "square.json", workdir / "wrong.csv", "--d", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gramian shape ({size}, {size}) does not match 4 facets\n"
+
     def test_hyperbolic(self, workdir):
         from conftest import ngon
 
@@ -211,25 +246,41 @@ class TestGramianCommands:
 
 class TestContracts:
     def test_report_determinism(self, workdir, capsys):
-        args = ("realize", workdir / "pyramid.json", "--d", "3", "--seed", "7",
+        args = ("realize", workdir / "pyramid.json", "--d", "3",
                 "--out", workdir / "d1", "--format", "json")
-        run(*args)
+        assert run(*args) == 0
         first = capsys.readouterr().out
-        run(*args)
+        assert run(*args) == 0
         second = capsys.readouterr().out
-        assert first == second
+        assert first == second and json.loads(first)["verdict"] == "realized"
 
     def test_unknown_flag_is_input_error(self, workdir):
         assert run("check", workdir / "pyramid.json", "--bogus") == 3
 
-    def test_seed_only_on_commands_that_read_it(self, workdir, capsys):
+    def test_seed_is_unrecognized(self, workdir, capsys):
+        # the search draws no random numbers a caller could seed
+        assert run("realize", workdir / "pyramid.json", "--d", "3", "--seed", "1") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: polyrealize")
+        assert "error: unrecognized arguments: --seed 1" in captured.err
         assert run("gramian-verify", workdir / "octant.json", workdir / "gram3.csv",
                    workdir / "phi3.csv", "--d", "2", "--seed", "1") == 3
-        err = capsys.readouterr().err
-        assert err.startswith("usage: polyrealize")
-        assert "error: unrecognized arguments: --seed 1" in err
-        assert run("convert", "N.csv", "cone-to-polytope", "--seed", "3") == 3
-        assert "error: unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("realize", "--rank-tol", "0"),
+        ("realize", "--margin", "-1"),
+        ("realize", "--eq-tol", "-0.5"),
+        ("realize", "--slack-tol", "0"),
+        ("gramian-verify", "--det-zero-tol", "0"),
+    ], ids=lambda argv: argv[1][2:])
+    def test_non_positive_tolerance_is_input_error(self, argv, capsys):
+        command, flag, value = argv
+        assert main([command, *POSITIONALS[command], "--d", "3", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be positive, got {value}" in captured.err
 
 
 # positional arguments of each command; files need not exist to parse
@@ -248,7 +299,7 @@ GRAMIAN_FLAGS = ["d", "rank-tol", "det-zero-tol", "flag-cap", "format"]
 # every option a command reads, and only those
 KEPT_FLAGS = {
     "check": ["d", "format"],
-    "realize": ["d", "rank-tol", "eq-tol", "slack-tol", "seed", "out",
+    "realize": ["d", "rank-tol", "eq-tol", "slack-tol", "out",
                 "margin", "iters", "format"],
     "verify": ["d", "fill", "rank-tol", "eq-tol", "slack-tol", "format"],
     "convert": ["rank-tol", "eq-tol", "slack-tol", "out", "format"],
@@ -260,7 +311,7 @@ KEPT_FLAGS = {
 }
 DROPPED_FLAGS = {
     "check": ["rank-tol", "eq-tol", "slack-tol", "det-zero-tol", "flag-cap", "out"],
-    "realize": ["det-zero-tol", "flag-cap", "restarts"],
+    "realize": ["det-zero-tol", "flag-cap", "restarts", "seed"],
     "verify": ["det-zero-tol", "flag-cap", "out"],
     "convert": ["d", "det-zero-tol", "flag-cap", "seed"],
     "gale": ["d", "eq-tol", "slack-tol", "det-zero-tol", "flag-cap"],

@@ -25,6 +25,7 @@ from polyrealize import (
     verify_spherical_conditions,
 )
 from polyrealize.errors import (
+    DimensionMismatchError,
     LightlikeNormalError,
     PatternViolationError,
     SignatureMismatchError,
@@ -240,6 +241,20 @@ class TestSpherical:
         report = verify_spherical_conditions(octant, G, 2)
         assert not report.passed
         assert not report.check("diagonal").passed
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 3)], ids=["small", "large", "non-square"])
+@pytest.mark.parametrize("verify", [
+    lambda rel, G: verify_spherical_conditions(rel, G, 2),
+    lambda rel, G: verify_hyperbolic_conditions(rel, [], G, 2),
+], ids=["spherical", "hyperbolic"])
+def test_gramian_shape_must_match_the_facets(verify, shape):
+    # the square has 4 facets: any G but a 4 x 4 one is an input error,
+    # not an IndexError, a broadcast failure or a verdict on 5 eigenvalues
+    G = np.eye(*shape)
+    with pytest.raises(DimensionMismatchError, match=rf"gramian shape \({shape[0]}, {shape[1]}\) "
+                                                      r"does not match 4 facets"):
+        verify(ngon(4), G)
 
 
 class TestHyperbolic:
