@@ -72,8 +72,8 @@ EXIT_INPUT = 3
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

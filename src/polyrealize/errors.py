@@ -104,9 +104,5 @@ class LightlikeNormalError(PolyrealizeError):
     """A cogenerator is lightlike for the given form."""
 
 
-class CapExceededError(PolyrealizeError):
-    """Instance size exceeds the configured cap for an exhaustive check."""
-
-
 class NotInRangeError(PolyrealizeError):
     """Vector is not in the range of the matrix."""

@@ -67,11 +67,7 @@ class GramianCandidate:
     d: int
 
     def __post_init__(self):
-        G = as_matrix(self.G, "gramian")
-        if G.shape[0] != G.shape[1] or G.shape[0] != self.relation.n_facets:
-            raise ValueError(
-                f"gramian shape {G.shape} does not match {self.relation.n_facets} facets"
-            )
+        G = _facet_gramian(self.G, self.relation)
         if np.abs(G - G.T).max() > DIAG_TOL:
             raise ValueError("gramian is not symmetric")
         if np.abs(np.abs(np.diag(G)) - 1.0).max() > DIAG_TOL:

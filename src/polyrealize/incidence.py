@@ -355,9 +355,15 @@ class MaxbicliqueLattice:
             raise KeyError(f"no lattice element with vertex set {sorted(vertices)}")
         return self._index[bits]
 
-    def vertex_sets(self) -> frozenset:
-        """The family of vertex sets of all elements, as frozensets."""
-        return frozenset(frozenset(el.vertex_set) for el in self.elements)
+    @cached_property
+    def rank2_failure(self):
+        """``_rank2_failure``, walked once per lattice: every check reads this.
+
+        Raises NotGradedError for a lattice that is not graded.
+        """
+        if self.ranks is None:
+            raise NotGradedError("diamond and flag conditions need a graded lattice")
+        return _rank2_failure(self)
 
 
 def _bits_of(vertices: Iterable[int]) -> int:
@@ -481,10 +487,8 @@ def _rank2_failure(lat: MaxbicliqueLattice):
 
 
 def check_diamond(lat: MaxbicliqueLattice) -> bool:
-    """True iff every rank-2 interval has exactly 4 elements."""
-    if not lat.is_graded:
-        raise NotGradedError("diamond condition is only defined for graded lattices")
-    return _rank2_failure(lat) != REASON_DIAMOND
+    """True iff every rank-2 interval has exactly 4 elements (graded lattices only)."""
+    return lat.rank2_failure != REASON_DIAMOND
 
 
 def check_flag_connected_local(lat: MaxbicliqueLattice) -> bool:
@@ -496,9 +500,7 @@ def check_flag_connected_local(lat: MaxbicliqueLattice) -> bool:
     equivalent to connectivity of the full flag graph but avoids
     enumerating flags.
     """
-    if not lat.is_graded:
-        raise NotGradedError("flag connectivity needs a graded lattice")
-    reason = _rank2_failure(lat)
+    reason = lat.rank2_failure
     if reason == REASON_DIAMOND:
         raise NotDiamondError("flag connectivity needs the diamond condition")
     return reason is None
@@ -535,7 +537,7 @@ def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
         d = lat.rank - 1
     if lat.rank != d + 1:
         return lat, d, REASON_RANK
-    reason = _rank2_failure(lat)
+    reason = lat.rank2_failure
     if reason is None and not _atoms_and_coatoms(lat):
         reason = REASON_ATOMS_COATOMS
     return lat, d, reason

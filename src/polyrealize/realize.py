@@ -14,7 +14,6 @@ re-verifiable certificate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,6 @@ from .complete import (
     complete as run_completion,
 )
 from .errors import (
-    CapExceededError,
     DimensionMismatchError,
     PatternViolationError,
     RankAnomalyError,
@@ -242,31 +240,34 @@ def realization_space_dimension(rel: IncidenceRelation, d: int) -> int:
     return d * (rel.n_facets + rel.n_vertices) - len(rel.incident)
 
 
-def grunbaum_oracle(
-    W,
-    lat: MaxbicliqueLattice,
-    cap: int = 12,
-    margin_tol: float = 1e-9,
-) -> bool:
-    """Face-by-face LP check of a vertex configuration against a lattice.
+def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
+    """Check that the columns of W are the vertices of a polytope with lattice lat.
 
-    For every proper subset F of the vertex indices, a supporting vector
-    h with <h, w_j> = 1 on F and < 1 off F must exist exactly when F is
-    the vertex set of some lattice element.  Exponential in the number
-    of vertices, hence the cap.
+    True exactly when lat is graded and diamond, every element of rank
+    r has vertices whose lifted matrix [W_x; 1] has numeric rank r, and
+    every coatom has a supporting vector h with <h, w_j> = 1 on its
+    vertices and < 1 on every other vertex (one strict-feasibility LP
+    per coatom).  This decides every vertex subset: by induction up the
+    ranks, each element is a face of conv(W) with exactly its vertex
+    set, the covers of an element x are facets of conv(W_x), the
+    diamond property closes them under ridge adjacency, and a polytope's
+    facet graph is connected (Balinski), so they are all its facets.
     """
     W = as_matrix(W, "W")
-    m = W.shape[1]
-    if m > cap:
-        raise CapExceededError(f"{m} vertices exceed the oracle cap of {cap}")
-    face_sets = lat.vertex_sets()
-    all_vertices = list(range(1, m + 1))
-    for size in range(m):
-        for subset in itertools.combinations(all_vertices, size):
-            chosen = frozenset(subset)
-            eqs = [(W[:, j - 1], 1.0) for j in subset]
-            ups = [(W[:, j - 1], 1.0) for j in all_vertices if j not in chosen]
-            res = lp_strict_feasibility(eqs, ups, dim=W.shape[0], margin_tol=margin_tol)
-            if res.feasible != (chosen in face_sets):
-                return False
-    return True
+    m = lat.relation.n_vertices
+    if W.shape[1] != m:
+        raise DimensionMismatchError(f"W has {W.shape[1]} columns, the lattice {m} vertices")
+    if not lat.is_graded or lat.rank2_failure == REASON_DIAMOND:
+        return False
+    lifted = np.vstack([W, np.ones(m)])
+    for el, r in zip(lat.elements, lat.ranks):
+        cols = [j - 1 for j in el.vertex_set]
+        if (numeric_rank(lifted[:, cols]) if cols else 0) != r:
+            return False
+    coatoms = (el.vertex_set for el, r in zip(lat.elements, lat.ranks) if r == lat.rank - 1)
+    return all(
+        lp_strict_feasibility([(W[:, j - 1], 1.0) for j in vs],
+                              [(W[:, j - 1], 1.0) for j in range(1, m + 1) if j not in vs],
+                              dim=W.shape[0]).feasible
+        for vs in coatoms
+    )

@@ -128,6 +128,21 @@ def torus7() -> IncidenceRelation:
         14, 7, [(f, j % 7 + 1) for f, facet in enumerate(facets, start=1) for j in facet])
 
 
+def sphere_points(seed: int, n: int) -> np.ndarray:
+    """n seeded points on the unit sphere in R^3, one row each."""
+    pts = np.random.default_rng([seed, n]).standard_normal((n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def sphere_hull(seed: int, n: int) -> IncidenceRelation:
+    """Simplicial 3-polytope: hull of sphere_points(seed, n), vertex j at row j."""
+    spatial = pytest.importorskip("scipy.spatial")
+    hull = spatial.ConvexHull(sphere_points(seed, n))
+    assert len(hull.vertices) == n
+    pairs = [(i + 1, int(j) + 1) for i, tri in enumerate(hull.simplices) for j in tri]
+    return IncidenceRelation.from_pairs(len(hull.simplices), n, pairs)
+
+
 def random_relation(rng, max_side: int = 8) -> IncidenceRelation:
     n = int(rng.integers(1, max_side + 1))
     m = int(rng.integers(1, max_side + 1))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyrealize import Flag, SuperCycle
+from polyrealize import Flag, SuperCycle, numkernel
 from polyrealize.errors import NoCycleError, NoExtraFacetError, NotGradedError
 
 
@@ -203,6 +203,29 @@ def best_rows_one_at_a_time(X, G, mask, ceiling):
         _best_row(G, X[i], np.flatnonzero(mask[i]), np.flatnonzero(~mask[i]), ceiling)
         for i in range(len(X))
     ])
+
+
+def grunbaum_oracle_by_subsets(W, lat) -> bool:
+    """The exhaustive face check, one LP per proper vertex subset.
+
+    For every proper subset F of the vertex indices, a supporting vector
+    h with <h, w_j> = 1 on F and < 1 off F must exist exactly when F is
+    the vertex set of some lattice element.  The LP is the library's
+    ``numkernel.lp_strict_feasibility``, the one ``grunbaum_oracle``
+    runs per coatom; 2^m calls for m vertices.
+    """
+    W = np.asarray(W, dtype=float)
+    m = W.shape[1]
+    face_sets = {frozenset(el.vertex_set) for el in lat.elements}
+    all_vertices = range(1, m + 1)
+    for size in range(m):
+        for subset in itertools.combinations(all_vertices, size):
+            eqs = [(W[:, j - 1], 1.0) for j in subset]
+            ups = [(W[:, j - 1], 1.0) for j in all_vertices if j not in subset]
+            res = numkernel.lp_strict_feasibility(eqs, ups, dim=W.shape[0])
+            if res.feasible != (frozenset(subset) in face_sets):
+                return False
+    return True
 
 
 def top_star(form_matrix, columns) -> float:

@@ -160,7 +160,6 @@ def test_criterion_03_local_flag_connectivity_equivalence():
 
 def test_criterion_04_realization_round_trip(realized_suite):
     total = sum(t for (_, _, _, t) in realized_suite.values())
-    oracle_checked = 0
     for name, (rel, d, verdict, _) in realized_suite.items():
         assert verdict.status == STATUS_REALIZED, name
         M = verdict.matrix.matrix
@@ -168,13 +167,11 @@ def test_criterion_04_realization_round_trip(realized_suite):
         assert numeric_rank(M) == d, name
         recon = facet_vertex_matrix(verdict.realization.H, verdict.realization.W)
         assert np.abs(recon - M).max() <= 1e-9 * max(1.0, np.abs(M).max()), name
-        if rel.n_vertices <= 12:
-            lat = build_maxbiclique_lattice(rel)
-            assert grunbaum_oracle(verdict.realization.W, lat), name
-            oracle_checked += 1
+        lat = build_maxbiclique_lattice(rel)
+        assert grunbaum_oracle(verdict.realization.W, lat), name
     assert total < 300.0
     report(4, f"{len(realized_suite)} relations realized and re-verified, "
-              f"{oracle_checked} passed the supporting-vector oracle, {total:.1f}s solver time")
+              f"every one passed the face-lattice oracle, {total:.1f}s solver time")
 
 
 def test_criterion_05_cone_polytope_round_trip(realized_suite):

@@ -220,14 +220,17 @@ class TestGramianCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["details"] == {"lattice": "flag graph is not bipartite"}
 
-    @pytest.mark.parametrize("command", ["spherical-verify", "hyperbolic-verify"])
+    @pytest.mark.parametrize("command", ["spherical-verify", "hyperbolic-verify",
+                                         "gramian-verify", "gramian-realize"])
     @pytest.mark.parametrize("size", [3, 5])
     def test_gramian_of_the_wrong_size_is_input_error(self, workdir, capsys, command, size):
         from conftest import ngon
 
         dump_relation(ngon(4), workdir / "square.json")
         write_matrix_csv(workdir / "wrong.csv", np.eye(size))
-        assert run(command, workdir / "square.json", workdir / "wrong.csv", "--d", "2") == 3
+        phi = [workdir / "phi3.csv"] if command.startswith("gramian-") else []
+        assert run(command, workdir / "square.json", workdir / "wrong.csv", *phi,
+                   "--d", "2") == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: gramian shape ({size}, {size}) does not match 4 facets\n"
@@ -274,13 +277,31 @@ class TestContracts:
         ("realize", "--eq-tol", "-0.5"),
         ("realize", "--slack-tol", "0"),
         ("gramian-verify", "--det-zero-tol", "0"),
+        *(pytest.param(argv, id=f"{argv[1][2:]}-{argv[2]}") for argv in [
+            ("realize", "--rank-tol", "nan"),
+            ("realize", "--margin", "inf"),
+            ("verify", "--eq-tol", "nan"),
+            ("verify", "--slack-tol", "inf"),
+            ("gramian-verify", "--det-zero-tol", "inf"),
+        ]),
     ], ids=lambda argv: argv[1][2:])
     def test_non_positive_tolerance_is_input_error(self, argv, capsys):
         command, flag, value = argv
         assert main([command, *POSITIONALS[command], "--d", "3", flag, value]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: must be positive, got {value}" in captured.err
+        assert f"argument {flag}: must be positive and finite, got {value}" in captured.err
+
+    def test_nan_tolerances_do_not_reach_the_pattern_check(self, workdir, capsys):
+        # a NaN tolerance would disable the fill test and flag every off entry
+        M = PYRAMID_MATRIX.copy()
+        M[0] = 5.0
+        write_matrix_csv(workdir / "bad.csv", M)
+        assert run("verify", workdir / "pyramid.json", workdir / "bad.csv", "--d", "3",
+                   "--eq-tol", "nan", "--slack-tol", "nan") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --eq-tol: must be positive and finite, got nan" in captured.err
 
 
 # positional arguments of each command; files need not exist to parse

@@ -29,6 +29,7 @@ from conftest import (
     pyramid_relation,
     random_relation,
     simplex,
+    sphere_hull,
     torus7,
     triangular_prism,
 )
@@ -200,16 +201,6 @@ def test_inconclusive_inputs_spend_one_start(build, d):
     assert verdict.best_residual == verdict.completion.best_residual > 0
 
 
-def sphere_hull(seed: int, n: int) -> IncidenceRelation:
-    """Simplicial 3-polytope: hull of n seeded points on the unit sphere."""
-    spatial = pytest.importorskip("scipy.spatial")
-    pts = np.random.default_rng([seed, n]).standard_normal((n, 3))
-    hull = spatial.ConvexHull(pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    assert len(hull.vertices) == n
-    pairs = [(i + 1, int(j) + 1) for i, tri in enumerate(hull.simplices) for j in tri]
-    return IncidenceRelation.from_pairs(len(hull.simplices), n, pairs)
-
-
 EASY_FAMILIES = (
     [(f"simplex-{d}", lambda d=d: simplex(d), d) for d in range(2, 9)]
     + [(f"cube-{d}", lambda d=d: cube(d), d) for d in range(2, 6)]
@@ -219,7 +210,6 @@ EASY_FAMILIES = (
     + [(f"hull{n}-{s}", lambda s=s, n=n: sphere_hull(s, n), 3)
        for n in (8, 10, 12) for s in range(4)]
 )
-ORACLE_MAX_VERTICES = 10
 
 
 @pytest.mark.parametrize(
@@ -241,9 +231,7 @@ class TestConeWarmStart:
         fim = FilledIncidenceMatrix(result.matrix, rel, 1.0)
         real = realize_from_matrix(fim, d)
         assert np.abs(real.H.T @ real.W - fim.matrix).max() < 1e-9
-        if rel.n_vertices <= ORACLE_MAX_VERTICES:
-            assert grunbaum_oracle(real.W, build_maxbiclique_lattice(rel),
-                                   cap=ORACLE_MAX_VERTICES)
+        assert grunbaum_oracle(real.W, build_maxbiclique_lattice(rel))
 
 
 @pytest.mark.parametrize(

@@ -247,7 +247,8 @@ class TestSpherical:
 @pytest.mark.parametrize("verify", [
     lambda rel, G: verify_spherical_conditions(rel, G, 2),
     lambda rel, G: verify_hyperbolic_conditions(rel, [], G, 2),
-], ids=["spherical", "hyperbolic"])
+    lambda rel, G: GramianCandidate(G, BilinearForm.euclidean(3), rel, 2),
+], ids=["spherical", "hyperbolic", "candidate"])
 def test_gramian_shape_must_match_the_facets(verify, shape):
     # the square has 4 facets: any G but a 4 x 4 one is an input error,
     # not an IndexError, a broadcast failure or a verdict on 5 eigenvalues

@@ -253,6 +253,24 @@ class TestRankAndDiamond:
         assert not check_diamond(lat)
 
 
+def test_one_rank2_walk_per_lattice(monkeypatch, pyramid):
+    from polyrealize import grunbaum_oracle, incidence
+    from polyrealize.incidence import lattice_gate
+
+    from conftest import PYRAMID_VERTICES
+
+    walked = []
+    walk = incidence._rank2_failure
+    monkeypatch.setattr(incidence, "_rank2_failure", lambda lat: walked.append(lat) or walk(lat))
+    lat, _, reason = lattice_gate(pyramid)
+    assert reason is None
+    assert check_diamond(lat) and check_flag_connected_local(lat)
+    assert grunbaum_oracle(PYRAMID_VERTICES, lat)
+    assert walked == [lat]
+    assert check_diamond(build_maxbiclique_lattice(pyramid))
+    assert len(walked) == 2
+
+
 class TestFlagConnectivity:
     @pytest.mark.parametrize(
         "rel,expected",

@@ -5,7 +5,9 @@ import pytest
 
 from polyrealize import (
     FilledIncidenceMatrix,
+    IncidenceRelation,
     build_maxbiclique_lattice,
+    check_diamond,
     check_filled_incidence,
     cone_to_polytope_matrix,
     facet_vertex_matrix,
@@ -16,7 +18,6 @@ from polyrealize import (
     realize_from_matrix,
 )
 from polyrealize.errors import (
-    CapExceededError,
     DegenerateRelationError,
     DimensionMismatchError,
     NoPositiveScalingError,
@@ -39,11 +40,18 @@ from conftest import (
     PYRAMID_MATRIX,
     PYRAMID_VERTICES,
     SQUARE_MATRIX,
+    cross_polytope,
     cube,
     disjoint_squares,
+    ngon,
     pyramid_missing_incidence,
+    pyramid_relation,
     simplex,
+    sphere_hull,
+    sphere_points,
+    triangular_prism,
 )
+from oracles import grunbaum_oracle_by_subsets
 
 
 class TestCheckFilledIncidence:
@@ -227,6 +235,48 @@ class TestRealizabilityCheck:
         assert realization_space_dimension(pyramid, 3) == 3 * 10 - 16
 
 
+def relabelled(rel, perm):
+    """rel with vertex j renamed perm[j - 1]."""
+    return IncidenceRelation.from_pairs(
+        rel.n_facets, rel.n_vertices, [(i, perm[j - 1]) for i, j in rel.incident])
+
+
+# gate-passing relations with at most 8 vertices, and their dimension
+ORACLE_FAMILIES = {
+    **{f"simplex-{d}": (lambda d=d: simplex(d), d) for d in (2, 3, 4, 5)},
+    "cube-2": (lambda: cube(2), 2),
+    "cube-3": (lambda: cube(3), 3),
+    "cross-3": (lambda: cross_polytope(3), 3),
+    "cross-4": (lambda: cross_polytope(4), 4),
+    **{f"gon-{n}": (lambda n=n: ngon(n), 2) for n in (5, 6, 8)},
+    "prism": (triangular_prism, 3),
+    "pyramid": (pyramid_relation, 3),
+}
+
+
+def oracle_variants(W, rng) -> dict:
+    """W, W with vertex 1 shrunk toward the centroid or moved, W jittered,
+    and W placed so that the origin is not interior to its hull."""
+    c = W.mean(axis=1, keepdims=True)
+    out = {"as-is": W}
+    for t in (0.9, 0.5, 0.0):
+        X = W.copy()
+        X[:, 0] = c[:, 0] + t * (W[:, 0] - c[:, 0])
+        out[f"shrunk-{t}"] = X
+    X = W.copy()
+    X[:, 0] += 0.05 * rng.standard_normal(len(W))
+    out["moved"] = X
+    out["jittered"] = W + 0.05 * rng.standard_normal(W.shape)
+    out["origin-outside"] = W + 3.0 * (W[:, [0]] - c)
+    out["origin-at-vertex-1"] = W - W[:, [0]]
+    out["origin-off-affine-hull"] = np.vstack([W - W[:, [0]], np.ones(W.shape[1])])
+    return out
+
+
+def assert_agrees(W, lat, label):
+    assert grunbaum_oracle(W, lat) == grunbaum_oracle_by_subsets(W, lat), label
+
+
 class TestGrunbaumOracle:
     def test_square_true(self, square):
         lat = build_maxbiclique_lattice(square)
@@ -235,26 +285,18 @@ class TestGrunbaumOracle:
         assert grunbaum_oracle(real.W, lat)
 
     def test_missing_edge_detected(self, square):
+        # the square with vertices 2 and 3 swapped: {1, 2} is a diagonal
         fim = FilledIncidenceMatrix(SQUARE_MATRIX, square, 1.0)
         real = realize_from_matrix(fim, 2)
-
-        class MissingEdge:
-            def vertex_sets(self):
-                lat = build_maxbiclique_lattice(square)
-                return frozenset(s for s in lat.vertex_sets() if s != frozenset({1, 2}))
-
-        assert not grunbaum_oracle(real.W, MissingEdge())
+        lat = build_maxbiclique_lattice(relabelled(square, [1, 3, 2, 4]))
+        assert frozenset({1, 2}) not in {frozenset(el.vertex_set) for el in lat.elements}
+        assert not grunbaum_oracle(real.W, lat)
 
     def test_triangle(self):
         tri = simplex(2)
         verdict = realizability_check(tri, 2)
         lat = build_maxbiclique_lattice(tri)
         assert grunbaum_oracle(verdict.realization.W, lat)
-
-    def test_cap(self, square):
-        lat = build_maxbiclique_lattice(square)
-        with pytest.raises(CapExceededError):
-            grunbaum_oracle(np.zeros((2, 4)), lat, cap=3)
 
     def test_trivial_decomposition_passes(self, square):
         # columns of the facet-vertex matrix are the vertices of a
@@ -263,10 +305,65 @@ class TestGrunbaumOracle:
         M = facet_vertex_matrix(np.eye(4), SQUARE_MATRIX)
         assert check_filled_incidence(M, square, 1.0).ok
         assert grunbaum_oracle(SQUARE_MATRIX, lat)
+        assert grunbaum_oracle_by_subsets(SQUARE_MATRIX, lat)
 
     def test_trivial_decomposition_pyramid(self, pyramid):
         lat = build_maxbiclique_lattice(pyramid)
         assert grunbaum_oracle(PYRAMID_MATRIX, lat)
+
+    def test_vertex_count_must_match(self, square):
+        lat = build_maxbiclique_lattice(square)
+        with pytest.raises(DimensionMismatchError):
+            grunbaum_oracle(np.ones((2, 5)), lat)
+
+    def test_not_diamond_fails(self):
+        # graded of rank 3, but the top covers three edges
+        rel = IncidenceRelation.from_pairs(3, 4, [(1, 1), (1, 2), (2, 2), (2, 3),
+                                                  (3, 3), (3, 4)])
+        lat = build_maxbiclique_lattice(rel)
+        assert lat.is_graded and not check_diamond(lat)
+        assert not grunbaum_oracle(np.array([[0.0, 1, 2, 3], [0, 1, 0, 1]]), lat)
+
+    def test_cube_4_and_a_shrunk_vertex(self):
+        # 16 vertices: the 65,536 subsets of an exhaustive check are not needed
+        rel = cube(4)
+        lat = build_maxbiclique_lattice(rel)
+        W = realizability_check(rel, 4).realization.W
+        assert grunbaum_oracle(W, lat)
+        shrunk = W.copy()
+        shrunk[:, 0] = W.mean(axis=1) + 0.5 * (W[:, 0] - W.mean(axis=1))
+        assert not grunbaum_oracle(shrunk, lat)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_oracle_agrees_with_exhaustive_check(name):
+    build, d = ORACLE_FAMILIES[name]
+    rel = build()
+    lat = build_maxbiclique_lattice(rel)
+    W = realizability_check(rel, d).realization.W
+    variants = oracle_variants(W, np.random.default_rng(sum(map(ord, name))))
+    for variant, X in variants.items():
+        assert_agrees(X, lat, variant)
+    assert grunbaum_oracle(W, lat)
+    assert grunbaum_oracle(variants["origin-off-affine-hull"], lat)
+    assert not grunbaum_oracle(variants["origin-outside"], lat)
+    assert not grunbaum_oracle(variants["origin-at-vertex-1"], lat)
+    # W against the lattice of every other family on as many vertices,
+    # and of its own relation with vertices 1 and 2 swapped
+    others = [other for other, (b, _) in ORACLE_FAMILIES.items()
+              if other != name and b().n_vertices == rel.n_vertices]
+    for other in others:
+        assert_agrees(W, build_maxbiclique_lattice(ORACLE_FAMILIES[other][0]()), other)
+    swap = [2, 1, *range(3, rel.n_vertices + 1)]
+    assert_agrees(W, build_maxbiclique_lattice(relabelled(rel, swap)), "swapped")
+
+
+@pytest.mark.parametrize("seed, n", [(0, 7), (1, 8), (2, 9), (0, 10)])
+def test_oracle_agrees_on_sphere_hulls(seed, n):
+    lat = build_maxbiclique_lattice(sphere_hull(seed, n))
+    W = sphere_points(seed, n).T
+    for variant, X in oracle_variants(W, np.random.default_rng([seed, n])).items():
+        assert_agrees(X, lat, variant)
 
 
 class TestModuliInvariance:
