@@ -13,8 +13,8 @@ from .complete import (
     CompletionProblem,
     CompletionResult,
     complete,
+    completion_loss,
     initialize_factors,
-    loss_and_gradient,
 )
 from .gale import GaleDual, canonical_combination, gale_dual_cone, gale_dual_polytope
 from .gramian import (

@@ -76,8 +76,8 @@ class CompletionResult:
     restart_index: int = 0
 
 
-def loss_and_gradient(H, W, problem: CompletionProblem):
-    """Loss and exact gradients for the hinge-penalized completion objective.
+def completion_loss(H, W, problem: CompletionProblem) -> float:
+    """The hinge-penalized completion objective.
 
     loss = sum over incident (i,j) of (h_i . w_j - 1)^2
          + sum over the rest of max(0, h_i . w_j - (1 - margin))^2
@@ -89,9 +89,7 @@ def loss_and_gradient(H, W, problem: CompletionProblem):
     P = H @ W
     err_on = np.where(mask, P - 1.0, 0.0)
     err_off = np.where(mask, 0.0, np.maximum(P - ceiling, 0.0))
-    loss = float(np.sum(err_on**2) + np.sum(err_off**2))
-    G = 2.0 * (err_on + err_off)
-    return loss, G @ W.T, H.T @ G
+    return float(np.sum(err_on**2) + np.sum(err_off**2))
 
 
 def _cone_warm_start(problem: CompletionProblem):
@@ -219,12 +217,12 @@ def complete(problem: CompletionProblem) -> CompletionResult:
     mask = problem.relation.mask
     ceiling = 1.0 - problem.margin
     H, W = initialize_factors(problem)
-    loss, _, _ = loss_and_gradient(H, W, problem)
+    loss = completion_loss(H, W, problem)
     sweeps = 0
     while sweeps < problem.max_iters:
         H, W = _als_sweep(H, W, mask, ceiling)
         sweeps += 1
-        new_loss, _, _ = loss_and_gradient(H, W, problem)
+        new_loss = completion_loss(H, W, problem)
         stalled = loss - new_loss <= REL_IMPROVEMENT * max(loss, 1e-300)
         loss = new_loss
         if loss < CONVERGED_LOSS or stalled:

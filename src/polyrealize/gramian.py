@@ -35,9 +35,8 @@ from .incidence import (
     IncidenceRelation,
     _cycle_per_vertex,
     _cycle_table,
+    _flag_classes,
     build_maxbiclique_lattice,
-    check_filled_incidence,
-    flag_graph_bipartition,
     lattice_gate,
 )
 from .numkernel import (
@@ -221,7 +220,7 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
             ideal=frozenset()):
     """The check sequence every Gramian verifier shares.
 
-    Runs the lattice gate, the flag bipartition, ``form_checks(w, thr)``
+    Runs the lattice gate, the flag classes, ``form_checks(w, thr)``
     (the checks particular to the form, given G's eigenvalues w and zero
     threshold thr), vertex minor ranks, then the super-cycle condition,
     left undecided and failed unless G has rank d+1.  A flag graph that
@@ -237,18 +236,17 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
             detail = _LATTICE_DETAILS[reason]
         return [ConditionCheck("lattice", False, detail)], None
     try:
-        coloring = flag_graph_bipartition(lat, flag_cap)
+        flag_class = _flag_classes(lat, flag_cap)
     except NotBipartiteError:
         return [ConditionCheck("lattice", False, "flag graph is not bipartite")], None
     w = np.linalg.eigvalsh(0.5 * (G + G.T))
     thr = rank_tol * max(np.abs(w).max(), 1e-300)
     checks = [ConditionCheck("lattice", True), *form_checks(w, thr)]
     checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
-    table = _cycle_table(lat, coloring)
+    table = _cycle_table(lat, flag_class)
     rank = int(np.count_nonzero(np.abs(w) > thr))
     if rank == d + 1:
-        # each cycle followed by every facet avoiding its vertex, in order
-        rows, extras = np.nonzero(~rel.mask[:, table.vertex - 1].T)
+        rows, extras = table.super_cycles(rel)
         sequences = np.column_stack([table.facets[rows] - 1, extras])
         checks.append(_super_cycle_condition(
             G, sequences, table.orientation[rows], det_factor, det_zero_tol))
@@ -296,8 +294,6 @@ def realize_cone_from_gramian(
     cand: GramianCandidate,
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
-    eq_tol: float = None,
-    slack_tol: float = 1e-9,
     orientation: int = 0,
 ) -> ConeRealization:
     """Construct a cone whose Gramian is the candidate.
@@ -323,22 +319,19 @@ def realize_cone_from_gramian(
     if nonzero.size and nonzero[0] > 0:
         W = -W
         N = -N
-    scale = max(np.abs(N).max(), 1.0)
-    if eq_tol is None:
-        eq_tol = 1e-9 * scale
-    report = check_filled_incidence(N, rel, 0.0, eq_tol=eq_tol, slack_tol=slack_tol)
-    if not report.ok:
+    try:
+        fim = FilledIncidenceMatrix(N, rel, 0.0, 1e-9 * max(np.abs(N).max(), 1.0), 1e-9)
+    except PatternViolationError as exc:
         raise PatternViolationError(
             f"constructed matrix violates the fill-0 pattern at "
-            f"{len(report.violations)} entries; the candidate is not a valid Gramian",
-            report.violations,
-        )
+            f"{len(exc.violations)} entries; the candidate is not a valid Gramian",
+            exc.violations,
+        ) from None
     svd = compact_svd(N, rank_tol)
     if svd.rank != cand.d + 1:
         raise PatternViolationError(
             f"constructed matrix has rank {svd.rank}, expected {cand.d + 1}"
         )
-    fim = FilledIncidenceMatrix(N, rel, 0.0, eq_tol, slack_tol)
     return ConeRealization(H, W, fim, cand.form, rel, cand.d)
 
 

@@ -7,9 +7,9 @@ Dedekind-MacNeille completion of the bipartite order between facets and
 vertices.  The module builds that lattice and decides the combinatorial
 conditions used by the realization pipeline: gradedness and rank, the
 diamond property, local flag connectivity (together the lattice gate),
-bipartiteness of the flag graph, and the cycle / super cycle machinery
-that fixes orientations.  It also checks a matrix against the relation's
-filled incidence pattern.
+one sign per cover that 2-colors the flags, and the cycle / super cycle
+machinery that fixes orientations.  It also checks a matrix against the
+relation's filled incidence pattern.
 
 Facet and vertex indices are 1-based throughout, matching the relation
 file format.  Lattice elements are referred to by their position in
@@ -20,6 +20,7 @@ vertex set so that all derived enumerations are deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -365,6 +366,46 @@ class MaxbicliqueLattice:
             raise NotGradedError("diamond and flag conditions need a graded lattice")
         return _rank2_failure(self)
 
+    @cached_property
+    def cover_signs(self):
+        """{(a, b): +-1} over the covers, or None when the flag graph has an odd cycle.
+
+        In rank order, a parity union-find over the rank-2 walk's groups
+        makes s(a,c) s(c,b) = -s(a,c') s(c',b) on every interval [a, b]
+        with middles c, c', so adjacent flags' sign products differ.  The
+        walk connects each interval's flags, so this fails only where no
+        2-coloring exists.  The lexicographically first flag gets product
+        +1.  Raises NotDiamondError when the walk fails.
+        """
+        reason = self.rank2_failure
+        if reason is not None:
+            raise NotDiamondError(f"flag classes need the rank-2 walk to pass: {reason}")
+        lower, signs = self.lower_covers, {}
+        for b in sorted(range(len(self)), key=self.ranks.__getitem__):
+            parent = {c: (c, 1) for c in lower[b]}  # c: (parent, s(c,b) s(parent,b))
+
+            def root(x):
+                sign = 1
+                while parent[x][0] != x:
+                    x, step = parent[x]
+                    sign *= step
+                return x, sign
+
+            for a, (c, c2) in _rank2_groups(lower, b).items():
+                (r, s), (r2, s2) = root(c), root(c2)
+                want = -signs[a, c] * signs[a, c2]  # s(c,b) s(c2,b)
+                if r != r2:
+                    parent[r] = (r2, s * s2 * want)
+                elif s * s2 != want:
+                    return None
+            signs.update(((c, b), root(c)[1]) for c in lower[b])
+        first = [self.bottom]
+        while first[-1] != self.top:
+            first.append(self.upper_covers[first[-1]][0])
+        if _sign_product(signs, first) < 0:
+            signs.update(((c, self.top), -signs[c, self.top]) for c in lower[self.top])
+        return signs
+
 
 def _bits_of(vertices: Iterable[int]) -> int:
     bits = 0
@@ -450,6 +491,19 @@ def lattice_rank(lat: MaxbicliqueLattice):
     return lat.rank
 
 
+def _sign_product(signs, chain) -> int:
+    return math.prod(signs[cover] for cover in zip(chain, chain[1:]))
+
+
+def _rank2_groups(lower, b) -> dict:
+    """{a: the covers c of b above a} over the lower covers a of b's lower covers."""
+    groups = {}
+    for c in lower[b]:
+        for a in lower[c]:
+            groups.setdefault(a, []).append(c)
+    return groups
+
+
 def _rank2_failure(lat: MaxbicliqueLattice):
     """REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None for a graded lattice.
 
@@ -466,10 +520,7 @@ def _rank2_failure(lat: MaxbicliqueLattice):
     for b in range(len(lat)):
         if lat.ranks[b] < 2:
             continue
-        groups = {}
-        for c in lower[b]:
-            for a in lower[c]:
-                groups.setdefault(a, []).append(c)
+        groups = _rank2_groups(lower, b)
         if any(len(g) != 2 for g in groups.values()):
             return REASON_DIAMOND
         if connected:
@@ -549,85 +600,46 @@ def count_flags(lat: MaxbicliqueLattice) -> int:
         raise NotGradedError("flag counting needs a graded lattice")
     paths = [0] * len(lat)
     paths[lat.bottom] = 1
-    order = sorted(range(len(lat)), key=lambda k: lat.ranks[k])
-    for k in order:
-        if k == lat.bottom:
-            continue
+    for k in sorted(range(len(lat)), key=lat.ranks.__getitem__)[1:]:  # the bottom first
         paths[k] = sum(paths[a] for a in lat.lower_covers[k])
     return paths[lat.top]
 
 
-def enumerate_flags(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> tuple:
-    """All flags in a deterministic order (lexicographic by element index)."""
+def _check_flag_cap(lat: MaxbicliqueLattice, cap: int) -> None:
     if not lat.is_graded:
         raise NotGradedError("flag enumeration needs a graded lattice")
     total = count_flags(lat)
     if total > cap:
         raise FlagCapExceededError(total, cap)
-    flags = []
-    chain = [lat.bottom]
-
-    def descend():
-        head = chain[-1]
-        if head == lat.top:
-            flags.append(Flag(tuple(chain)))
-            return
-        for nxt in lat.upper_covers[head]:
-            chain.append(nxt)
-            descend()
-            chain.pop()
-
-    descend()
-    return tuple(flags)
 
 
-def _flag_adjacency(flags) -> list:
-    """Neighbor lists for the flag graph: flags differing in one element.
+def enumerate_flags(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> tuple:
+    """All flags in a deterministic order (lexicographic by element index)."""
+    _check_flag_cap(lat, cap)
+    chains = [(lat.bottom,)]
+    for _ in range(lat.rank):  # graded: every chain reaches the top in rank steps
+        chains = [chain + (b,) for chain in chains for b in lat.upper_covers[chain[-1]]]
+    return tuple(Flag(chain) for chain in chains)
 
-    Flags of a graded lattice agree in the bottom and top, so neighbors
-    differ in exactly one interior position.
-    """
-    if not flags:
-        return []
-    length = len(flags[0].chain)
-    neighbors = [set() for _ in flags]
-    for pos in range(1, length - 1):
-        groups = {}
-        for idx, fl in enumerate(flags):
-            key = fl.chain[:pos] + fl.chain[pos + 1:]
-            groups.setdefault(key, []).append(idx)
-        for members in groups.values():
-            for s in range(len(members)):
-                for t in range(s + 1, len(members)):
-                    neighbors[members[s]].add(members[t])
-                    neighbors[members[t]].add(members[s])
-    return [sorted(ns) for ns in neighbors]
+
+def _flag_classes(lat: MaxbicliqueLattice, cap: int):
+    """flag -> class, 0 when its cover-sign product is +1; errors as flag_graph_bipartition."""
+    _check_flag_cap(lat, cap)
+    signs = lat.cover_signs
+    if signs is None:
+        raise NotBipartiteError("flag graph contains an odd cycle")
+    return lambda flag: int(_sign_product(signs, flag.chain) < 0)
 
 
 def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> dict:
     """Two-color the flag graph; the lexicographically first flag gets class 0.
 
-    Raises NotBipartiteError when the flag graph has an odd cycle.  Each
-    connected component is colored starting from its least flag, so the
-    result is deterministic even for disconnected flag graphs.
+    Every flag, in enumerate_flags order, with its class from the cover
+    signs.  Raises NotBipartiteError on an odd cycle and NotDiamondError
+    when the rank-2 walk fails.
     """
-    flags = sorted(enumerate_flags(lat, cap), key=lambda f: f.chain)
-    neighbors = _flag_adjacency(flags)
-    color = [None] * len(flags)
-    for start in range(len(flags)):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            x = queue.pop(0)
-            for y in neighbors[x]:
-                if color[y] is None:
-                    color[y] = 1 - color[x]
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    raise NotBipartiteError("flag graph contains an odd cycle")
-    return {flags[k]: color[k] for k in range(len(flags))}
+    flag_class = _flag_classes(lat, cap)
+    return {flag: flag_class(flag) for flag in enumerate_flags(lat, cap)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -647,14 +659,18 @@ class _CycleTable:
     orientation: np.ndarray
     stop: object
 
+    def super_cycles(self, rel: IncidenceRelation) -> tuple:
+        """(rows, 0-based extras): each cycle then every facet avoiding its vertex."""
+        return np.nonzero(~rel.mask[:, self.vertex - 1].T)
 
-def _cycle_table(lat: MaxbicliqueLattice, coloring: Mapping) -> _CycleTable:
+
+def _cycle_table(lat: MaxbicliqueLattice, flag_class) -> _CycleTable:
     """One walk per vertex, in order, up to ``stop``, over its cycles.
 
     A cycle at a vertex is a sequence of d facets through it whose
     partial meets descend one rank per step to the vertex atom; each
-    vertex's cycles come in lexicographic order.  ``coloring`` maps flags
-    to bipartition classes, as produced by flag_graph_bipartition.
+    vertex's cycles come in lexicographic order.  ``flag_class`` maps
+    each induced flag to its bipartition class.
     """
     if not lat.is_graded:
         raise NotGradedError("cycle search needs a graded lattice")
@@ -693,7 +709,7 @@ def _cycle_table(lat: MaxbicliqueLattice, coloring: Mapping) -> _CycleTable:
             break
         candidates = sorted(rel.facets_of_vertex(j))
         extend(None)
-    orientation = np.array([coloring[_induced_flag(lat, m)] for m in meets], dtype=int)
+    orientation = np.array([flag_class(_induced_flag(lat, m)) for m in meets], dtype=int)
     facets, meets = (np.array(a, dtype=int).reshape(len(a), max(d, 0)) for a in (facets, meets))
     return _CycleTable(facets, np.array(vertex, dtype=int), meets, orientation, stop)
 
@@ -714,13 +730,13 @@ def enumerate_super_cycles(
     ``coloring`` maps flags to bipartition classes, as produced by
     flag_graph_bipartition.
     """
-    table = _cycle_table(lat, coloring)
+    table = _cycle_table(lat, coloring.__getitem__)
     if table.stop is not None:
         raise NoCycleError(f"vertex {table.stop} does not generate a rank-1 element")
     flags = [_induced_flag(lat, m) for m in table.meets.tolist()]
     facets, vertex, orientation = (a.tolist() for a in (table.facets, table.vertex,
                                                          table.orientation))
-    rows, extras = np.nonzero(~lat.relation.mask[:, table.vertex - 1].T)
+    rows, extras = table.super_cycles(lat.relation)
     return tuple(
         SuperCycle((*facets[k], extra + 1), vertex[k], flags[k], orientation[k])
         for k, extra in zip(rows.tolist(), extras.tolist())
@@ -734,7 +750,7 @@ def _cycle_per_vertex(lat: MaxbicliqueLattice, orientation: int, cap: int) -> tu
     every facet contains it and NoCycleError when it has no such cycle.
     """
     rel = lat.relation
-    table = _cycle_table(lat, flag_graph_bipartition(lat, cap))
+    table = _cycle_table(lat, _flag_classes(lat, cap))
     hits = np.flatnonzero(table.orientation == orientation)
     found, at = np.unique(table.vertex[hits], return_index=True)
     first = dict(zip(found.tolist(), hits[at].tolist()))
@@ -758,7 +774,7 @@ def enumerate_super_cycles_per_vertex(
     For each vertex the lexicographically smallest cycle whose induced
     flag lies in the requested bipartition class is chosen, and the
     smallest facet avoiding the vertex is appended.  Requires a graded
-    lattice with a bipartite flag graph.
+    lattice that passes the rank-2 walk, with a bipartite flag graph.
     """
     table, rows = _cycle_per_vertex(lat, orientation, cap)
     extras = np.argmin(lat.relation.mask, axis=0) + 1

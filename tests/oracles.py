@@ -10,7 +10,12 @@ from fractions import Fraction
 import numpy as np
 
 from polyrealize import Flag, SuperCycle, numkernel
-from polyrealize.errors import NoCycleError, NoExtraFacetError, NotGradedError
+from polyrealize.errors import (
+    NoCycleError,
+    NoExtraFacetError,
+    NotBipartiteError,
+    NotGradedError,
+)
 
 
 def brute_force_maxbicliques(rel):
@@ -95,6 +100,55 @@ def flag_graph_connected_explicit(flags) -> bool:
     return len(seen) == len(flags)
 
 
+def _flag_adjacency(flags) -> list:
+    """Neighbor lists for the flag graph: flags differing in one element.
+
+    Flags of a graded lattice agree in the bottom and top, so neighbors
+    differ in exactly one interior position.
+    """
+    if not flags:
+        return []
+    length = len(flags[0].chain)
+    neighbors = [set() for _ in flags]
+    for pos in range(1, length - 1):
+        groups = {}
+        for idx, fl in enumerate(flags):
+            key = fl.chain[:pos] + fl.chain[pos + 1:]
+            groups.setdefault(key, []).append(idx)
+        for members in groups.values():
+            for s in range(len(members)):
+                for t in range(s + 1, len(members)):
+                    neighbors[members[s]].add(members[t])
+                    neighbors[members[t]].add(members[s])
+    return [sorted(ns) for ns in neighbors]
+
+
+def flag_classes_by_bfs(flags) -> dict:
+    """Two-color the flag graph by breadth-first search, in chain order.
+
+    Each connected component is colored from its least flag, which gets
+    class 0; raises NotBipartiteError when the flag graph has an odd
+    cycle.
+    """
+    flags = sorted(flags, key=lambda f: f.chain)
+    neighbors = _flag_adjacency(flags)
+    color = [None] * len(flags)
+    for start in range(len(flags)):
+        if color[start] is not None:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            x = queue.pop(0)
+            for y in neighbors[x]:
+                if color[y] is None:
+                    color[y] = 1 - color[x]
+                    queue.append(y)
+                elif color[y] == color[x]:
+                    raise NotBipartiteError("flag graph contains an odd cycle")
+    return {flags[k]: color[k] for k in range(len(flags))}
+
+
 def diamond_by_leq_scan(lat) -> bool:
     """Diamond condition of a graded lattice by scanning whole ranks.
 
@@ -139,25 +193,6 @@ def exact_integer_rank(M) -> int:
         rank += 1
         col += 1
     return rank
-
-
-def central_difference_gradients(loss_fn, H, W, step=1e-6):
-    """Entrywise central-difference gradients of loss_fn(H, W)."""
-    gH = np.zeros_like(H)
-    for idx in np.ndindex(H.shape):
-        Hp = H.copy()
-        Hm = H.copy()
-        Hp[idx] += step
-        Hm[idx] -= step
-        gH[idx] = (loss_fn(Hp, W) - loss_fn(Hm, W)) / (2 * step)
-    gW = np.zeros_like(W)
-    for idx in np.ndindex(W.shape):
-        Wp = W.copy()
-        Wm = W.copy()
-        Wp[idx] += step
-        Wm[idx] -= step
-        gW[idx] = (loss_fn(H, Wp) - loss_fn(H, Wm)) / (2 * step)
-    return gH, gW
 
 
 def _row_objective(Wt, h, on, off, ceiling):

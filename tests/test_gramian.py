@@ -756,6 +756,28 @@ def test_one_cycle_walk_and_no_super_cycle_objects(call, walk_counts):
     assert walk_counts == {"walks": 2, "super_cycles": 5}
 
 
+def test_gramian_path_enumerates_no_flag(monkeypatch):
+    """The verifiers, the cone realization and the per-vertex super cycles
+    read flag classes from the cover signs, never from enumerated flags."""
+    from polyrealize import incidence
+
+    def refuse(*args):
+        raise AssertionError("enumerate_flags called on the Gramian path")
+
+    monkeypatch.setattr(incidence, "enumerate_flags", refuse)
+    cand = pyramid_cone_candidate()
+    rel, G = cand.relation, cand.G
+    assert verify_gramian_conditions(cand).passed
+    assert verify_spherical_conditions(rel, G, 3).passed
+    hyperbolic = verify_hyperbolic_conditions(rel, [], G, 3)
+    assert hyperbolic.check("lattice").passed
+    assert hyperbolic.check("distinct-vertex-pairs").detail.startswith("exhaustive")
+    assert realize_cone_from_gramian(cand).W.shape == (4, 5)
+    assert set(enumerate_super_cycles_per_vertex(build_maxbiclique_lattice(rel))) == set(range(1, 6))
+    # 3,840 flags, none of them enumerated
+    assert verify_spherical_conditions(cube(5), _cube_gramian(5), 5).passed
+
+
 def test_batched_minor_dets_match_one_at_a_time():
     """The chunked routine against np.linalg.det and the row-norm scale per minor."""
     from polyrealize.gramian import _DET_CHUNK, _minor_dets

@@ -23,6 +23,7 @@ from polyrealize.errors import (
     EmptyRelationError,
     FlagCapExceededError,
     NoExtraFacetError,
+    NotBipartiteError,
     NotDiamondError,
     NotGradedError,
     RelationFormatError,
@@ -45,12 +46,15 @@ from conftest import (
     pyramid_relation,
     random_relation,
     simplex,
+    sphere_hull,
+    torus7,
     triangular_prism,
 )
 from oracles import (
     brute_force_maxbicliques,
     covers_by_definition,
     diamond_by_leq_scan,
+    flag_classes_by_bfs,
     flag_graph_connected_explicit,
     super_cycles_by_walk,
 )
@@ -406,6 +410,70 @@ class TestBipartition:
         lat = build_maxbiclique_lattice(rel)
         coloring = flag_graph_bipartition(lat)
         assert list(coloring.values()) == [0]
+
+
+def _walk_passing_random_relations() -> list:
+    """The graded relations among 400 seeded draws that pass the rank-2 walk."""
+    rng = np.random.default_rng(0)
+    relations = [random_relation(rng) for _ in range(400)]
+    return [rel for rel in relations
+            if (lat := build_maxbiclique_lattice(rel)).is_graded and lat.rank2_failure is None]
+
+
+class TestCoverSigns:
+    """flag_graph_bipartition from the cover signs against the BFS coloring."""
+
+    families = [rel for rel in FAMILIES
+                if build_maxbiclique_lattice(rel).rank2_failure is None]
+    random_relations = _walk_passing_random_relations()
+
+    @staticmethod
+    def _assert_matches_bfs(rel):
+        lat = build_maxbiclique_lattice(rel)
+        expected = flag_classes_by_bfs(enumerate_flags(lat))
+        assert list(flag_graph_bipartition(lat).items()) == list(expected.items())
+
+    @pytest.mark.parametrize("rel", [*families, simplex(5), cube(5), cross_polytope(4), torus7()])
+    def test_families(self, rel):
+        self._assert_matches_bfs(rel)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sphere_hulls(self, seed):
+        for n in range(6, 21, 2):
+            self._assert_matches_bfs(sphere_hull(seed, n))
+
+    def test_random_relations(self):
+        assert len(self.random_relations) == 170
+        for rel in self.random_relations:
+            self._assert_matches_bfs(rel)
+
+    def test_hemi_dodecahedron_has_no_signs(self):
+        lat = build_maxbiclique_lattice(hemi_dodecahedron())
+        assert lat.rank2_failure is None and lat.cover_signs is None
+        with pytest.raises(NotBipartiteError):
+            flag_classes_by_bfs(enumerate_flags(lat))
+        with pytest.raises(NotBipartiteError):
+            flag_graph_bipartition(lat)
+
+    def test_gate_and_search_never_compute_the_signs(self, pyramid):
+        from polyrealize import realizability_check
+        from polyrealize.incidence import lattice_gate
+
+        lat, _, reason = lattice_gate(pyramid)
+        verdict = realizability_check(pyramid)
+        assert reason is None and verdict.status == "realized"
+        assert "cover_signs" not in vars(lat) and "cover_signs" not in vars(verdict.lattice)
+        assert lat.cover_signs is not None and "cover_signs" in vars(lat)
+
+    @pytest.mark.parametrize("rel,reason", [
+        (disjoint_squares(), "flag-connectivity"),
+        (pyramid_missing_incidence(), "diamond"),
+    ])
+    def test_walk_failure_raises(self, rel, reason):
+        lat = build_maxbiclique_lattice(rel)
+        for call in (flag_graph_bipartition, enumerate_super_cycles_per_vertex):
+            with pytest.raises(NotDiamondError, match=reason):
+                call(lat)
 
 
 class TestSuperCycles:
