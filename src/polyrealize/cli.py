@@ -77,6 +77,20 @@ def _positive(text: str) -> float:
     return value
 
 
+def _margin(text: str) -> float:
+    value = _positive(text)
+    if value >= 1:
+        raise argparse.ArgumentTypeError(f"must be below 1, got {text}")
+    return value
+
+
+def _sweeps(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _require_d(args) -> None:
     if args.d is None:
         raise ValueError("this command needs --d")
@@ -365,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
         "det-zero-tol": dict(type=_positive, default=DEFAULT_DET_ZERO_TOL),
         "flag-cap": dict(type=int, default=DEFAULT_FLAG_CAP),
         "out": dict(help="output file or directory"),
-        "margin": dict(type=_positive, default=0.1),
-        "iters": dict(type=int, default=2000),
+        "margin": dict(type=_margin, default=0.1),
+        "iters": dict(type=_sweeps, default=2000),
     }
     tols = ("rank-tol", "eq-tol", "slack-tol")
     gramian = ("d", "rank-tol", "det-zero-tol", "flag-cap")
@@ -390,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a matrix against a relation")
     p.add_argument("relation")
     p.add_argument("matrix", help="matrix CSV file")
-    p.add_argument("--fill", type=float, default=1.0)
+    p.add_argument("--fill", type=float, choices=(0.0, 1.0), default=1.0,
+                   help="1 for a polytope matrix (rank d), 0 for a cone matrix (rank d+1)")
     flags(p, "d", *tols)
     p.set_defaults(func=cmd_verify)
 

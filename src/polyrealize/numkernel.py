@@ -3,7 +3,7 @@
 Rank-revealing compact SVD, Moore-Penrose pseudoinverse, PSD square
 root, signatures of symmetric matrices, factoring a Gramian against a
 bilinear form, the metric Hodge star, a small strict-feasibility LP
-solved by a dense two-phase simplex, and the diagonal rescaling that
+solved by a one-phase simplex, and the diagonal rescaling that
 turns a cone-form (fill 0, rank d+1) matrix into polytope form (fill 1,
 rank d).  Everything operates on plain float64 numpy arrays; matrices
 must be finite.
@@ -225,6 +225,10 @@ def hodge_star(vectors, form: BilinearForm) -> np.ndarray:
     return scale * np.linalg.solve(form.phi, c)
 
 
+LP_TOL = 1e-9
+LP_MAX_PIVOTS = 20000
+
+
 @dataclass(frozen=True, eq=False)
 class LpResult:
     feasible: bool
@@ -232,78 +236,80 @@ class LpResult:
     margin: float
 
 
-def lp_strict_feasibility(
-    equalities,
-    strict_upper,
-    *,
-    dim: int = None,
-    margin_tol: float = 1e-9,
-    margin_cap: float = 1e6,
-) -> LpResult:
+def lp_strict_feasibility(equalities, strict_upper, *, dim: int = None,
+                          margin_cap: float = 1e6) -> LpResult:
     """Maximize the slack t of a system of equalities and strict inequalities.
 
-    Finds h maximizing t subject to <a, h> = b for (a, b) in equalities
-    and <a, h> <= b - t for (a, b) in strict_upper.  The system is
-    declared feasible when the optimal t exceeds margin_tol; unbounded
-    problems are capped at margin_cap and reported feasible.  Returns the
-    witness h when feasible.
+    Finds h maximizing t <= margin_cap subject to <a, h> = b for (a, b)
+    in equalities and <a, h> <= b - t for (a, b) in strict_upper.  The
+    equalities are solved once by SVD: inconsistent ones give margin
+    -inf, otherwise h = h0 + Z z with h0 the minimum-norm solution and Z
+    an orthonormal null-space basis.  The remaining LP over (z, t) starts
+    from the slack basis, made feasible by one pivot of t (down to the
+    least right-hand side), and runs Bland's rule.  When the equalities
+    fix h, Z has no columns and that pivot is the whole solve.  The
+    system is feasible when the optimal t exceeds LP_TOL; the witness h
+    is returned then.
     """
     eqs = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in equalities]
     ups = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in strict_upper]
     if dim is None:
-        if eqs:
-            dim = len(eqs[0][0])
-        elif ups:
-            dim = len(ups[0][0])
-        else:
-            dim = 0
+        dim = len((eqs + ups)[0][0]) if eqs or ups else 0
     for a, _ in eqs + ups:
         if len(a) != dim:
             raise DimensionMismatchError("constraint vectors have inconsistent length")
 
-    if not eqs and not ups:
-        return LpResult(True, np.zeros(dim), margin_cap)
+    h0, Z = np.zeros(dim), np.eye(dim)
+    if eqs:
+        A = np.array([a for a, _ in eqs])
+        b = np.array([rhs for _, rhs in eqs])
+        U, s, Vt = np.linalg.svd(A)
+        r = int(np.count_nonzero(s > LP_TOL * s[0])) if s.size else 0
+        h0 = Vt[:r].T @ (U[:, :r].T @ b / s[:r])
+        if np.abs(A @ h0 - b).sum() > LP_TOL * max(1.0, np.abs(b).sum()):
+            return LpResult(False, None, float("-inf"))
+        Z = Vt[r:].T
 
-    # Variables: h+ (dim), h- (dim), t+, t-, then one slack per
-    # inequality row and one for the cap row.
-    n_rows = len(eqs) + len(ups) + 1
-    n_slack = len(ups) + 1
-    n_vars = 2 * dim + 2 + n_slack
-    A = np.zeros((n_rows, n_vars))
-    b = np.zeros(n_rows)
-    row = 0
-    for a, rhs in eqs:
-        A[row, :dim] = a
-        A[row, dim : 2 * dim] = -a
-        b[row] = rhs
-        row += 1
-    slack = 2 * dim + 2
-    for a, rhs in ups:
-        A[row, :dim] = a
-        A[row, dim : 2 * dim] = -a
-        A[row, 2 * dim] = 1.0
-        A[row, 2 * dim + 1] = -1.0
-        A[row, slack] = 1.0
-        b[row] = rhs
-        slack += 1
-        row += 1
-    A[row, 2 * dim] = 1.0
-    A[row, 2 * dim + 1] = -1.0
-    A[row, slack] = 1.0
-    b[row] = margin_cap
+    # Rows G z + t + s_i = c_i, then t + s = margin_cap; columns z+, z-,
+    # t+, t-, one slack per row, the right-hand side; last, the reduced
+    # costs of minimizing -t.
+    P = np.array([a for a, _ in ups]).reshape(len(ups), dim)
+    G = P @ Z
+    m, k = len(ups) + 1, Z.shape[1]
+    tp = 2 * k
+    T = np.zeros((m + 1, tp + 3 + m))
+    T[: m - 1, :tp] = np.hstack([G, -G])
+    T[:m, tp : tp + 2] = 1.0, -1.0
+    T[:m, tp + 2 : -1] = np.eye(m)
+    T[: m - 1, -1] = [rhs for _, rhs in ups] - P @ h0
+    T[m - 1, -1] = margin_cap
+    T[m, tp : tp + 2] = -1.0, 1.0
+    basis = np.arange(tp + 2, tp + 2 + m)
+    low = int(np.argmin(T[:m, -1]))
+    if T[low, -1] < 0:
+        _pivot(T, basis, low, tp + 1)
 
-    c = np.zeros(n_vars)
-    c[2 * dim] = -1.0  # maximize t  <=>  minimize -t+ + t-
-    c[2 * dim + 1] = 1.0
+    for _ in range(LP_MAX_PIVOTS):
+        improving = np.flatnonzero(T[m, :-1] < -LP_TOL)
+        if not improving.size:
+            break
+        col = improving[0]
+        rows = np.flatnonzero(T[:m, col] > LP_TOL)
+        if not rows.size:
+            raise ArithmeticError("simplex found an unbounded ray of a capped LP")
+        ratios = T[rows, -1] / T[rows, col]
+        ties = rows[ratios <= ratios.min() + LP_TOL]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], col)
+    else:
+        raise ArithmeticError("simplex did not terminate within the pivot budget")
 
-    status, x = _two_phase_simplex(A, b, c)
-    if status != "optimal":
-        return LpResult(False, None, float("-inf"))
-    t = x[2 * dim] - x[2 * dim + 1]
-    h = x[:dim] - x[dim : 2 * dim]
-    if t > margin_tol:
-        return LpResult(True, h, float(t))
-    return LpResult(False, None, float(t))
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:m, -1]
+    # The cap row reads t + s = margin_cap: t is the cap when its slack is 0.
+    t = float(margin_cap if x[-1] == 0.0 else x[tp] - x[tp + 1])
+    if t > LP_TOL:
+        return LpResult(True, h0 + Z @ (x[:k] - x[k:tp]), t)
+    return LpResult(False, None, t)
 
 
 def dehomogenize(N) -> np.ndarray:
@@ -340,95 +346,6 @@ def _pivot(T, basis, row, col):
     factors[row] = 0.0
     T -= np.outer(factors, T[row])
     basis[row] = col
-
-
-def _bland_iterate(T, basis, cols, tol, max_pivots=20000):
-    """Run simplex pivots with Bland's rule on a canonical tableau.
-
-    T has the constraint rows followed by the reduced-cost row; the last
-    column is the RHS.  ``cols`` are the columns allowed to enter.
-    Returns "optimal" or "unbounded".
-    """
-    m = T.shape[0] - 1
-    for _ in range(max_pivots):
-        entering = -1
-        for j in cols:
-            if T[m, j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        best_ratio = None
-        leaving = -1
-        for i in range(m):
-            coef = T[i, entering]
-            if coef > tol:
-                ratio = T[i, -1] / coef
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - tol
-                    or (abs(ratio - best_ratio) <= tol and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            return "unbounded"
-        _pivot(T, basis, leaving, entering)
-    raise ArithmeticError("simplex did not terminate within the pivot budget")
-
-
-def _two_phase_simplex(A, b, c, tol: float = 1e-9):
-    """Minimize c @ x subject to A x = b, x >= 0.
-
-    Dense textbook two-phase simplex with Bland's rule; built for tiny
-    problems where robustness matters more than speed.  Returns
-    (status, x) with status in {"optimal", "infeasible", "unbounded"}.
-    """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1: artificial basis, minimize the sum of artificials.
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = list(range(n, n + m))
-    T[m, :n] = -A.sum(axis=0)
-    T[m, -1] = -b.sum()
-
-    status = _bland_iterate(T, basis, range(n + m), tol)
-    if status != "optimal" or -T[m, -1] > tol * max(1.0, float(b.sum())):
-        return "infeasible", None
-
-    # Drive artificials out of the basis where possible; rows that
-    # cannot pivot are redundant and stay inert at zero.
-    for i in range(m):
-        if basis[i] >= n:
-            for j in range(n):
-                if abs(T[i, j]) > tol:
-                    _pivot(T, basis, i, j)
-                    break
-
-    # Phase 2 over the original columns.
-    T[m, :] = 0.0
-    T[m, :n] = c
-    for i in range(m):
-        if basis[i] < n and c[basis[i]] != 0.0:
-            T[m] -= c[basis[i]] * T[i]
-
-    status = _bland_iterate(T, basis, range(n), tol)
-    if status == "unbounded":
-        return "unbounded", None
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    return "optimal", x
 
 
 def write_matrix_csv(path, M) -> None:

@@ -13,7 +13,9 @@ from polyrealize.numkernel import read_matrix_csv, write_matrix_csv
 
 from conftest import (
     PYRAMID_MATRIX,
+    SQUARE_MATRIX,
     disjoint_squares,
+    ngon,
     octant_relation,
     pyramid_missing_incidence,
     pyramid_relation,
@@ -93,8 +95,6 @@ class TestRealize:
         assert run("realize", workdir / "pyramid.json", "--d", "2") == 1
 
     def test_starved_solver_is_inconclusive(self, workdir, capsys):
-        from conftest import ngon
-
         dump_relation(ngon(20), workdir / "twentygon.json")
         code = run("realize", workdir / "twentygon.json", "--d", "2",
                    "--iters", "1", "--format", "json")
@@ -115,8 +115,6 @@ class TestRealize:
         (("degenerate.json",), 1, None),
     ], ids=["realized", "inconclusive", "rejected", "degenerate"])
     def test_report_keys(self, workdir, capsys, argv, code, keys):
-        from conftest import ngon
-
         dump_relation(ngon(20), workdir / "twentygon.json")
         dump_relation(IncidenceRelation.from_pairs(2, 2, [(1, 1), (1, 2), (2, 1)]),
                       workdir / "degenerate.json")
@@ -131,7 +129,20 @@ class TestRealize:
 
     def test_negative_iters_is_input_error(self, workdir, capsys):
         assert run("realize", workdir / "pyramid.json", "--d", "3", "--iters", "-5") == 3
-        assert "max_iters must be >= 0" in capsys.readouterr().err
+        assert "argument --iters: must be a non-negative integer, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--iters", "-5", "must be a non-negative integer, got -5"),
+        ("--margin", "1.5", "must be below 1, got 1.5"),
+        ("--margin", "1", "must be below 1, got 1"),
+    ])
+    def test_bad_search_flag_is_input_error_before_the_gate(self, workdir, capsys,
+                                                            flag, value, message):
+        # --d 2 fails the gate; the flag is still checked, not a rejected verdict
+        assert run("realize", workdir / "pyramid.json", "--d", "2", flag, value) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {message}" in captured.err
 
 
 class TestVerify:
@@ -158,6 +169,21 @@ class TestVerify:
     def test_garbage_matrix(self, workdir):
         assert run("verify", workdir / "pyramid.json", workdir / "garbage.csv",
                    "--d", "3", "--fill", "1") == 3
+
+    def test_fill_is_zero_or_one(self, workdir, capsys):
+        # fill 1 is a polytope matrix of rank d, fill 0 a cone matrix of rank d+1
+        dump_relation(ngon(4), workdir / "square.json")
+        write_matrix_csv(workdir / "half.csv", 0.5 * SQUARE_MATRIX)
+        assert run("verify", workdir / "square.json", workdir / "half.csv",
+                   "--d", "2", "--fill", "0.5") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --fill: invalid choice: 0.5" in captured.err
+        write_matrix_csv(workdir / "cone.csv", SQUARE_MATRIX - 1.0)
+        assert run("verify", workdir / "square.json", workdir / "cone.csv",
+                   "--d", "2", "--fill", "0", "--format", "json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["fill"] == 0.0 and report["rank"] == 3
 
 
 class TestConvert:
@@ -224,8 +250,6 @@ class TestGramianCommands:
                                          "gramian-verify", "gramian-realize"])
     @pytest.mark.parametrize("size", [3, 5])
     def test_gramian_of_the_wrong_size_is_input_error(self, workdir, capsys, command, size):
-        from conftest import ngon
-
         dump_relation(ngon(4), workdir / "square.json")
         write_matrix_csv(workdir / "wrong.csv", np.eye(size))
         phi = [workdir / "phi3.csv"] if command.startswith("gramian-") else []
@@ -236,8 +260,6 @@ class TestGramianCommands:
         assert captured.err == f"error: gramian shape ({size}, {size}) does not match 4 facets\n"
 
     def test_hyperbolic(self, workdir):
-        from conftest import ngon
-
         dump_relation(ngon(3), workdir / "triangle.json")
         G = np.array([[1.0, -1, -1], [-1, 1, -1], [-1, -1, 1]])
         write_matrix_csv(workdir / "ideal.csv", G)
@@ -355,10 +377,10 @@ def test_flag_not_read_is_unrecognized(command, flag, capsys):
     (c, f) for c, flags in KEPT_FLAGS.items() for f in flags
 ])
 def test_flag_read_still_parses(command, flag):
-    value = "json" if flag == "format" else "1"
+    value = {"format": "json", "margin": "0.5"}.get(flag, "1")
     args = build_parser().parse_args([command, *POSITIONALS[command], f"--{flag}", value])
     parsed = getattr(args, flag.replace("-", "_"))
-    assert parsed == "json" if flag == "format" else float(parsed) == 1.0
+    assert parsed == "json" if flag == "format" else float(parsed) == float(value)
 
 
 def registered_flags():

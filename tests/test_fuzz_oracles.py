@@ -32,8 +32,37 @@ from polyrealize.incidence import check_diamond, check_flag_connected_local
 from polyrealize.numkernel import numeric_rank
 
 
+def degenerate_system(family, rng):
+    """A strict-feasibility system of one degenerate family, as (dim, eqs, ups)."""
+    dim = int(rng.integers(1, 5))
+    n_up = int(rng.integers(1, 7))
+    if family == "integer-ties":
+        # small integer data: many equal ratios in the simplex's ratio tests
+        eqs = [(rng.integers(-2, 3, dim).astype(float), float(rng.integers(-2, 3)))
+               for _ in range(rng.integers(0, 2))]
+        ups = [(rng.integers(-2, 3, dim).astype(float), float(rng.integers(-1, 3)))
+               for _ in range(n_up)]
+        return dim, eqs, ups
+    ups = [(rng.standard_normal(dim), float(rng.standard_normal())) for _ in range(n_up)]
+    if family == "homogeneous":
+        eqs = [(rng.standard_normal(dim), 0.0) for _ in range(rng.integers(0, 2))]
+        return dim, eqs, [(a, 0.0) for a, _ in ups]
+    if family == "fixed-h":
+        # <h, w_j> = 1 on dim independent w_j: the equalities fix h
+        return dim, [(rng.standard_normal(dim), 1.0) for _ in range(dim)], ups
+    a, b = rng.standard_normal(dim), float(rng.standard_normal())
+    if family == "duplicated-equalities":
+        return dim, [(a, b), (a.copy(), b), (2.0 * a, 2.0 * b)], ups
+    assert family == "near-parallel-equalities"
+    return dim, [(a, b), (a * (1 + 1e-12), b * (1 + 1e-12))], ups
+
+
+DEGENERATE_FAMILIES = ("homogeneous", "duplicated-equalities", "near-parallel-equalities",
+                       "fixed-h", "integer-ties")
+
+
 class TestLpAgainstReference:
-    """The dense simplex against scipy.optimize.linprog on random systems."""
+    """The simplex against scipy.optimize.linprog on random systems."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_linprog(self, seed):
@@ -45,7 +74,16 @@ class TestLpAgainstReference:
                for _ in range(n_eq)]
         ups = [(rng.standard_normal(dim), float(rng.standard_normal()))
                for _ in range(n_up)]
-        mine = lp_strict_feasibility(eqs, ups, margin_cap=50.0)
+        self.assert_matches_linprog(dim, eqs, ups)
+
+    @pytest.mark.parametrize("family", DEGENERATE_FAMILIES)
+    def test_degenerate_systems_match_linprog(self, family):
+        rng = np.random.default_rng(sum(map(ord, family)))
+        for _ in range(40):
+            self.assert_matches_linprog(*degenerate_system(family, rng))
+
+    def assert_matches_linprog(self, dim, eqs, ups):
+        mine = lp_strict_feasibility(eqs, ups, dim=dim, margin_cap=50.0)
 
         # reference: maximize t over (h, t) with <a,h> + t <= b and t <= cap
         c = np.zeros(dim + 1)
@@ -66,6 +104,10 @@ class TestLpAgainstReference:
         assert mine.feasible == (t_ref > 1e-9)
         if mine.feasible:
             assert mine.margin == pytest.approx(t_ref, abs=1e-6)
+            for a, b in eqs:
+                assert abs(a @ mine.witness - b) < 1e-6
+            for a, b in ups:
+                assert a @ mine.witness <= b - mine.margin + 1e-6
 
 
 def random_spherical_polytope(rng, n_points):

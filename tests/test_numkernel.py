@@ -23,6 +23,7 @@ from polyrealize.errors import (
     SignatureMismatchError,
     ZeroMatrixError,
 )
+from polyrealize import numkernel
 from polyrealize.numkernel import read_matrix_csv, write_matrix_csv
 
 from conftest import PYRAMID_MATRIX, SQUARE_MATRIX
@@ -265,6 +266,58 @@ class TestLpStrictFeasibility:
                     assert abs(a @ res.witness - b) < 1e-6
                 for a, b in ups:
                     assert a @ res.witness < b - res.margin + 1e-6
+
+
+# B = -U[:, :4] of the cone warm start's last truncation (d = 3) for
+# relation 1 of TestRandomPolytopes().collect(6, seed=33), 10 facets and 7
+# vertices; a two-phase simplex called the system below infeasible.
+WARM_START_B = np.array([
+    [-0.3242244008712875, 0.29700655907067897, 0.4186671904619746, -0.2417176151140833],
+    [-0.312533139712534, -0.06715735845279289, 0.5137396479464884, 0.29660772403529295],
+    [-0.30261908329067466, 0.4985920521023896, 5.49931417556029e-16, -1.0354462502705164e-15],
+    [-0.32422440087128923, 0.2970065590706765, -2.4644131427906392e-15, 0.4834352302281705],
+    [-0.3125331397125334, -0.06715735845279355, 4.811071274884351e-15, -0.5932154480705795],
+    [-0.32422440087128873, 0.29700655907067686, -0.4186671904619731, -0.2417176151140873],
+    [-0.312533139712535, -0.06715735845279351, -0.513739647946492, 0.2966077240352851],
+    [-0.31624168701145366, -0.39717206380620695, 0.24655497918008817, 0.14234858359966682],
+    [-0.31624168701145433, -0.39717206380620695, -0.24655497918008856, 0.14234858359966351],
+    [-0.31624168701145283, -0.39717206380620684, 3.3593233217251423e-15, -0.284697167199333],
+])
+
+
+class TestLpRegressions:
+    def test_warm_start_system_is_feasible(self):
+        # z = (-1, 0, 0, 0) gives min(B z) = 0.30, so the capped margin is reached
+        ups = [(-WARM_START_B[l], 0.0) for l in range(10)]
+        res = lp_strict_feasibility([], ups, dim=4)
+        assert res.feasible
+        assert res.margin == 1e6
+        for a, b in ups:
+            assert a @ res.witness < b
+
+    def test_equalities_that_fix_h_take_one_pivot(self, monkeypatch):
+        calls = []
+        original = numkernel._pivot
+
+        def counted(*args):
+            calls.append(args)
+            original(*args)
+
+        monkeypatch.setattr(numkernel, "_pivot", counted)
+        # w1 and w2 fix h = (1, 1); the least slack is 1 - <h, w4> = 0.5
+        W = np.array([[1.0, 0.0, -1.0, 0.2], [0.0, 1.0, -1.0, 0.3]])
+        res = lp_strict_feasibility([(W[:, 0], 1.0), (W[:, 1], 1.0)],
+                                    [(W[:, 2], 1.0), (W[:, 3], 1.0)])
+        assert res.feasible
+        np.testing.assert_allclose(res.witness, [1.0, 1.0])
+        assert res.margin == pytest.approx(0.5)
+        assert len(calls) == 1
+
+    def test_fixed_h_violating_a_row_is_infeasible(self):
+        res = lp_strict_feasibility([([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)],
+                                    [([1.0, 1.0], 1.5)])
+        assert not res.feasible
+        assert res.margin == pytest.approx(-0.5)
 
 
 class TestMatrixCsv:

@@ -334,6 +334,15 @@ class TestGrunbaumOracle:
         shrunk[:, 0] = W.mean(axis=1) + 0.5 * (W[:, 0] - W.mean(axis=1))
         assert not grunbaum_oracle(shrunk, lat)
 
+    def test_regular_256_gon_and_a_vertex_pulled_inward(self):
+        # one LP per edge, each fixed by the edge's two vertices
+        angles = 2 * np.pi * np.arange(256) / 256
+        W = np.vstack([np.cos(angles), np.sin(angles)])
+        lat = build_maxbiclique_lattice(ngon(256))
+        assert grunbaum_oracle(W, lat)
+        W[:, 0] *= 0.99  # inside the chord of vertices 256 and 2
+        assert not grunbaum_oracle(W, lat)
+
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_oracle_agrees_with_exhaustive_check(name):
