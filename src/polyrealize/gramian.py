@@ -7,10 +7,9 @@ determines the cone up to orthogonal transformations of the form.  This
 module verifies the determinant and rank conditions a candidate Gramian
 must satisfy for a given relation, and constructs an explicit cone from
 a passing candidate: factor G = H* Phi H, then recover each generator
-as the Hodge star of the normals of a cycle at its vertex, all cycles
-taken with one orientation.  Specialized condition sets cover the
-spherical (positive definite form) and hyperbolic (Lorentzian form,
-ideal vertices allowed) cases.
+as the line phi-orthogonal to the normals of the facets at its vertex.
+Specialized condition sets cover the spherical (positive definite form)
+and hyperbolic (Lorentzian form, ideal vertices allowed) cases.
 """
 
 from __future__ import annotations
@@ -33,19 +32,15 @@ from .incidence import (
     REASON_NOT_GRADED,
     REASON_RANK,
     IncidenceRelation,
-    _cycle_per_vertex,
     _cycle_table,
     _flag_classes,
-    build_maxbiclique_lattice,
     lattice_gate,
 )
 from .numkernel import (
     DEFAULT_RANK_TOL,
     BilinearForm,
     as_matrix,
-    compact_svd,
     factor_against_form,
-    hodge_star,
     numeric_rank,
     sqrt_psd,
 )
@@ -66,9 +61,10 @@ class GramianCandidate:
     d: int
 
     def __post_init__(self):
+        if self.form.size != self.d + 1:
+            raise DimensionMismatchError(
+                f"form size {self.form.size} does not match d + 1 = {self.d + 1}")
         G = _facet_gramian(self.G, self.relation)
-        if np.abs(G - G.T).max() > DIAG_TOL:
-            raise ValueError("gramian is not symmetric")
         if np.abs(np.abs(np.diag(G)) - 1.0).max() > DIAG_TOL:
             raise ValueError("gramian diagonals must be +1 or -1")
         object.__setattr__(self, "G", 0.5 * (G + G.T))
@@ -141,11 +137,13 @@ def _minor_dets(G, rows, cols) -> tuple:
 
 
 def _facet_gramian(G, rel) -> np.ndarray:
-    """G as a matrix, which must be square with one row per facet."""
+    """G as a matrix, which must be symmetric with one row per facet."""
     G = as_matrix(G, "gramian")
     if G.shape != (rel.n_facets, rel.n_facets):
         raise DimensionMismatchError(
             f"gramian shape {G.shape} does not match {rel.n_facets} facets")
+    if np.abs(G - G.T).max() > DIAG_TOL:
+        raise ValueError("gramian is not symmetric")
     return G
 
 
@@ -294,31 +292,25 @@ def realize_cone_from_gramian(
     cand: GramianCandidate,
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
-    orientation: int = 0,
 ) -> ConeRealization:
     """Construct a cone whose Gramian is the candidate.
 
-    Factors G = H* Phi H, picks one cycle per vertex (all of the chosen
-    orientation) and sets the generator w_j to the Hodge star of the
-    cycle's normals; N = (Phi H)* W then vanishes exactly on incident
-    pairs.  If the first nonzero entry of N is positive the sign of W is
-    flipped so all nonzero entries are negative.  A final fill-0 pattern
-    and rank check guards against an unverified candidate; its failure
-    raises PatternViolationError rather than returning a wrong cone.
+    Factors G = H* Phi H and sets the generator w_j to the last right
+    singular vector of (Phi H)[:, F_j]*, F_j the facets at vertex j: on
+    a valid candidate their normals span d dimensions, so w_j spans the
+    line phi-orthogonal to all of them and N = (Phi H)* W vanishes
+    exactly on incident pairs.  Each w_j is signed so that column j of N
+    sums negative.  A final fill-0 pattern and rank check guards against
+    an unverified candidate; its failure raises PatternViolationError
+    rather than returning a wrong cone.
     """
     rel = cand.relation
     H = factor_against_form(cand.G, cand.form, rank_tol)
-    lat = build_maxbiclique_lattice(rel)
-    table, rows = _cycle_per_vertex(lat, orientation, DEFAULT_FLAG_CAP)
-    W = np.zeros((cand.form.size, rel.n_vertices))
-    for j, cycle in enumerate(table.facets[rows] - 1):
-        W[:, j] = hodge_star([H[:, i] for i in cycle], cand.form)
-    N = H.T @ cand.form.phi @ W
-    flat = N.ravel()
-    nonzero = flat[np.abs(flat) > 1e-12 * max(np.abs(flat).max(), 1e-300)]
-    if nonzero.size and nonzero[0] > 0:
-        W = -W
-        N = -N
+    PH = cand.form.phi @ H
+    W = np.column_stack([np.linalg.svd(PH[:, at].T)[2][-1] for at in rel.mask.T])
+    N = PH.T @ W
+    signs = np.where(N.sum(axis=0) > 0, -1.0, 1.0)
+    W, N = W * signs, N * signs
     try:
         fim = FilledIncidenceMatrix(N, rel, 0.0, 1e-9 * max(np.abs(N).max(), 1.0), 1e-9)
     except PatternViolationError as exc:
@@ -327,10 +319,10 @@ def realize_cone_from_gramian(
             f"{len(exc.violations)} entries; the candidate is not a valid Gramian",
             exc.violations,
         ) from None
-    svd = compact_svd(N, rank_tol)
-    if svd.rank != cand.d + 1:
+    rank = numeric_rank(N, rank_tol)
+    if rank != cand.d + 1:
         raise PatternViolationError(
-            f"constructed matrix has rank {svd.rank}, expected {cand.d + 1}"
+            f"constructed matrix has rank {rank}, expected {cand.d + 1}"
         )
     return ConeRealization(H, W, fim, cand.form, rel, cand.d)
 

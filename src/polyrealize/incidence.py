@@ -743,27 +743,6 @@ def enumerate_super_cycles(
     )
 
 
-def _cycle_per_vertex(lat: MaxbicliqueLattice, orientation: int, cap: int) -> tuple:
-    """(cycle table, rows): rows[j - 1] is vertex j's first cycle of the orientation.
-
-    Raises, for the first vertex that has one, NoExtraFacetError when
-    every facet contains it and NoCycleError when it has no such cycle.
-    """
-    rel = lat.relation
-    table = _cycle_table(lat, _flag_classes(lat, cap))
-    hits = np.flatnonzero(table.orientation == orientation)
-    found, at = np.unique(table.vertex[hits], return_index=True)
-    first = dict(zip(found.tolist(), hits[at].tolist()))
-    for j in range(1, rel.n_vertices + 1):
-        if rel.mask[:, j - 1].all():
-            raise NoExtraFacetError(f"every facet is incident to vertex {j}")
-        if j == table.stop:
-            raise NoCycleError(f"vertex {j} does not generate a rank-1 element")
-        if j not in first:
-            raise NoCycleError(f"no cycle of orientation {orientation} exists at vertex {j}")
-    return table, np.array([first[j] for j in range(1, rel.n_vertices + 1)])
-
-
 def enumerate_super_cycles_per_vertex(
     lat: MaxbicliqueLattice,
     orientation: int = 0,
@@ -775,11 +754,24 @@ def enumerate_super_cycles_per_vertex(
     flag lies in the requested bipartition class is chosen, and the
     smallest facet avoiding the vertex is appended.  Requires a graded
     lattice that passes the rank-2 walk, with a bipartite flag graph.
+    Raises, for the first vertex that has one, NoExtraFacetError when
+    every facet contains it and NoCycleError when it has no such cycle.
     """
-    table, rows = _cycle_per_vertex(lat, orientation, cap)
-    extras = np.argmin(lat.relation.mask, axis=0) + 1
+    rel = lat.relation
+    table = _cycle_table(lat, _flag_classes(lat, cap))
+    hits = np.flatnonzero(table.orientation == orientation)
+    found, at = np.unique(table.vertex[hits], return_index=True)
+    first = dict(zip(found.tolist(), hits[at].tolist()))
+    extras = np.argmin(rel.mask, axis=0) + 1
+    for j in range(1, rel.n_vertices + 1):
+        if rel.mask[:, j - 1].all():
+            raise NoExtraFacetError(f"every facet is incident to vertex {j}")
+        if j == table.stop:
+            raise NoCycleError(f"vertex {j} does not generate a rank-1 element")
+        if j not in first:
+            raise NoCycleError(f"no cycle of orientation {orientation} exists at vertex {j}")
     return {
         j: SuperCycle((*table.facets[k].tolist(), int(extras[j - 1])), j,
                       _induced_flag(lat, table.meets[k].tolist()), orientation)
-        for j, k in enumerate(rows.tolist(), start=1)
+        for j, k in first.items()
     }

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyrealize import Flag, SuperCycle, numkernel
+from polyrealize import Flag, SuperCycle, build_maxbiclique_lattice, enumerate_flags, numkernel
 from polyrealize.errors import (
     NoCycleError,
     NoExtraFacetError,
@@ -386,3 +386,30 @@ def distinct_vertex_pairs_by_definition(G, super_cycles, det_zero_tol) -> bool:
         if np.linalg.det(minor) <= det_zero_tol * scale:
             return False
     return True
+
+
+def cone_by_hodge_star(cand):
+    """(H, N) of the cone built along cycles, for a Gramian candidate.
+
+    H factors the candidate's G against its form.  Generator j is the
+    Hodge star of the normals along vertex j's first cycle of
+    orientation 0, with orientations from the breadth-first flag
+    coloring.  One sign for all of W then makes the first nonzero entry
+    of N = (Phi H)* W negative.
+    """
+    lat = build_maxbiclique_lattice(cand.relation)
+    cycles = super_cycles_by_walk(lat, flag_classes_by_bfs(enumerate_flags(lat)), orientation=0)
+    H = numkernel.factor_against_form(cand.G, cand.form)
+    W = np.column_stack([
+        numkernel.hodge_star([H[:, i - 1] for i in cycles[j].facet_sequence[:-1]], cand.form)
+        for j in sorted(cycles)
+    ])
+    N = H.T @ cand.form.phi @ W
+    flat = N.ravel()
+    first = flat[np.abs(flat) > 1e-12 * max(np.abs(flat).max(), 1e-300)][0]
+    return H, -N if first > 0 else N
+
+
+def column_cosines(A, B) -> np.ndarray:
+    """Cosine of the angle between each column of A and the same column of B."""
+    return np.einsum("ij,ij->j", A, B) / (np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=0))

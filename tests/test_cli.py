@@ -226,6 +226,26 @@ class TestGramianCommands:
         N = read_matrix_csv(out / "N.csv")
         np.testing.assert_allclose(N, -np.eye(3), atol=1e-9)
 
+    def test_realize_builds_one_lattice(self, workdir, monkeypatch):
+        from polyrealize import incidence
+
+        built = []
+        build = incidence.build_maxbiclique_lattice
+        monkeypatch.setattr(incidence, "build_maxbiclique_lattice",
+                            lambda rel: built.append(rel) or build(rel))
+        assert run("gramian-realize", workdir / "octant.json", workdir / "gram3.csv",
+                   workdir / "phi3.csv", "--d", "2", "--out", workdir / "gout") == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command", ["gramian-verify", "gramian-realize"])
+    def test_form_of_the_wrong_size_is_input_error(self, workdir, capsys, command):
+        write_matrix_csv(workdir / "phi4.csv", np.eye(4))
+        assert run(command, workdir / "octant.json", workdir / "gram3.csv",
+                   workdir / "phi4.csv", "--d", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: form size 4 does not match d + 1 = 3\n"
+
     def test_signature_mismatch_exits_one(self, workdir):
         phi = np.diag([1.0, 1.0, -1.0])
         write_matrix_csv(workdir / "phi_hyp.csv", phi)

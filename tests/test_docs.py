@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI examples parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+from polyrealize.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +13,13 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("polyrealize ")]
+    assert len(lines) == 11
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -31,6 +31,8 @@ from polyrealize import (
 from polyrealize.incidence import check_diamond, check_flag_connected_local
 from polyrealize.numkernel import numeric_rank
 
+from oracles import column_cosines, cone_by_hodge_star
+
 
 def degenerate_system(family, rng):
     """A strict-feasibility system of one degenerate family, as (dim, eqs, ups)."""
@@ -195,3 +197,6 @@ class TestRandomPolytopes:
             assert verify_gramian_conditions(cand).passed
             cone = realize_cone_from_gramian(cand)
             assert np.abs(gramian_of_cone(cone.H, form) - G).max() < 1e-8
+            H, ref = cone_by_hodge_star(cand)
+            assert np.array_equal(cone.H, H)
+            assert column_cosines(cone.N.matrix, ref).min() >= 1 - 1e-12

@@ -1,4 +1,4 @@
-"""Gramian condition verification and the Hodge star cone construction."""
+"""Gramian condition verification and the cone construction."""
 
 import numpy as np
 import pytest
@@ -43,6 +43,8 @@ from conftest import (
     triangular_prism,
 )
 from oracles import (
+    column_cosines,
+    cone_by_hodge_star,
     distinct_vertex_pairs_by_definition,
     super_cycle_pairs_by_definition,
     super_cycles_by_walk,
@@ -80,6 +82,24 @@ class TestCandidateValidation:
         G[0, 1] = 0.3
         with pytest.raises(ValueError):
             GramianCandidate(G, BilinearForm.euclidean(3), octant, 2)
+
+    def test_form_of_the_wrong_size_rejected(self, octant):
+        with pytest.raises(DimensionMismatchError, match=r"form size 4 does not match d \+ 1 = 3"):
+            GramianCandidate(np.eye(3), BilinearForm.euclidean(4), octant, 2)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda rel, G: verify_gramian_conditions(
+        GramianCandidate(G, BilinearForm.euclidean(3), rel, 2)),
+    lambda rel, G: verify_spherical_conditions(rel, G, 2),
+    lambda rel, G: verify_hyperbolic_conditions(rel, [], G, 2),
+], ids=["general", "spherical", "hyperbolic"])
+def test_asymmetric_gramian_rejected_by_every_verifier(octant, verify):
+    # no verifier symmetrizes a matrix that is not a Gramian
+    G = np.eye(3)
+    G[0, 1], G[1, 0] = 0.3, -0.3
+    with pytest.raises(ValueError, match="gramian is not symmetric"):
+        verify(octant, G)
 
 
 class TestVerifyGramianConditions:
@@ -172,12 +192,6 @@ class TestRealizeConeFromGramian:
         cone = realize_cone_from_gramian(cand)
         nonzero = cone.N.matrix[np.abs(cone.N.matrix) > 1e-9]
         assert np.all(nonzero < 0)
-
-    def test_orientation_swap_gives_same_cone(self):
-        cand = pyramid_cone_candidate()
-        n0 = realize_cone_from_gramian(cand, orientation=0).N.matrix
-        n1 = realize_cone_from_gramian(cand, orientation=1).N.matrix
-        np.testing.assert_allclose(n0, n1, atol=1e-12)
 
     def test_invalid_candidate_never_silently_realizes(self, octant):
         # breaks the orientation determinant condition while keeping the
@@ -750,10 +764,11 @@ def test_one_cycle_walk_and_no_super_cycle_objects(call, walk_counts):
         "hyperbolic": lambda: verify_hyperbolic_conditions(rel, [], G, 3),
         "realize": lambda: realize_cone_from_gramian(cand),
     }[call]()
-    assert walk_counts == {"walks": 1, "super_cycles": 0}
+    walks = 0 if call == "realize" else 1
+    assert walk_counts == {"walks": walks, "super_cycles": 0}
     # the counters see the public enumeration: one walk, one object per vertex
     enumerate_super_cycles_per_vertex(build_maxbiclique_lattice(rel))
-    assert walk_counts == {"walks": 2, "super_cycles": 5}
+    assert walk_counts == {"walks": walks + 1, "super_cycles": 5}
 
 
 def test_gramian_path_enumerates_no_flag(monkeypatch):
@@ -776,6 +791,52 @@ def test_gramian_path_enumerates_no_flag(monkeypatch):
     assert set(enumerate_super_cycles_per_vertex(build_maxbiclique_lattice(rel))) == set(range(1, 6))
     # 3,840 flags, none of them enumerated
     assert verify_spherical_conditions(cube(5), _cube_gramian(5), 5).passed
+
+
+def _family_candidate(rel, d):
+    return GramianCandidate(_family_gramian(rel, d), BilinearForm.euclidean(d + 1), rel, d)
+
+
+def _hyperbolic_candidate(G):
+    return GramianCandidate(G, BilinearForm.hyperbolic(3), ngon(len(G)), 2)
+
+
+# name: candidate whose cone the cycle-based reference also builds
+HODGE_STAR_CASES = {
+    **{name: lambda make=make: _family_candidate(*make())
+       for name, make in ORACLE_FAMILIES.items()},
+    "octant": octant_candidate,
+    "ideal-triangle": lambda: _hyperbolic_candidate(np.array(
+        [[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
+    "right-angled-pentagon": lambda: _hyperbolic_candidate(_right_angled_pentagon()),
+    "compact-triangle": lambda: _hyperbolic_candidate(_compact_triangle()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HODGE_STAR_CASES))
+def test_cone_matches_the_hodge_star_of_a_cycle(name):
+    """One null vector per vertex gives the cycle construction's cone,
+    each generator up to a positive scale, and the same normals."""
+    cand = HODGE_STAR_CASES[name]()
+    cone = realize_cone_from_gramian(cand)
+    H, N = cone_by_hodge_star(cand)
+    assert np.array_equal(cone.H, H)
+    assert column_cosines(cone.N.matrix, N).min() >= 1 - 1e-12
+
+
+def test_cone_construction_needs_no_lattice(monkeypatch):
+    from polyrealize import gramian, incidence, numkernel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cone construction reached the lattice or the Hodge star")
+
+    for module, name in [(incidence, "build_maxbiclique_lattice"), (incidence, "_cycle_table"),
+                         (gramian, "_cycle_table"), (numkernel, "hodge_star")]:
+        monkeypatch.setattr(module, name, refuse)
+    cone = realize_cone_from_gramian(pyramid_cone_candidate())
+    assert cone.W.shape == (4, 5)
+    assert not hasattr(gramian, "build_maxbiclique_lattice")
+    assert not hasattr(gramian, "hodge_star")
 
 
 def test_batched_minor_dets_match_one_at_a_time():
