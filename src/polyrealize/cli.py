@@ -295,30 +295,30 @@ def _load_candidate(args) -> GramianCandidate:
     return GramianCandidate(G, form, rel, args.d)
 
 
+def _verified(verify, *args, **kwargs) -> dict:
+    """The verifier's report as a dict; a degenerate relation fails the lattice check."""
+    try:
+        return verify(*args, **kwargs).as_dict()
+    except DegenerateRelationError as exc:
+        return {"passed": False, "conditions": {"lattice": False},
+                "details": {"lattice": str(exc)}}
+
+
 def cmd_gramian_verify(args) -> int:
     _require_d(args)
-    try:
-        cand = _load_candidate(args)
-    except ValueError as exc:
-        _emit({"passed": False, "error": str(exc)}, args)
-        return EXIT_REJECTED
-    report = verify_gramian_conditions(
-        cand, rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
-    _emit(report.as_dict(), args)
-    return EXIT_OK if report.passed else EXIT_REJECTED
+    report = _verified(verify_gramian_conditions, _load_candidate(args), rank_tol=args.rank_tol,
+                       det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
+    _emit(report, args)
+    return EXIT_OK if report["passed"] else EXIT_REJECTED
 
 
 def cmd_gramian_realize(args) -> int:
     _require_d(args)
-    try:
-        cand = _load_candidate(args)
-    except ValueError as exc:
-        _emit({"passed": False, "error": str(exc)}, args)
-        return EXIT_REJECTED
-    report = verify_gramian_conditions(
-        cand, rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
-    if not report.passed:
-        _emit(report.as_dict(), args)
+    cand = _load_candidate(args)
+    report = _verified(verify_gramian_conditions, cand, rank_tol=args.rank_tol,
+                       det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
+    if not report["passed"]:
+        _emit(report, args)
         return EXIT_REJECTED
     try:
         cone = realize_cone_from_gramian(cand, rank_tol=args.rank_tol)
@@ -330,12 +330,11 @@ def cmd_gramian_realize(args) -> int:
     write_matrix_csv(os.path.join(out_dir, "N.csv"), cone.N.matrix)
     write_matrix_csv(os.path.join(out_dir, "H.csv"), cone.H)
     write_matrix_csv(os.path.join(out_dir, "W.csv"), cone.W)
-    payload = report.as_dict()
-    payload["written"] = ["N.csv", "H.csv", "W.csv"]
-    payload["gramian_residual"] = float(
+    report["written"] = ["N.csv", "H.csv", "W.csv"]
+    report["gramian_residual"] = float(
         np.abs(gramian_of_cone(cone.H, cone.form) - cand.G).max()
     )
-    _emit(payload, args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -343,10 +342,10 @@ def cmd_spherical_verify(args) -> int:
     _require_d(args)
     rel = load_relation(args.relation)
     G = read_matrix_csv(args.gramian)
-    report = verify_spherical_conditions(
-        rel, G, args.d, rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
-    _emit(report.as_dict(), args)
-    return EXIT_OK if report.passed else EXIT_REJECTED
+    report = _verified(verify_spherical_conditions, rel, G, args.d, rank_tol=args.rank_tol,
+                       det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap)
+    _emit(report, args)
+    return EXIT_OK if report["passed"] else EXIT_REJECTED
 
 
 def cmd_hyperbolic_verify(args) -> int:
@@ -354,12 +353,11 @@ def cmd_hyperbolic_verify(args) -> int:
     rel = load_relation(args.relation)
     G = read_matrix_csv(args.gramian)
     ideal = [int(v) for v in args.ideal.split(",") if v.strip()] if args.ideal else []
-    report = verify_hyperbolic_conditions(
-        rel, ideal, G, args.d, rank_tol=args.rank_tol,
-        det_zero_tol=args.det_zero_tol, flag_cap=args.flag_cap,
-    )
-    _emit(report.as_dict(), args)
-    return EXIT_OK if report.passed else EXIT_REJECTED
+    report = _verified(verify_hyperbolic_conditions, rel, ideal, G, args.d,
+                       rank_tol=args.rank_tol, det_zero_tol=args.det_zero_tol,
+                       flag_cap=args.flag_cap)
+    _emit(report, args)
+    return EXIT_OK if report["passed"] else EXIT_REJECTED
 
 
 def build_parser() -> argparse.ArgumentParser:

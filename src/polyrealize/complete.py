@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPositiveScalingError
-from .incidence import IncidenceRelation, check_filled_incidence
+from .incidence import DEFAULT_EQ_TOL, IncidenceRelation, check_filled_incidence
 from .numkernel import DEFAULT_RANK_TOL, dehomogenize, numeric_rank
 
 STATUS_FOUND = "found"
@@ -36,8 +36,6 @@ REL_IMPROVEMENT = 1e-12
 # of the 0/-1 pattern, and the cap they keep off-pattern entries below.
 CONE_PROJECTIONS = 30
 CONE_FLOOR = 0.2
-# Active-set passes per row in one ALS half-sweep.
-ROW_PASSES = 12
 
 
 @dataclass(frozen=True)
@@ -154,51 +152,32 @@ def _row_losses(vals, mask, ceiling):
 
 
 def _best_rows(X, G, mask, ceiling):
-    """Minimize every row's convex piecewise-quadratic objective at once.
+    """One active-set step on every row's convex piecewise-quadratic objective.
 
     Row i of X is scored against the rows of G: incident entries
-    (mask[i]) should equal 1, the others stay below the ceiling.  Each
-    pass solves active-set least squares for every live row in one
-    stacked pseudoinverse: incident entries are pinned to 1, off entries
-    above the ceiling to the ceiling, and a row with no active entry
-    gets 0.  Each row keeps the best iterate seen, so no row's objective
-    rises, and retires once its active set repeats; at most ROW_PASSES
-    passes.
+    (mask[i]) should equal 1, the others stay below the ceiling.  The
+    active set is read at X: incident entries are pinned to 1, off
+    entries above the ceiling to the ceiling, and a row with no active
+    entry steps to 0.  Every row's least-squares step comes from one
+    stacked pseudoinverse.  A row keeps its old value unless the step
+    lowers its objective: off entries inactive at X can cross the
+    ceiling, so the step alone could raise it.
     """
-    target = np.where(mask, 1.0, ceiling)
-    rcond = np.finfo(float).eps * max(G.shape)
-    best = X.copy()
     vals = X @ G.T
-    best_f = _row_losses(vals, mask, ceiling)
-    live = np.arange(len(X))
-    prev = None
-    for _ in range(ROW_PASSES):
-        active = mask[live] | (vals > ceiling)
-        pinv = np.linalg.pinv(active[:, :, None] * G, rcond=rcond)
-        candidate = (pinv @ (active * target[live])[:, :, None])[:, :, 0]
-        vals = candidate @ G.T
-        f = _row_losses(vals, mask[live], ceiling)
-        better = f < best_f[live]
-        best[live[better]] = candidate[better]
-        best_f[live[better]] = f[better]
-        moved = np.ones(len(live), bool) if prev is None else (active != prev).any(axis=1)
-        live, vals, prev = live[moved], vals[moved], active[moved]
-        if not len(live):
-            break
-    return best
-
-
-def _als_sweep(H, W, mask, ceiling):
-    H = _best_rows(H, W.T, mask, ceiling)
-    W = _best_rows(W.T, H, mask.T, ceiling).T
-    return H, W
+    active = mask | (vals > ceiling)
+    target = np.where(active, np.where(mask, 1.0, ceiling), 0.0)
+    rcond = np.finfo(float).eps * max(G.shape)
+    pinv = np.linalg.pinv(active[:, :, None] * G, rcond=rcond)
+    step = (pinv @ target[:, :, None])[:, :, 0]
+    lower = _row_losses(step @ G.T, mask, ceiling) < _row_losses(vals, mask, ceiling)
+    return np.where(lower[:, None], step, X)
 
 
 def _validate(H, W, problem):
     """Pattern check with slack margin/2 and exact-rank check for a candidate."""
     M = H @ W
     report = check_filled_incidence(
-        M, problem.relation, 1.0, eq_tol=1e-7, slack_tol=problem.margin / 2.0
+        M, problem.relation, 1.0, eq_tol=DEFAULT_EQ_TOL, slack_tol=problem.margin / 2.0
     )
     if not report.ok or numeric_rank(M, DEFAULT_RANK_TOL) != problem.d:
         return None
@@ -220,7 +199,8 @@ def complete(problem: CompletionProblem) -> CompletionResult:
     loss = completion_loss(H, W, problem)
     sweeps = 0
     while sweeps < problem.max_iters:
-        H, W = _als_sweep(H, W, mask, ceiling)
+        H = _best_rows(H, W.T, mask, ceiling)
+        W = _best_rows(W.T, H, mask.T, ceiling).T
         sweeps += 1
         new_loss = completion_loss(H, W, problem)
         stalled = loss - new_loss <= REL_IMPROVEMENT * max(loss, 1e-300)

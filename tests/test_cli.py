@@ -279,6 +279,28 @@ class TestGramianCommands:
         assert captured.out == ""
         assert captured.err == f"error: gramian shape ({size}, {size}) does not match 4 facets\n"
 
+    @pytest.mark.parametrize("command", ["spherical-verify", "hyperbolic-verify",
+                                         "gramian-verify", "gramian-realize"])
+    def test_asymmetric_gramian_is_input_error(self, workdir, capsys, command):
+        G = np.eye(3)
+        G[0, 1], G[1, 0] = 0.3, -0.3
+        write_matrix_csv(workdir / "asymmetric.csv", G)
+        phi = [workdir / "phi3.csv"] if command.startswith("gramian-") else []
+        assert run(command, workdir / "octant.json", workdir / "asymmetric.csv", *phi,
+                   "--d", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gramian is not symmetric\n"
+
+    @pytest.mark.parametrize("command", ["gramian-verify", "gramian-realize"])
+    def test_diagonal_off_unit_is_input_error(self, workdir, capsys, command):
+        write_matrix_csv(workdir / "diag.csv", np.diag([1.0, 2.0, 1.0]))
+        assert run(command, workdir / "octant.json", workdir / "diag.csv",
+                   workdir / "phi3.csv", "--d", "2") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gramian diagonals must be +1 or -1\n"
+
     def test_hyperbolic(self, workdir):
         dump_relation(ngon(3), workdir / "triangle.json")
         G = np.array([[1.0, -1, -1], [-1, 1, -1], [-1, -1, 1]])

@@ -18,7 +18,7 @@ from polyrealize import (
 )
 from polyrealize.complete import STATUS_FOUND, STATUS_NOT_FOUND, _best_rows, _cone_warm_start
 from polyrealize.numkernel import numeric_rank
-from polyrealize.realize import STATUS_INCONCLUSIVE
+from polyrealize.realize import STATUS_INCONCLUSIVE, STATUS_REALIZED
 
 from conftest import (
     SQUARE_MATRIX,
@@ -270,3 +270,33 @@ def test_stacked_rows_never_raise_a_row_loss(seed):
         before = _row_losses(X, G, mask, 0.9)
         after = _row_losses(_best_rows(X, G, mask, 0.9), G, mask, 0.9)
         assert np.all(after <= before)
+
+
+def test_one_pseudoinverse_per_half_sweep(monkeypatch):
+    # a half-sweep takes one active-set step: one stacked pinv, whatever
+    # the rows' active sets do after it
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or pinv(*a, **k))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rel = random_relation(rng, max_side=8)
+        d = int(rng.integers(1, 4))
+        H = rng.standard_normal((rel.n_facets, d))
+        W = rng.standard_normal((d, rel.n_vertices))
+        for X, G, mask in _half_sweeps(H, W, rel.mask):
+            calls.clear()
+            _best_rows(X, G, mask, 0.9)
+            assert len(calls) == 1
+
+
+def test_multi_sweep_searches_realize():
+    # seeded 3-D hulls beyond the easy families: one of them needs well
+    # over the easy families' 3 sweeps, and all realize at the defaults
+    sweeps = []
+    for n in (16, 20):
+        for s in range(4):
+            verdict = realizability_check(sphere_hull(s, n), 3)
+            assert verdict.status == STATUS_REALIZED, (n, s)
+            sweeps.append(verdict.completion.iterations)
+    assert max(sweeps) > 3

@@ -20,6 +20,7 @@ from polyrealize import (
 from polyrealize.cli import main
 from polyrealize.errors import DegenerateRelationError
 from polyrealize.incidence import lattice_gate
+from polyrealize.numkernel import write_matrix_csv
 from polyrealize.realize import (
     REASON_ATOMS_COATOMS,
     REASON_DIAMOND,
@@ -161,6 +162,29 @@ def test_gate_controls(rel, d, reason, detail, code, report, tmp_path, capsys):
     dump_relation(rel, tmp_path / "rel.json")
     assert main(["check", str(tmp_path / "rel.json"), "--format", "json"]) == code
     assert json.loads(capsys.readouterr().out) == report
+
+
+@pytest.mark.parametrize("command", ["gramian-verify", "gramian-realize",
+                                     "spherical-verify", "hyperbolic-verify"])
+@pytest.mark.parametrize(
+    "rel, d, reason, detail, report",
+    [(case[1], case[2], case[3], case[4], case[6]) for case in CONTROLS],
+    ids=[case[0] for case in CONTROLS],
+)
+def test_gramian_commands_fail_the_lattice_check(command, rel, d, reason, detail, report,
+                                                 tmp_path, capsys):
+    # a degenerate relation is rejected like any other gate failure (exit
+    # 1), with the nondegeneracy reason as the lattice detail, although
+    # the library verifiers raise on it
+    dump_relation(rel, tmp_path / "rel.json")
+    write_matrix_csv(tmp_path / "G.csv", np.eye(rel.n_facets))
+    write_matrix_csv(tmp_path / "phi.csv", np.eye(d + 1))
+    phi = [str(tmp_path / "phi.csv")] if command.startswith("gramian-") else []
+    assert main([command, str(tmp_path / "rel.json"), str(tmp_path / "G.csv"), *phi,
+                 "--d", str(d), "--format", "json"]) == 1
+    expected = detail if reason is not None else report["reason"]
+    assert json.loads(capsys.readouterr().out) == {
+        "passed": False, "conditions": {"lattice": False}, "details": {"lattice": expected}}
 
 
 def _atoms_and_coatoms_by_definition(rel):
