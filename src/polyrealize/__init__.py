@@ -53,7 +53,6 @@ from .numkernel import (
     compact_svd,
     factor_against_form,
     hodge_star,
-    lp_strict_feasibility,
     pseudoinverse,
     read_matrix_csv,
     signature,

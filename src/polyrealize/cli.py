@@ -231,12 +231,7 @@ def cmd_verify(args) -> int:
 
 
 def _infer_relation(M: np.ndarray, fill: float, eq_tol: float) -> IncidenceRelation:
-    pairs = [
-        (i + 1, j + 1)
-        for i in range(M.shape[0])
-        for j in range(M.shape[1])
-        if abs(M[i, j] - fill) <= eq_tol
-    ]
+    pairs = np.argwhere(np.abs(M - fill) <= eq_tol) + 1
     return IncidenceRelation.from_pairs(M.shape[0], M.shape[1], pairs)
 
 

@@ -2,11 +2,11 @@
 
 Rank-revealing compact SVD, Moore-Penrose pseudoinverse, PSD square
 root, signatures of symmetric matrices, factoring a Gramian against a
-bilinear form, the metric Hodge star, a small strict-feasibility LP
-solved by a one-phase simplex, and the diagonal rescaling that
-turns a cone-form (fill 0, rank d+1) matrix into polytope form (fill 1,
-rank d).  Everything operates on plain float64 numpy arrays; matrices
-must be finite.
+bilinear form, the metric Hodge star, the strict-feasibility LP of one
+facet's supporting hyperplane solved in closed form from one SVD, and
+the diagonal rescaling that turns a cone-form (fill 0, rank d+1) matrix
+into polytope form (fill 1, rank d).  Everything operates on plain
+float64 numpy arrays; matrices must be finite.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ def sqrt_psd(A, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 def signature(A, tol: float = DEFAULT_RANK_TOL) -> tuple:
     """Counts (p, n, z) of eigenvalues above tol*scale, below, and within."""
-    w, _ = _sym_eigh(A)
+    return _signature_of(_sym_eigh(A)[0], tol)
+
+
+def _signature_of(w, tol):
     thr = tol * np.abs(w).max() if w.size else 0.0
     p = int(np.count_nonzero(w > thr))
     n = int(np.count_nonzero(w < -thr))
@@ -175,13 +178,13 @@ def factor_against_form(G, form: BilinearForm, tol: float = DEFAULT_RANK_TOL) ->
     n = G.shape[0]
     k = form.size
     p, q = form.signature
-    sig = signature(G, tol)
+    w, Q = _sym_eigh(G, "gramian")
+    sig = _signature_of(w, tol)
     if sig != (p, q, n - k):
         raise SignatureMismatchError(
             f"gramian signature {sig} does not match form signature ({p}, {q}) "
             f"with {n - k} zeros"
         )
-    w, Q = _sym_eigh(G, "gramian")
     order = np.argsort(-w)  # positives first, then zeros, then negatives
     idx = np.concatenate([order[:p], order[len(order) - q:]]) if q else order[:p]
     lam = w[idx]
@@ -226,90 +229,45 @@ def hodge_star(vectors, form: BilinearForm) -> np.ndarray:
 
 
 LP_TOL = 1e-9
-LP_MAX_PIVOTS = 20000
 
 
-@dataclass(frozen=True, eq=False)
-class LpResult:
-    feasible: bool
-    witness: object
-    margin: float
+def lp_strict_feasibility(W, on) -> float:
+    """The largest margin t of a strict supporting hyperplane of one facet.
 
-
-def lp_strict_feasibility(equalities, strict_upper, *, dim: int = None,
-                          margin_cap: float = 1e6) -> LpResult:
-    """Maximize the slack t of a system of equalities and strict inequalities.
-
-    Finds h maximizing t <= margin_cap subject to <a, h> = b for (a, b)
-    in equalities and <a, h> <= b - t for (a, b) in strict_upper.  The
-    equalities are solved once by SVD: inconsistent ones give margin
-    -inf, otherwise h = h0 + Z z with h0 the minimum-norm solution and Z
-    an orthonormal null-space basis.  The remaining LP over (z, t) starts
-    from the slack basis, made feasible by one pivot of t (down to the
-    least right-hand side), and runs Bland's rule.  When the equalities
-    fix h, Z has no columns and that pivot is the whole solve.  The
-    system is feasible when the optimal t exceeds LP_TOL; the witness h
-    is returned then.
+    W holds the vertices as columns and the boolean mask on marks the
+    facet's vertices.  Returns the optimum of the LP: maximize t over h
+    with <h, w_j> = 1 on the facet and <h, w_j> <= 1 - t off it; the
+    facet is strictly supported when t > LP_TOL.  It is solved in closed
+    form from one SVD [W; 1] = U S V.T.  The facet's rows of V S are
+    [W; 1][:, on].T U, with the singular values of [W; 1][:, on]; their
+    null vector z gives c = U z = (g, phi), the affine function
+    <g, x> + phi that vanishes on the facet, and its values a = V S z on
+    the vertices.  When the origin is off aff(W) (1 - |U[-1]|^2 >
+    LP_TOL), phi is free: t is +inf when a has one strict sign off the
+    facet, and 0 otherwise.  Otherwise h = -g / phi and t is the least
+    a_j / phi off the facet, or -inf when the hyperplane passes within
+    LP_TOL of the origin, relative to the facet's farthest vertex.  When
+    the facet's vertices span aff(W), c is 0 and so is every value.
+    Raises ValueError when they leave more than one free direction.
     """
-    eqs = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in equalities]
-    ups = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in strict_upper]
-    if dim is None:
-        dim = len((eqs + ups)[0][0]) if eqs or ups else 0
-    for a, _ in eqs + ups:
-        if len(a) != dim:
-            raise DimensionMismatchError("constraint vectors have inconsistent length")
-
-    h0, Z = np.zeros(dim), np.eye(dim)
-    if eqs:
-        A = np.array([a for a, _ in eqs])
-        b = np.array([rhs for _, rhs in eqs])
-        U, s, Vt = np.linalg.svd(A)
-        r = int(np.count_nonzero(s > LP_TOL * s[0])) if s.size else 0
-        h0 = Vt[:r].T @ (U[:, :r].T @ b / s[:r])
-        if np.abs(A @ h0 - b).sum() > LP_TOL * max(1.0, np.abs(b).sum()):
-            return LpResult(False, None, float("-inf"))
-        Z = Vt[r:].T
-
-    # Rows G z + t + s_i = c_i, then t + s = margin_cap; columns z+, z-,
-    # t+, t-, one slack per row, the right-hand side; last, the reduced
-    # costs of minimizing -t.
-    P = np.array([a for a, _ in ups]).reshape(len(ups), dim)
-    G = P @ Z
-    m, k = len(ups) + 1, Z.shape[1]
-    tp = 2 * k
-    T = np.zeros((m + 1, tp + 3 + m))
-    T[: m - 1, :tp] = np.hstack([G, -G])
-    T[:m, tp : tp + 2] = 1.0, -1.0
-    T[:m, tp + 2 : -1] = np.eye(m)
-    T[: m - 1, -1] = [rhs for _, rhs in ups] - P @ h0
-    T[m - 1, -1] = margin_cap
-    T[m, tp : tp + 2] = -1.0, 1.0
-    basis = np.arange(tp + 2, tp + 2 + m)
-    low = int(np.argmin(T[:m, -1]))
-    if T[low, -1] < 0:
-        _pivot(T, basis, low, tp + 1)
-
-    for _ in range(LP_MAX_PIVOTS):
-        improving = np.flatnonzero(T[m, :-1] < -LP_TOL)
-        if not improving.size:
-            break
-        col = improving[0]
-        rows = np.flatnonzero(T[:m, col] > LP_TOL)
-        if not rows.size:
-            raise ArithmeticError("simplex found an unbounded ray of a capped LP")
-        ratios = T[rows, -1] / T[rows, col]
-        ties = rows[ratios <= ratios.min() + LP_TOL]
-        _pivot(T, basis, ties[np.argmin(basis[ties])], col)
-    else:
-        raise ArithmeticError("simplex did not terminate within the pivot budget")
-
-    x = np.zeros(T.shape[1] - 1)
-    x[basis] = T[:m, -1]
-    # The cap row reads t + s = margin_cap: t is the cap when its slack is 0.
-    t = float(margin_cap if x[-1] == 0.0 else x[tp] - x[tp + 1])
-    if t > LP_TOL:
-        return LpResult(True, h0 + Z @ (x[:k] - x[k:tp]), t)
-    return LpResult(False, None, t)
+    W = as_matrix(W, "W")
+    on = np.asarray(on, dtype=bool)
+    L = compact_svd(np.vstack([W, np.ones(W.shape[1])]))
+    _, s, Zt = np.linalg.svd(L.V[on] * L.sigma)
+    free = Zt[np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0)):]
+    if len(free) > 1:
+        raise ValueError(f"the facet's vertices leave h {len(free)} free directions")
+    z = free.sum(axis=0)
+    c = L.U @ z
+    a = L.V @ (L.sigma * z)
+    off = a[~on]
+    if 1.0 - L.U[-1] @ L.U[-1] > LP_TOL:
+        tol = LP_TOL * np.abs(a).max()
+        return np.inf if np.all(off > tol) or np.all(off < -tol) else 0.0
+    reach = np.linalg.norm(c[:-1]) * np.linalg.norm(W[:, on], axis=0).max(initial=0.0)
+    if abs(c[-1]) <= LP_TOL * reach:
+        return -np.inf
+    return float(np.min(off / c[-1], initial=np.inf))
 
 
 def dehomogenize(N) -> np.ndarray:
@@ -338,14 +296,6 @@ def dehomogenize(N) -> np.ndarray:
                 "the matrix is not a facet-ray matrix of a cone over a polytope"
             )
     return (r.sum() / r)[:, None] * N / c[None, :] + 1.0
-
-
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
-    basis[row] = col
 
 
 def write_matrix_csv(path, M) -> None:

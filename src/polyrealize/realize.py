@@ -46,6 +46,7 @@ from .incidence import (  # REASON_* and the Pattern* types stay importable from
 )
 from .numkernel import (
     DEFAULT_RANK_TOL,
+    LP_TOL,
     as_matrix,
     compact_svd,
     dehomogenize,
@@ -246,12 +247,14 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
     True exactly when lat is graded and diamond, every element of rank
     r has vertices whose lifted matrix [W_x; 1] has numeric rank r, and
     every coatom has a supporting vector h with <h, w_j> = 1 on its
-    vertices and < 1 on every other vertex (one strict-feasibility LP
-    per coatom).  This decides every vertex subset: by induction up the
-    ranks, each element is a face of conv(W) with exactly its vertex
-    set, the covers of an element x are facets of conv(W_x), the
-    diamond property closes them under ridge adjacency, and a polytope's
-    facet graph is connected (Balinski), so they are all its facets.
+    vertices and < 1 on every other vertex: the facet LP
+    ``lp_strict_feasibility``, solved in closed form once per coatom,
+    must have an optimal margin above LP_TOL.  This decides every vertex
+    subset: by induction up the ranks, each element is a face of conv(W)
+    with exactly its vertex set, the covers of an element x are facets
+    of conv(W_x), the diamond property closes them under ridge
+    adjacency, and a polytope's facet graph is connected (Balinski), so
+    they are all its facets.
     """
     W = as_matrix(W, "W")
     m = lat.relation.n_vertices
@@ -264,10 +267,8 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
         cols = [j - 1 for j in el.vertex_set]
         if (numeric_rank(lifted[:, cols]) if cols else 0) != r:
             return False
-    coatoms = (el.vertex_set for el, r in zip(lat.elements, lat.ranks) if r == lat.rank - 1)
+    ids = np.arange(1, m + 1)
     return all(
-        lp_strict_feasibility([(W[:, j - 1], 1.0) for j in vs],
-                              [(W[:, j - 1], 1.0) for j in range(1, m + 1) if j not in vs],
-                              dim=W.shape[0]).feasible
-        for vs in coatoms
+        lp_strict_feasibility(W, np.isin(ids, el.vertex_set)) > LP_TOL
+        for el, r in zip(lat.elements, lat.ranks) if r == lat.rank - 1
     )

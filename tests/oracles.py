@@ -5,17 +5,20 @@ the library's own algorithms, so the two paths stay independent.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from polyrealize import Flag, SuperCycle, build_maxbiclique_lattice, enumerate_flags, numkernel
 from polyrealize.errors import (
+    DimensionMismatchError,
     NoCycleError,
     NoExtraFacetError,
     NotBipartiteError,
     NotGradedError,
 )
+from polyrealize.numkernel import LP_TOL
 
 
 def brute_force_maxbicliques(rel):
@@ -240,14 +243,110 @@ def best_rows_one_at_a_time(X, G, mask, ceiling):
     ])
 
 
+LP_MAX_PIVOTS = 20000
+
+
+@dataclass(frozen=True, eq=False)
+class LpResult:
+    feasible: bool
+    witness: object
+    margin: float
+
+
+def simplex_strict_feasibility(equalities, strict_upper, *, dim: int = None,
+                               margin_cap: float = 1e6) -> LpResult:
+    """Maximize the slack t of a system of equalities and strict inequalities.
+
+    Finds h maximizing t <= margin_cap subject to <a, h> = b for (a, b)
+    in equalities and <a, h> <= b - t for (a, b) in strict_upper.  The
+    equalities are solved once by SVD: inconsistent ones give margin
+    -inf, otherwise h = h0 + Z z with h0 the minimum-norm solution and Z
+    an orthonormal null-space basis.  The remaining LP over (z, t) starts
+    from the slack basis, made feasible by one pivot of t (down to the
+    least right-hand side), and runs Bland's rule.  When the equalities
+    fix h, Z has no columns and that pivot is the whole solve.  The
+    system is feasible when the optimal t exceeds LP_TOL; the witness h
+    is returned then.  This general tableau simplex is the reference for
+    ``numkernel.lp_strict_feasibility``, the same LP of one facet solved
+    in closed form.
+    """
+    eqs = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in equalities]
+    ups = [(np.asarray(a, dtype=float).ravel(), float(b)) for a, b in strict_upper]
+    if dim is None:
+        dim = len((eqs + ups)[0][0]) if eqs or ups else 0
+    for a, _ in eqs + ups:
+        if len(a) != dim:
+            raise DimensionMismatchError("constraint vectors have inconsistent length")
+
+    h0, Z = np.zeros(dim), np.eye(dim)
+    if eqs:
+        A = np.array([a for a, _ in eqs])
+        b = np.array([rhs for _, rhs in eqs])
+        U, s, Vt = np.linalg.svd(A)
+        r = int(np.count_nonzero(s > LP_TOL * s[0])) if s.size else 0
+        h0 = Vt[:r].T @ (U[:, :r].T @ b / s[:r])
+        if np.abs(A @ h0 - b).sum() > LP_TOL * max(1.0, np.abs(b).sum()):
+            return LpResult(False, None, float("-inf"))
+        Z = Vt[r:].T
+
+    # Rows G z + t + s_i = c_i, then t + s = margin_cap; columns z+, z-,
+    # t+, t-, one slack per row, the right-hand side; last, the reduced
+    # costs of minimizing -t.
+    P = np.array([a for a, _ in ups]).reshape(len(ups), dim)
+    G = P @ Z
+    m, k = len(ups) + 1, Z.shape[1]
+    tp = 2 * k
+    T = np.zeros((m + 1, tp + 3 + m))
+    T[: m - 1, :tp] = np.hstack([G, -G])
+    T[:m, tp : tp + 2] = 1.0, -1.0
+    T[:m, tp + 2 : -1] = np.eye(m)
+    T[: m - 1, -1] = [rhs for _, rhs in ups] - P @ h0
+    T[m - 1, -1] = margin_cap
+    T[m, tp : tp + 2] = -1.0, 1.0
+    basis = np.arange(tp + 2, tp + 2 + m)
+    low = int(np.argmin(T[:m, -1]))
+    if T[low, -1] < 0:
+        _pivot(T, basis, low, tp + 1)
+
+    for _ in range(LP_MAX_PIVOTS):
+        improving = np.flatnonzero(T[m, :-1] < -LP_TOL)
+        if not improving.size:
+            break
+        col = improving[0]
+        rows = np.flatnonzero(T[:m, col] > LP_TOL)
+        if not rows.size:
+            raise ArithmeticError("simplex found an unbounded ray of a capped LP")
+        ratios = T[rows, -1] / T[rows, col]
+        ties = rows[ratios <= ratios.min() + LP_TOL]
+        _pivot(T, basis, ties[np.argmin(basis[ties])], col)
+    else:
+        raise ArithmeticError("simplex did not terminate within the pivot budget")
+
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:m, -1]
+    # The cap row reads t + s = margin_cap: t is the cap when its slack is 0.
+    t = float(margin_cap if x[-1] == 0.0 else x[tp] - x[tp + 1])
+    if t > LP_TOL:
+        return LpResult(True, h0 + Z @ (x[:k] - x[k:tp]), t)
+    return LpResult(False, None, t)
+
+
+def _pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
 def grunbaum_oracle_by_subsets(W, lat) -> bool:
     """The exhaustive face check, one LP per proper vertex subset.
 
     For every proper subset F of the vertex indices, a supporting vector
     h with <h, w_j> = 1 on F and < 1 off F must exist exactly when F is
-    the vertex set of some lattice element.  The LP is the library's
-    ``numkernel.lp_strict_feasibility``, the one ``grunbaum_oracle``
-    runs per coatom; 2^m calls for m vertices.
+    the vertex set of some lattice element.  The LP is the reference
+    simplex ``simplex_strict_feasibility``, not the closed form that
+    ``grunbaum_oracle`` solves per coatom; 2^m calls for m vertices.
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[1]
@@ -257,10 +356,21 @@ def grunbaum_oracle_by_subsets(W, lat) -> bool:
         for subset in itertools.combinations(all_vertices, size):
             eqs = [(W[:, j - 1], 1.0) for j in subset]
             ups = [(W[:, j - 1], 1.0) for j in all_vertices if j not in subset]
-            res = numkernel.lp_strict_feasibility(eqs, ups, dim=W.shape[0])
+            res = simplex_strict_feasibility(eqs, ups, dim=W.shape[0])
             if res.feasible != (frozenset(subset) in face_sets):
                 return False
     return True
+
+
+def exact_edge_margin(W, i, j):
+    """1 - max <h, w_k> over the other columns of a 2-row W, for the h
+    with <h, w_i> = <h, w_j> = 1 (w_i and w_j independent), in rational
+    arithmetic: the optimal margin of an edge's facet LP."""
+    (a, b), (c, d) = ([Fraction(x) for x in W[:, k]] for k in (i, j))
+    det = a * d - b * c
+    h = ((d - b) / det, (a - c) / det)
+    return min(1 - h[0] * Fraction(W[0, k]) - h[1] * Fraction(W[1, k])
+               for k in range(W.shape[1]) if k not in (i, j))
 
 
 def top_star(form_matrix, columns) -> float:

@@ -21,7 +21,6 @@ from polyrealize import (
     gramian_of_cone,
     grunbaum_oracle,
     lattice_rank,
-    lp_strict_feasibility,
     polytope_to_cone_matrix,
     realizability_check,
     realize_cone_from_gramian,
@@ -31,7 +30,7 @@ from polyrealize import (
 from polyrealize.incidence import check_diamond, check_flag_connected_local
 from polyrealize.numkernel import numeric_rank
 
-from oracles import column_cosines, cone_by_hodge_star
+from oracles import column_cosines, cone_by_hodge_star, simplex_strict_feasibility
 
 
 def degenerate_system(family, rng):
@@ -64,7 +63,7 @@ DEGENERATE_FAMILIES = ("homogeneous", "duplicated-equalities", "near-parallel-eq
 
 
 class TestLpAgainstReference:
-    """The simplex against scipy.optimize.linprog on random systems."""
+    """The reference simplex against scipy.optimize.linprog on random systems."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_linprog(self, seed):
@@ -85,7 +84,7 @@ class TestLpAgainstReference:
             self.assert_matches_linprog(*degenerate_system(family, rng))
 
     def assert_matches_linprog(self, dim, eqs, ups):
-        mine = lp_strict_feasibility(eqs, ups, dim=dim, margin_cap=50.0)
+        mine = simplex_strict_feasibility(eqs, ups, dim=dim, margin_cap=50.0)
 
         # reference: maximize t over (h, t) with <a,h> + t <= b and t <= cap
         c = np.zeros(dim + 1)

@@ -10,7 +10,6 @@ from polyrealize import (
     compact_svd,
     factor_against_form,
     hodge_star,
-    lp_strict_feasibility,
     pseudoinverse,
     signature,
     sqrt_psd,
@@ -23,11 +22,16 @@ from polyrealize.errors import (
     SignatureMismatchError,
     ZeroMatrixError,
 )
-from polyrealize import numkernel
-from polyrealize.numkernel import read_matrix_csv, write_matrix_csv
+from polyrealize.numkernel import lp_strict_feasibility, read_matrix_csv, write_matrix_csv
 
 from conftest import PYRAMID_MATRIX, SQUARE_MATRIX
-from oracles import exact_integer_rank, random_form_matrix, top_star
+import oracles
+from oracles import (
+    exact_integer_rank,
+    random_form_matrix,
+    simplex_strict_feasibility,
+    top_star,
+)
 
 
 class TestCompactSvd:
@@ -221,8 +225,10 @@ class TestHodgeStar:
 
 
 class TestLpStrictFeasibility:
+    """The reference simplex that the closed-form facet LP is checked against."""
+
     def test_basic_feasible(self):
-        res = lp_strict_feasibility(
+        res = simplex_strict_feasibility(
             [([1.0, 0.0], 1.0)], [([0.0, 1.0], 1.0), ([-1.0, 0.0], 1.0)]
         )
         assert res.feasible
@@ -233,23 +239,23 @@ class TestLpStrictFeasibility:
         assert h[1] <= 1.0 - res.margin + 1e-9
 
     def test_inconsistent_equalities(self):
-        res = lp_strict_feasibility([([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)], [])
+        res = simplex_strict_feasibility([([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)], [])
         assert not res.feasible
 
     def test_empty_is_feasible_with_cap(self):
-        res = lp_strict_feasibility([], [])
+        res = simplex_strict_feasibility([], [])
         assert res.feasible
         assert res.margin == 1e6
 
     def test_unbounded_capped(self):
         # h can run to -infinity along the single constraint
-        res = lp_strict_feasibility([], [([1.0], 0.0)])
+        res = simplex_strict_feasibility([], [([1.0], 0.0)])
         assert res.feasible
         assert res.margin == pytest.approx(1e6)
 
     def test_strict_needs_margin(self):
         # only h = 0 satisfies both weak inequalities: no strict margin
-        res = lp_strict_feasibility([], [([1.0], 0.0), ([-1.0], 0.0)])
+        res = simplex_strict_feasibility([], [([1.0], 0.0), ([-1.0], 0.0)])
         assert not res.feasible
 
     def test_witness_satisfies_random_systems(self):
@@ -260,7 +266,7 @@ class TestLpStrictFeasibility:
                    for _ in range(rng.integers(0, 2))]
             ups = [(rng.standard_normal(dim), float(rng.standard_normal()))
                    for _ in range(rng.integers(1, 5))]
-            res = lp_strict_feasibility(eqs, ups)
+            res = simplex_strict_feasibility(eqs, ups)
             if res.feasible:
                 for a, b in eqs:
                     assert abs(a @ res.witness - b) < 1e-6
@@ -289,7 +295,7 @@ class TestLpRegressions:
     def test_warm_start_system_is_feasible(self):
         # z = (-1, 0, 0, 0) gives min(B z) = 0.30, so the capped margin is reached
         ups = [(-WARM_START_B[l], 0.0) for l in range(10)]
-        res = lp_strict_feasibility([], ups, dim=4)
+        res = simplex_strict_feasibility([], ups, dim=4)
         assert res.feasible
         assert res.margin == 1e6
         for a, b in ups:
@@ -297,27 +303,59 @@ class TestLpRegressions:
 
     def test_equalities_that_fix_h_take_one_pivot(self, monkeypatch):
         calls = []
-        original = numkernel._pivot
+        original = oracles._pivot
 
         def counted(*args):
             calls.append(args)
             original(*args)
 
-        monkeypatch.setattr(numkernel, "_pivot", counted)
+        monkeypatch.setattr(oracles, "_pivot", counted)
         # w1 and w2 fix h = (1, 1); the least slack is 1 - <h, w4> = 0.5
         W = np.array([[1.0, 0.0, -1.0, 0.2], [0.0, 1.0, -1.0, 0.3]])
-        res = lp_strict_feasibility([(W[:, 0], 1.0), (W[:, 1], 1.0)],
-                                    [(W[:, 2], 1.0), (W[:, 3], 1.0)])
+        res = simplex_strict_feasibility([(W[:, 0], 1.0), (W[:, 1], 1.0)],
+                                         [(W[:, 2], 1.0), (W[:, 3], 1.0)])
         assert res.feasible
         np.testing.assert_allclose(res.witness, [1.0, 1.0])
         assert res.margin == pytest.approx(0.5)
         assert len(calls) == 1
 
     def test_fixed_h_violating_a_row_is_infeasible(self):
-        res = lp_strict_feasibility([([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)],
-                                    [([1.0, 1.0], 1.5)])
+        res = simplex_strict_feasibility([([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)],
+                                         [([1.0, 1.0], 1.5)])
         assert not res.feasible
         assert res.margin == pytest.approx(-0.5)
+
+
+class TestFacetLp:
+    """The closed-form facet LP on systems whose optimum is known."""
+
+    # w1 and w2 fix h = (1, 1): margins 1 - <h, w_j> = 3 and 0.5 off the facet
+    W = np.array([[1.0, 0.0, -1.0, 0.2], [0.0, 1.0, -1.0, 0.3]])
+    FACET = np.array([True, True, False, False])
+
+    def test_facet_that_fixes_h(self):
+        assert lp_strict_feasibility(self.W, self.FACET) == pytest.approx(0.5)
+
+    def test_vertex_beyond_the_hyperplane(self):
+        W = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.5]])
+        assert lp_strict_feasibility(W, [True, True, False]) == pytest.approx(-0.5)
+
+    def test_hyperplane_through_the_origin(self):
+        W = self.W - self.W[:, [0]]
+        assert lp_strict_feasibility(W, self.FACET) == -np.inf
+
+    def test_origin_off_the_affine_hull(self):
+        # the constant term is free: the margin grows without bound
+        W = np.vstack([self.W, np.ones(4)])
+        assert lp_strict_feasibility(W, self.FACET) == np.inf
+        # a vertex on each side of the facet's hyperplane: no strict margin
+        W[:2, 3] = 2.0
+        assert lp_strict_feasibility(W, self.FACET) == 0.0
+
+    def test_two_free_directions_raise(self):
+        # one vertex of a polygon leaves h a pencil of lines through it
+        with pytest.raises(ValueError, match="2 free directions"):
+            lp_strict_feasibility(self.W, [True, False, False, False])
 
 
 class TestMatrixCsv:

@@ -1,5 +1,7 @@
 """Filled matrices, SVD realizations, conversions, verdicts, LP oracle."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from polyrealize.errors import (
 )
 from polyrealize import numkernel
 from polyrealize.complete import CompletionProblem, initialize_factors
-from polyrealize.numkernel import numeric_rank
+from polyrealize.numkernel import LP_TOL, lp_strict_feasibility, numeric_rank
 from polyrealize.realize import (
     REASON_DIAMOND,
     REASON_FLAG_CONNECTIVITY,
@@ -51,7 +53,7 @@ from conftest import (
     sphere_points,
     triangular_prism,
 )
-from oracles import grunbaum_oracle_by_subsets
+from oracles import exact_edge_margin, grunbaum_oracle_by_subsets, simplex_strict_feasibility
 
 
 class TestCheckFilledIncidence:
@@ -344,6 +346,28 @@ class TestGrunbaumOracle:
         assert not grunbaum_oracle(W, lat)
 
 
+@pytest.mark.parametrize("build, d", [(lambda: cube(4), 4), (lambda: cross_polytope(4), 4),
+                                      (lambda: ngon(12), 2)], ids=["cube-4", "cross-4", "gon-12"])
+def test_oracle_solves_one_lp_per_coatom(monkeypatch, build, d):
+    # counted the way the benchmark's numkernel.lp_calls metric counts:
+    # wrapped in every library module that looks the function up
+    calls = []
+    original = numkernel.lp_strict_feasibility
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("polyrealize.") and \
+                getattr(mod, "lp_strict_feasibility", None) is original:
+            monkeypatch.setattr(mod, "lp_strict_feasibility", counted)
+    rel = build()
+    lat = build_maxbiclique_lattice(rel)
+    assert grunbaum_oracle(realizability_check(rel, d).realization.W, lat)
+    assert len(calls) == rel.n_facets == lat.ranks.count(lat.rank - 1)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_oracle_agrees_with_exhaustive_check(name):
     build, d = ORACLE_FAMILIES[name]
@@ -373,6 +397,82 @@ def test_oracle_agrees_on_sphere_hulls(seed, n):
     W = sphere_points(seed, n).T
     for variant, X in oracle_variants(W, np.random.default_rng([seed, n])).items():
         assert_agrees(X, lat, variant)
+
+
+def facet_variants(W, rng) -> dict:
+    """oracle_variants, W embedded in d+2 dimensions with the origin on
+    or off its affine hull, and W scaled by 1e6 and by 1e-6."""
+    out = oracle_variants(W, rng)
+    d = len(W)
+    Q, _ = np.linalg.qr(rng.standard_normal((d + 2, d + 1)))
+    out["embedded-origin-on"] = Q[:, :d] @ W
+    out["embedded-origin-off"] = Q @ np.vstack([W, np.ones(W.shape[1])])
+    out["scaled-1e6"] = 1e6 * W
+    out["scaled-1e-6"] = 1e-6 * W
+    return out
+
+
+def assert_facet_lps_agree(W, lat, label):
+    """The closed-form LP of every coatom against the reference simplex,
+    whose margin is capped at 1e6: the same verdict, the same margin."""
+    ids = np.arange(1, W.shape[1] + 1)
+    for el, r in zip(lat.elements, lat.ranks):
+        if r != lat.rank - 1:
+            continue
+        on = np.isin(ids, el.vertex_set)
+        t = lp_strict_feasibility(W, on)
+        ref = simplex_strict_feasibility([(w, 1.0) for w in W.T[on]],
+                                         [(w, 1.0) for w in W.T[~on]], dim=len(W))
+        where = (label, el.vertex_set, t, ref.margin)
+        assert (t > LP_TOL) == ref.feasible, where
+        if np.isfinite(t) and np.isfinite(ref.margin):
+            assert min(t, 1e6) == pytest.approx(ref.margin, rel=1e-6, abs=LP_TOL), where
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_facet_lp_matches_the_simplex(name):
+    build, d = ORACLE_FAMILIES[name]
+    rel = build()
+    lat = build_maxbiclique_lattice(rel)
+    W = realizability_check(rel, d).realization.W
+    for variant, X in facet_variants(W, np.random.default_rng(sum(map(ord, name)))).items():
+        assert_facet_lps_agree(X, lat, variant)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 7), (1, 8), (2, 9), (0, 10), (3, 30)])
+def test_facet_lp_matches_the_simplex_on_sphere_hulls(seed, n):
+    lat = build_maxbiclique_lattice(sphere_hull(seed, n))
+    W = sphere_points(seed, n).T
+    for variant, X in facet_variants(W, np.random.default_rng([seed, n])).items():
+        assert_facet_lps_agree(X, lat, variant)
+
+
+def test_facet_lp_on_polygons_spanning_sixteen_orders_of_magnitude():
+    # the facet's rank is that of [W; 1][:, on], as in the oracle's rank
+    # test, so the oracle gives a verdict on every such polygon.  Where
+    # [W; 1] has full numeric rank, each edge whose equations are well
+    # conditioned has the exact margin's sign
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 12))
+        angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+        W = np.vstack([np.cos(angles), np.sin(angles)]) * 10 ** rng.uniform(-8, 8, n)
+        lat = build_maxbiclique_lattice(ngon(n))
+        grunbaum_oracle(W, lat)
+        if numeric_rank(np.vstack([W, np.ones(n)])) < 3:
+            continue
+        for i in range(n):
+            j = (i + 1) % n
+            if np.linalg.cond(W[:, [i, j]]) > 1e6:
+                continue
+            exact = exact_edge_margin(W, i, j)
+            if abs(exact) < 1e-6:
+                continue
+            on = np.isin(np.arange(n), [i, j])
+            assert (lp_strict_feasibility(W, on) > 0) == (exact > 0), (W, i, j)
+            checked += 1
+    assert checked > 1000
 
 
 class TestModuliInvariance:
