@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -61,6 +62,11 @@ class IncidenceRelation:
     incident: frozenset
 
     def __post_init__(self):
+        if not (_is_int(self.n_facets) and _is_int(self.n_vertices)):
+            raise RelationFormatError(
+                f"facet and vertex counts must be integers, got "
+                f"{self.n_facets!r} and {self.n_vertices!r}"
+            )
         if self.n_facets < 1 or self.n_vertices < 1:
             raise EmptyRelationError(
                 f"relation needs at least one facet and one vertex, "
@@ -70,7 +76,7 @@ class IncidenceRelation:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise RelationFormatError(f"incidence pair {pair!r} is not a pair")
             i, j = pair
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (_is_int(i) and _is_int(j)):
                 raise RelationFormatError(f"incidence pair {pair!r} is not integer")
             if not (1 <= i <= self.n_facets and 1 <= j <= self.n_vertices):
                 raise RelationFormatError(
@@ -351,9 +357,12 @@ class MaxbicliqueLattice:
         return tuple(counts)
 
     def index_of_vertex_set(self, vertices: Iterable[int]) -> int:
-        bits = _bits_of(vertices)
+        """Position of the element with exactly these vertices; KeyError if none."""
+        vertices = sorted(vertices)
+        m = self.relation.n_vertices
+        bits = _bits_of(vertices) if all(1 <= j <= m for j in vertices) else None
         if bits not in self._index:
-            raise KeyError(f"no lattice element with vertex set {sorted(vertices)}")
+            raise KeyError(f"no lattice element with vertex set {vertices}")
         return self._index[bits]
 
     @cached_property
@@ -414,6 +423,16 @@ def _bits_of(vertices: Iterable[int]) -> int:
     return bits
 
 
+def _set_bits(bits: int) -> tuple:
+    """1-based positions of the set bits, ascending, one step per set bit."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length())
+        bits ^= low
+    return tuple(found)
+
+
 def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     """Enumerate all maxbicliques of the relation, ordered by vertex set.
 
@@ -421,28 +440,39 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     sets ``J = vertices_of(facets_of(J))`` are exactly the intersections
     of rows, the empty intersection being the full vertex set; they are
     collected by cutting every set found so far with each row in turn.
-    The lower covers of b are the maximal sets among its cuts
-    ``b & row != b``: each cut is closed, and every closed set strictly
-    below b lies in one.  The result is always a complete lattice;
-    whether it is graded, diamond, and so on is decided separately.
+    Each set b keeps its facet bitmask F_b, the facets above b, and the
+    facets T_b that touch b.  Every closed set strictly below b lies in
+    a cut ``b & row_i`` by a facet i in T_b but not in F_b, or in the
+    empty set when there is no such facet.  A cut c is a lower cover of
+    b exactly when it is counted once for each facet above c but not
+    above b: each of them cuts b down to c, so no cut strictly contains
+    c.  This is the counting form of Lindig's upper-neighbour test, and
+    it costs each set work in proportion to its own size.  The result is
+    always a complete lattice; whether it is graded, diamond, and so on
+    is decided separately.
     """
-    m = rel.n_vertices
-    rows = [_bits_of(rel.vertices_of_facet(i)) for i in range(1, rel.n_facets + 1)]
-    distinct = set(rows)
-    full = (1 << m) - 1
+    n, m = rel.n_facets, rel.n_vertices
+    rows = [_bits_of(rel.vertices_of_facet(i)) for i in range(1, n + 1)]
+    cols = [_bits_of(rel.facets_of_vertex(j)) for j in range(1, m + 1)]
+    full, every_facet = (1 << m) - 1, (1 << n) - 1
     closed = {full}
-    for r in distinct:
+    for r in set(rows):
         closed |= {c & r for c in closed}
 
-    by_vertex_set = sorted(
-        (tuple(j for j in range(1, m + 1) if c >> (j - 1) & 1), c) for c in closed
-    )
-    elements = tuple(
-        Maxbiclique(tuple(i for i, r in enumerate(rows, start=1) if c & r == c), vs)
-        for vs, c in by_vertex_set
-    )
+    by_vertex_set = sorted((_set_bits(c), c) for c in closed)
     vbits = tuple(c for _, c in by_vertex_set)
     index = {bits: k for k, bits in enumerate(vbits)}
+    above, touching = [], []
+    for vs, _ in by_vertex_set:
+        f, t = every_facet, 0
+        for j in vs:
+            f &= cols[j - 1]
+            t |= cols[j - 1]
+        above.append(f)
+        touching.append(t)
+    elements = tuple(
+        Maxbiclique(_set_bits(f), vs) for f, (vs, _) in zip(above, by_vertex_set)
+    )
     size = len(elements)
 
     order = sorted(range(size), key=lambda k: (len(elements[k].vertex_set), k))
@@ -452,10 +482,16 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     lower = []
     upper = [[] for _ in range(size)]
     for b, bits in enumerate(vbits):
-        cuts = {bits & r for r in distinct} - {bits}
-        below = sorted(
-            index[a] for a in cuts if not any(a != c and a & c == a for c in cuts)
-        )
+        fb = above[b]
+        cutting = touching[b] & ~fb
+        if cutting:
+            counts = Counter(bits & rows[i - 1] for i in _set_bits(cutting))
+            below = sorted(
+                index[c] for c, k in counts.items()
+                if k == (above[index[c]] & ~fb).bit_count()
+            )
+        else:
+            below = [index[0]] if fb != every_facet else []
         lower.append(tuple(below))
         for a in below:
             upper[a].append(b)

@@ -61,16 +61,29 @@ def compact_svd(M, rank_tol: float = DEFAULT_RANK_TOL) -> Svd:
     if not M.any():
         raise ZeroMatrixError("compact SVD of the zero matrix is undefined")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(_rank_of_sigma(s, rank_tol))
     return Svd(U[:, :r].copy(), s[:r].copy(), Vt[:r].T.copy(), r)
+
+
+def _rank_of_sigma(s, rank_tol):
+    """Singular values above rank_tol times the largest, along the last axis."""
+    return np.count_nonzero(s > rank_tol * s[..., :1], axis=-1)
 
 
 def numeric_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     M = as_matrix(M)
     if not M.any():
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(_rank_of_sigma(np.linalg.svd(M, compute_uv=False), rank_tol))
+
+
+def numeric_ranks(stack, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """``numeric_rank`` of every matrix in a (k, p, q) stack, from one stacked SVD.
+
+    A zero matrix has no singular value above the cutoff, so its rank
+    is 0 here too.
+    """
+    return _rank_of_sigma(np.linalg.svd(stack, compute_uv=False), rank_tol)
 
 
 def pseudoinverse(M, rcond: float = 1e-12) -> np.ndarray:

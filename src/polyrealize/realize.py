@@ -52,6 +52,7 @@ from .numkernel import (
     dehomogenize,
     lp_strict_feasibility,
     numeric_rank,
+    numeric_ranks,
 )
 
 KIND_POLYTOPE = "polytope"
@@ -245,11 +246,12 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
     """Check that the columns of W are the vertices of a polytope with lattice lat.
 
     True exactly when lat is graded and diamond, every element of rank
-    r has vertices whose lifted matrix [W_x; 1] has numeric rank r, and
-    every coatom has a supporting vector h with <h, w_j> = 1 on its
-    vertices and < 1 on every other vertex: the facet LP
-    ``lp_strict_feasibility``, solved in closed form once per coatom,
-    must have an optimal margin above LP_TOL.  This decides every vertex
+    r has vertices whose lifted matrix [W_x; 1] has numeric rank r (one
+    stacked rank count per vertex-set size), and every coatom has a
+    supporting vector h with <h, w_j> = 1 on its vertices and < 1 on
+    every other vertex: the facet LP ``lp_strict_feasibility``, solved
+    in closed form once per coatom, must have an optimal margin above
+    LP_TOL.  This decides every vertex
     subset: by induction up the ranks, each element is a face of conv(W)
     with exactly its vertex set, the covers of an element x are facets
     of conv(W_x), the diamond property closes them under ridge
@@ -263,9 +265,14 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
     if not lat.is_graded or lat.rank2_failure == REASON_DIAMOND:
         return False
     lifted = np.vstack([W, np.ones(m)])
-    for el, r in zip(lat.elements, lat.ranks):
-        cols = [j - 1 for j in el.vertex_set]
-        if (numeric_rank(lifted[:, cols]) if cols else 0) != r:
+    ranks = np.array(lat.ranks)
+    by_size = {}
+    for k, el in enumerate(lat.elements):
+        if el.vertex_set:  # the bottom alone may be empty, and it has rank 0
+            by_size.setdefault(len(el.vertex_set), []).append(k)
+    for group in by_size.values():
+        cols = np.array([lat.elements[k].vertex_set for k in group]) - 1
+        if np.any(numeric_ranks(lifted[:, cols].transpose(1, 0, 2)) != ranks[group]):
             return False
     ids = np.arange(1, m + 1)
     return all(

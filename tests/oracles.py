@@ -10,7 +10,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyrealize import Flag, SuperCycle, build_maxbiclique_lattice, enumerate_flags, numkernel
+from polyrealize import (
+    Flag,
+    Maxbiclique,
+    MaxbicliqueLattice,
+    SuperCycle,
+    build_maxbiclique_lattice,
+    enumerate_flags,
+    numkernel,
+)
 from polyrealize.errors import (
     DimensionMismatchError,
     NoCycleError,
@@ -79,6 +87,64 @@ def covers_by_definition(rel) -> dict:
         "bottom": key(bottom),
         "top": tuple(range(1, rel.n_vertices + 1)),
     }
+
+
+def lattice_by_maximal_cuts(rel):
+    """The maxbiclique lattice with each element's lower covers as its maximal cuts.
+
+    Closed sets are the intersections of the facet-row bitmasks.  The
+    lower covers of b are the sets maximal among its cuts
+    ``b & row != b``, found by comparing every pair of cuts, and each
+    element's facet set comes from a scan over all rows.  Returns a
+    ``MaxbicliqueLattice`` with every field built this way.
+    """
+    m = rel.n_vertices
+    rows = [sum(1 << (j - 1) for j in rel.vertices_of_facet(i))
+            for i in range(1, rel.n_facets + 1)]
+    distinct = set(rows)
+    full = (1 << m) - 1
+    closed = {full}
+    for r in distinct:
+        closed |= {c & r for c in closed}
+
+    by_vertex_set = sorted(
+        (tuple(j for j in range(1, m + 1) if c >> (j - 1) & 1), c) for c in closed
+    )
+    elements = tuple(
+        Maxbiclique(tuple(i for i, r in enumerate(rows, start=1) if c & r == c), vs)
+        for vs, c in by_vertex_set
+    )
+    vbits = tuple(c for _, c in by_vertex_set)
+    index = {bits: k for k, bits in enumerate(vbits)}
+    size = len(elements)
+
+    order = sorted(range(size), key=lambda k: (len(elements[k].vertex_set), k))
+    lower = []
+    upper = [[] for _ in range(size)]
+    for b, bits in enumerate(vbits):
+        cuts = {bits & r for r in distinct} - {bits}
+        below = sorted(
+            index[a] for a in cuts if not any(a != c and a & c == a for c in cuts)
+        )
+        lower.append(tuple(below))
+        for a in below:
+            upper[a].append(b)
+
+    ranks = [0] * size
+    for k in order[1:]:
+        ranks[k] = 1 + max(ranks[a] for a in lower[k])
+    graded = all(ranks[b] == ranks[a] + 1 for b in range(size) for a in lower[b])
+    return MaxbicliqueLattice(
+        relation=rel,
+        elements=elements,
+        upper_covers=tuple(tuple(u) for u in upper),
+        lower_covers=tuple(lower),
+        ranks=tuple(ranks) if graded else None,
+        bottom=order[0],
+        top=index[full],
+        _vbits=vbits,
+        _index=index,
+    )
 
 
 def flag_graph_connected_explicit(flags) -> bool:

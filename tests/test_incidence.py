@@ -3,6 +3,8 @@
 import json
 import os
 import sys
+from dataclasses import fields
+from math import comb
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from polyrealize.incidence import (
     dump_relation,
     load_relation,
     relation_from_json_dict,
+    relation_to_json_dict,
 )
 
 from conftest import (
@@ -56,6 +59,7 @@ from oracles import (
     diamond_by_leq_scan,
     flag_classes_by_bfs,
     flag_graph_connected_explicit,
+    lattice_by_maximal_cuts,
     super_cycles_by_walk,
 )
 
@@ -141,6 +145,22 @@ class TestRelation:
         with pytest.raises(RelationFormatError):
             relation_from_json_dict(payload)
 
+    @pytest.mark.parametrize("n, m, incident", [
+        (2, 2, frozenset({(True, 1), (1, 2), (2, 2)})),
+        (2, 2, frozenset({(1, 1), (2, False)})),
+        (True, 2, frozenset({(1, 1)})),
+        (2, 2.0, frozenset({(1, 1)})),
+    ])
+    def test_constructor_rejects_what_the_loader_rejects(self, n, m, incident):
+        with pytest.raises(RelationFormatError):
+            IncidenceRelation(n, m, incident)
+
+    def test_from_pairs_round_trips_through_json(self):
+        rel = IncidenceRelation.from_pairs(2, 2, [(True, 1), (1, 2), (2, 2)])
+        payload = json.loads(json.dumps(relation_to_json_dict(rel)))
+        assert payload["incident"] == [[1, 1], [1, 2], [2, 2]]
+        assert relation_from_json_dict(payload) == rel
+
 
 class TestLatticeConstruction:
     def test_square_lattice(self, square):
@@ -218,6 +238,88 @@ class TestLatticeConstruction:
         relat = build_maxbiclique_lattice(regen)
         assert len(relat) == len(lat)
         assert relat.rank_profile() == lat.rank_profile()
+
+
+def assert_same_as_maximal_cuts(rel):
+    lat, ref = build_maxbiclique_lattice(rel), lattice_by_maximal_cuts(rel)
+    for f in fields(lat):
+        got, want = getattr(lat, f.name), getattr(ref, f.name)
+        if isinstance(got, dict):  # the same keys in the same order
+            got, want = list(got.items()), list(want.items())
+        assert got == want, f.name
+
+
+class TestCountingCovers:
+    """The counting cover rule against the maximal cuts, field by field."""
+
+    @pytest.mark.parametrize("rel", [*FAMILIES, hemi_dodecahedron(), torus7(), ngon(64),
+                                     cube(5), cube(6), cross_polytope(5)])
+    def test_families(self, rel):
+        assert_same_as_maximal_cuts(rel)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sphere_hulls(self, seed):
+        for n in range(20, 61, 10):
+            assert_same_as_maximal_cuts(sphere_hull(seed, n))
+
+    def test_random_relations(self):
+        rng = np.random.default_rng(19)
+        relations = [random_relation(rng, max_side=10) for _ in range(600)]
+        for rel in relations:
+            assert_same_as_maximal_cuts(rel)
+        lattices = [build_maxbiclique_lattice(rel) for rel in relations]
+        assert sum(rel.degeneracy_reason() is not None for rel in relations) > 100
+        assert sum(not lat.is_graded for lat in lattices) > 100
+        assert max(len(lat) for lat in lattices) > 100
+
+    def test_index_of_vertex_set_outside_the_vertices(self, octant):
+        lat = build_maxbiclique_lattice(octant)
+        assert lat.index_of_vertex_set([1, 2]) == lat.index_of_vertex_set((2, 1))
+        for vertices in ([0], [4], [-1], [1, 4], [2, 1, 0]):
+            with pytest.raises(KeyError, match=r"no lattice element with vertex set \["):
+                lat.index_of_vertex_set(vertices)
+        with pytest.raises(KeyError, match=r"vertex set \[0, 1\]"):
+            lat.index_of_vertex_set(iter([1, 0]))
+
+
+def lower_cover_counts(lat) -> dict:
+    """{(vertex count, lower cover count): elements}."""
+    counts = {}
+    for el, below in zip(lat.elements, lat.lower_covers):
+        key = (len(el.vertex_set), len(below))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestClosedFormCounts:
+    """Lattices too large for the definitions, against their face counts."""
+
+    def test_gon_512(self):
+        n = 512
+        lat = build_maxbiclique_lattice(ngon(n))
+        assert len(lat) == 2 * n + 2
+        assert lat.rank_profile() == (1, n, n, 1)
+        assert lower_cover_counts(lat) == {(0, 0): 1, (1, 1): n, (2, 2): n, (n, n): 1}
+
+    def test_cube_8(self):
+        d = 8
+        lat = build_maxbiclique_lattice(cube(d))
+        assert len(lat) == 3**d + 1 == 6562
+        faces = [comb(d, k) * 2 ** (d - k) for k in range(d + 1)]  # k-faces, k = 0..d
+        assert lat.rank_profile() == (1, *faces)
+        # a k-face has 2k facets for k >= 1, and a vertex covers the bottom
+        expected = {(2**k, max(2 * k, 1)): faces[k] for k in range(d + 1)}
+        assert lower_cover_counts(lat) == {(0, 0): 1, **expected}
+
+    def test_cross_7(self):
+        d = 7
+        lat = build_maxbiclique_lattice(cross_polytope(d))
+        assert len(lat) == 3**d + 1 == 2188
+        faces = [comb(d, k) * 2**k for k in range(1, d + 1)]  # simplices on k vertices
+        assert lat.rank_profile() == (1, *faces, 1)
+        # a simplex on k >= 2 vertices has k facets; the top has 2^d
+        expected = {(k, k): faces[k - 1] for k in range(1, d + 1)}
+        assert lower_cover_counts(lat) == {(0, 0): 1, **expected, (2 * d, 2**d): 1}
 
 
 class TestRankAndDiamond:

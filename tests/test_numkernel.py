@@ -22,7 +22,13 @@ from polyrealize.errors import (
     SignatureMismatchError,
     ZeroMatrixError,
 )
-from polyrealize.numkernel import lp_strict_feasibility, read_matrix_csv, write_matrix_csv
+from polyrealize.numkernel import (
+    lp_strict_feasibility,
+    numeric_rank,
+    numeric_ranks,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 
 from conftest import PYRAMID_MATRIX, SQUARE_MATRIX
 import oracles
@@ -32,6 +38,24 @@ from oracles import (
     simplex_strict_feasibility,
     top_star,
 )
+
+
+class TestNumericRanks:
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(3)
+        for shape in [(4, 3), (3, 7), (5, 1)]:
+            stack = np.stack([
+                rng.standard_normal((shape[0], r)) @ rng.standard_normal((r, shape[1]))
+                for r in range(1, min(shape) + 1) for _ in range(3)
+            ] + [np.zeros(shape)])
+            ranks = numeric_ranks(stack)
+            assert ranks.tolist() == [numeric_rank(M) for M in stack]
+            assert ranks[-1] == 0
+
+    def test_the_cutoff_is_relative_to_the_largest(self):
+        stack = np.array([np.diag([1.0, 1e-8]), np.diag([1.0, 1e-10]), np.diag([1e-20, 0])])
+        assert numeric_ranks(stack).tolist() == [2, 1, 1]
+        assert numeric_ranks(stack, rank_tol=1e-7).tolist() == [1, 1, 1]
 
 
 class TestCompactSvd:

@@ -27,6 +27,7 @@ from polyrealize.errors import (
     RankMismatchError,
 )
 from polyrealize import numkernel
+from polyrealize import realize as realize_module
 from polyrealize.complete import CompletionProblem, initialize_factors
 from polyrealize.numkernel import LP_TOL, lp_strict_feasibility, numeric_rank
 from polyrealize.realize import (
@@ -445,6 +446,47 @@ def test_facet_lp_matches_the_simplex_on_sphere_hulls(seed, n):
     W = sphere_points(seed, n).T
     for variant, X in facet_variants(W, np.random.default_rng([seed, n])).items():
         assert_facet_lps_agree(X, lat, variant)
+
+
+def assert_stacked_ranks_match(monkeypatch, W, lat, rng):
+    """Each rank the oracle reads from a stack is numeric_rank of that
+    matrix, and with the rank test passing the stacks hold exactly the
+    lifted matrices [W_x; 1] of the nonempty elements."""
+    calls = []
+
+    def recorded(stack, *args):
+        ranks = numkernel.numeric_ranks(stack, *args)
+        calls.append((stack, ranks))
+        return ranks
+
+    monkeypatch.setattr(realize_module, "numeric_ranks", recorded)
+    for variant, X in facet_variants(W, rng).items():
+        calls.clear()
+        grunbaum_oracle(X, lat)
+        for stack, ranks in calls:
+            assert ranks.tolist() == [numeric_rank(M) for M in stack], variant
+        if variant == "as-is":
+            lifted = np.vstack([X, np.ones(X.shape[1])])
+            got = sorted(M.tobytes() for stack, _ in calls for M in stack)
+            want = sorted(np.ascontiguousarray(lifted[:, [j - 1 for j in el.vertex_set]])
+                          .tobytes() for el in lat.elements if el.vertex_set)
+            assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_oracle_stacked_ranks_match_numeric_rank(monkeypatch, name):
+    build, d = ORACLE_FAMILIES[name]
+    rel = build()
+    lat = build_maxbiclique_lattice(rel)
+    W = realizability_check(rel, d).realization.W
+    assert_stacked_ranks_match(monkeypatch, W, lat, np.random.default_rng(sum(map(ord, name))))
+
+
+@pytest.mark.parametrize("seed, n", [(0, 7), (1, 8), (2, 9), (0, 10), (3, 30)])
+def test_oracle_stacked_ranks_match_numeric_rank_on_sphere_hulls(monkeypatch, seed, n):
+    lat = build_maxbiclique_lattice(sphere_hull(seed, n))
+    assert_stacked_ranks_match(monkeypatch, sphere_points(seed, n).T, lat,
+                               np.random.default_rng([seed, n]))
 
 
 def test_facet_lp_on_polygons_spanning_sixteen_orders_of_magnitude():
