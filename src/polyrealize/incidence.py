@@ -19,6 +19,7 @@ vertex set so that all derived enumerations are deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -86,7 +87,17 @@ class IncidenceRelation:
 
     @classmethod
     def from_pairs(cls, n_facets: int, n_vertices: int, pairs: Iterable) -> "IncidenceRelation":
-        return cls(n_facets, n_vertices, frozenset((int(i), int(j)) for i, j in pairs))
+        """The relation of the given (facet, vertex) pairs; numpy integers become ints.
+
+        Raises RelationFormatError for any other non-integer index, bool included.
+        """
+        def index(pair):
+            pair = tuple(pair)
+            if len(pair) != 2 or not all(_is_int(x) or isinstance(x, np.integer) for x in pair):
+                raise RelationFormatError(f"incidence pair {pair!r} is not a pair of integers")
+            return int(pair[0]), int(pair[1])
+
+        return cls(n_facets, n_vertices, frozenset(map(index, pairs)))
 
     @cached_property
     def _facet_rows(self) -> tuple:
@@ -366,14 +377,19 @@ class MaxbicliqueLattice:
         return self._index[bits]
 
     @cached_property
-    def rank2_failure(self):
-        """``_rank2_failure``, walked once per lattice: every check reads this.
+    def _rank2(self) -> tuple:
+        """``_rank2_walk`` of the cover lists, walked once per lattice.
 
         Raises NotGradedError for a lattice that is not graded.
         """
         if self.ranks is None:
             raise NotGradedError("diamond and flag conditions need a graded lattice")
-        return _rank2_failure(self)
+        return _rank2_walk(self.lower_covers)
+
+    @property
+    def rank2_failure(self):
+        """REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None: every check reads this."""
+        return self._rank2[0]
 
     @cached_property
     def cover_signs(self):
@@ -386,10 +402,12 @@ class MaxbicliqueLattice:
         2-coloring exists.  The lexicographically first flag gets product
         +1.  Raises NotDiamondError when the walk fails.
         """
-        reason = self.rank2_failure
+        reason, groups = self._rank2
         if reason is not None:
             raise NotDiamondError(f"flag classes need the rank-2 walk to pass: {reason}")
         lower, signs = self.lower_covers, {}
+        ends = np.searchsorted(groups[0], np.arange(len(self) + 1)).tolist()
+        _, a_of, c_of, c2_of = (g.tolist() for g in groups)
         for b in sorted(range(len(self)), key=self.ranks.__getitem__):
             parent = {c: (c, 1) for c in lower[b]}  # c: (parent, s(c,b) s(parent,b))
 
@@ -400,7 +418,8 @@ class MaxbicliqueLattice:
                     sign *= step
                 return x, sign
 
-            for a, (c, c2) in _rank2_groups(lower, b).items():
+            for k in range(ends[b], ends[b + 1]):
+                a, c, c2 = a_of[k], c_of[k], c2_of[k]
                 (r, s), (r2, s2) = root(c), root(c2)
                 want = -signs[a, c] * signs[a, c2]  # s(c,b) s(c2,b)
                 if r != r2:
@@ -447,56 +466,61 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     b exactly when it is counted once for each facet above c but not
     above b: each of them cuts b down to c, so no cut strictly contains
     c.  This is the counting form of Lindig's upper-neighbour test, and
-    it costs each set work in proportion to its own size.  The result is
-    always a complete lattice; whether it is graded, diamond, and so on
-    is decided separately.
+    it costs each set work in proportion to its own size.
+
+    The relation and its transpose have one lattice, with the order
+    reversed, so the same steps run on whichever side has fewer members:
+    with more facets than vertices, facet sets are cut by vertex columns,
+    which yields each element's upper covers, and the lower covers are
+    their inverse.  The result is always a complete lattice; whether it
+    is graded, diamond, and so on is decided separately.
     """
     n, m = rel.n_facets, rel.n_vertices
     rows = [_bits_of(rel.vertices_of_facet(i)) for i in range(1, n + 1)]
     cols = [_bits_of(rel.facets_of_vertex(j)) for j in range(1, m + 1)]
-    full, every_facet = (1 << m) - 1, (1 << n) - 1
-    closed = {full}
-    for r in set(rows):
+    by_facets = n > m
+    cutters, members = (cols, rows) if by_facets else (rows, cols)
+    every = (1 << len(cutters)) - 1
+    closed = {(1 << len(members)) - 1}
+    for r in set(cutters):
         closed |= {c & r for c in closed}
 
-    by_vertex_set = sorted((_set_bits(c), c) for c in closed)
-    vbits = tuple(c for _, c in by_vertex_set)
+    entries = []  # (vertex set, closed set, the cutters above it, those touching it)
+    for c in closed:
+        above, touching, own = every, 0, _set_bits(c)
+        for j in own:
+            above &= members[j - 1]
+            touching |= members[j - 1]
+        entries.append((_set_bits(above) if by_facets else own, c, above, touching))
+    entries.sort()
+    vertex_sets, sets, dual, touching = zip(*entries)
+    vbits, fbits = (dual, sets) if by_facets else (sets, dual)
     index = {bits: k for k, bits in enumerate(vbits)}
-    above, touching = [], []
-    for vs, _ in by_vertex_set:
-        f, t = every_facet, 0
-        for j in vs:
-            f &= cols[j - 1]
-            t |= cols[j - 1]
-        above.append(f)
-        touching.append(t)
-    elements = tuple(
-        Maxbiclique(_set_bits(f), vs) for f, (vs, _) in zip(above, by_vertex_set)
-    )
+    elements = tuple(Maxbiclique(_set_bits(f), vs) for f, vs in zip(fbits, vertex_sets))
     size = len(elements)
 
-    order = sorted(range(size), key=lambda k: (len(elements[k].vertex_set), k))
+    order = sorted(range(size), key=lambda k: (len(vertex_sets[k]), k))
     bottom = order[0]
-    top = index[full]
+    top = index[(1 << m) - 1]
 
-    lower = []
-    upper = [[] for _ in range(size)]
-    for b, bits in enumerate(vbits):
-        fb = above[b]
-        cutting = touching[b] & ~fb
+    element_of = dict(zip(sets, range(size)))
+    covers = []
+    inverse = [[] for _ in range(size)]
+    for b, bits in enumerate(sets):
+        cutting = touching[b] & ~dual[b]
         if cutting:
-            counts = Counter(bits & rows[i - 1] for i in _set_bits(cutting))
+            counts = Counter(bits & cutters[i - 1] for i in _set_bits(cutting))
             below = sorted(
-                index[c] for c, k in counts.items()
-                if k == (above[index[c]] & ~fb).bit_count()
+                element_of[c] for c, k in counts.items()
+                if k == (dual[element_of[c]] & ~dual[b]).bit_count()
             )
         else:
-            below = [index[0]] if fb != every_facet else []
-        lower.append(tuple(below))
+            below = [element_of[0]] if dual[b] != every else []
+        covers.append(tuple(below))
         for a in below:
-            upper[a].append(b)
-    lower_covers = tuple(lower)
-    upper_covers = tuple(tuple(u) for u in upper)
+            inverse[a].append(b)
+    covers, inverse = tuple(covers), tuple(tuple(u) for u in inverse)
+    lower_covers, upper_covers = (inverse, covers) if by_facets else (covers, inverse)
 
     ranks = [0] * size
     for k in order:
@@ -531,46 +555,60 @@ def _sign_product(signs, chain) -> int:
     return math.prod(signs[cover] for cover in zip(chain, chain[1:]))
 
 
-def _rank2_groups(lower, b) -> dict:
-    """{a: the covers c of b above a} over the lower covers a of b's lower covers."""
-    groups = {}
-    for c in lower[b]:
-        for a in lower[c]:
-            groups.setdefault(a, []).append(c)
-    return groups
+def _rank2_walk(lower) -> tuple:
+    """(reason, groups) of a graded lattice's cover lists.
 
+    The reason is REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None.
 
-def _rank2_failure(lat: MaxbicliqueLattice):
-    """REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None for a graded lattice.
+    One pass of array operations over the cover lists, flattened into
+    edges (b, c), one per cover.  Every triple (b, c, a) with a a lower
+    cover of c is keyed by (b, a); such triples exist only for b of rank
+    at least 2.  The interval [a, b] is a diamond iff its key occurs
+    exactly twice.  The two covers c, c' of b above a are then an edge of
+    b's local flag graph, whose nodes are b's lower covers (two of them
+    meet two ranks below b iff they share a lower cover).  Min-label hooking
+    with pointer jumping labels the components of every local graph at
+    once, with the covers as nodes, so each local graph is connected iff
+    there is one component per element other than the bottom.  A diamond
+    failure anywhere outranks a disconnected local graph.
 
-    One walk over the cover lists.  For each element b of rank k >= 2,
-    the lower covers a of b's lower covers are grouped by the covers of
-    b above them: the interval [a, b] is a diamond iff a's group has
-    exactly two members.  Those pairs are the edges of b's local flag
-    graph, whose nodes are b's lower covers (two of them meet in rank
-    k-2 iff they share a lower cover).  A diamond failure anywhere
-    outranks a disconnected local graph.
+    ``groups`` holds the arrays (b, a, c, c'), one entry per interval
+    [a, b], grouped by b and, within b, in the order in which a is first
+    reached; it is None on a diamond failure.
     """
-    lower = lat.lower_covers
-    connected = True
-    for b in range(len(lat)):
-        if lat.ranks[b] < 2:
-            continue
-        groups = _rank2_groups(lower, b)
-        if any(len(g) != 2 for g in groups.values()):
-            return REASON_DIAMOND
-        if connected:
-            component = {x: x for x in lower[b]}
-
-            def root(x):
-                while component[x] != x:
-                    x = component[x]
-                return x
-
-            for x, y in groups.values():
-                component[root(x)] = root(y)
-            connected = len({root(x) for x in lower[b]}) == 1
-    return None if connected else REASON_FLAG_CONNECTIVITY
+    size = len(lower)
+    degree = np.fromiter(map(len, lower), dtype=np.intp, count=size)
+    start = np.cumsum(degree) - degree
+    # the covers (b, c), b ascending and each cover list in order
+    b_of = np.repeat(np.arange(size), degree)
+    c_of = np.fromiter(itertools.chain.from_iterable(lower), dtype=np.intp,
+                       count=int(degree.sum()))
+    # the triples (b, c, a): cover (b, c) once for each cover (c, a), in cover order
+    fan = degree[c_of]
+    cover = np.repeat(np.arange(c_of.size), fan)
+    offset = np.cumsum(fan) - fan
+    a = c_of[np.arange(cover.size) + np.repeat(start[c_of] - offset, fan)]
+    key = b_of[cover] * size + a
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    if key.size % 2 or (key[0::2] != key[1::2]).any() or (key[1:-1:2] == key[2::2]).any():
+        return REASON_DIAMOND, None
+    # each interval's two triples, the intervals in the order their first triple comes
+    first = np.argsort(order[0::2])
+    one, two = order[0::2][first], order[1::2][first]
+    c1, c2 = cover[one], cover[two]
+    label = np.arange(c_of.size)
+    while True:
+        l1, l2 = label[c1], label[c2]
+        if (l1 == l2).all():
+            break
+        # hook the larger root of every split pair below the least root it meets
+        np.minimum.at(label, np.maximum(l1, l2), np.minimum(l1, l2))
+        while not ((jumped := label[label]) == label).all():
+            label = jumped
+    roots = np.count_nonzero(label == np.arange(c_of.size))
+    reason = None if roots == size - 1 else REASON_FLAG_CONNECTIVITY
+    return reason, (b_of[c1], a[one], c_of[c1], c_of[c2])
 
 
 def check_diamond(lat: MaxbicliqueLattice) -> bool:

@@ -101,6 +101,13 @@ def disjoint_squares() -> IncidenceRelation:
     return IncidenceRelation.from_pairs(8, 8, pairs)
 
 
+def disjoint_union(first: IncidenceRelation, second: IncidenceRelation) -> IncidenceRelation:
+    """Block-diagonal relation: the second's facets and vertices follow the first's."""
+    n, m = first.n_facets, first.n_vertices
+    pairs = [*first.incident, *((i + n, j + m) for i, j in second.incident)]
+    return IncidenceRelation.from_pairs(n + second.n_facets, m + second.n_vertices, pairs)
+
+
 def pyramid_relation() -> IncidenceRelation:
     return IncidenceRelation.from_pairs(5, 5, PYRAMID_PAIRS)
 

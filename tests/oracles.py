@@ -5,6 +5,7 @@ the library's own algorithms, so the two paths stay independent.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from polyrealize.errors import (
     NotBipartiteError,
     NotGradedError,
 )
+from polyrealize.incidence import REASON_DIAMOND, REASON_FLAG_CONNECTIVITY
 from polyrealize.numkernel import LP_TOL
 
 
@@ -239,6 +241,80 @@ def diamond_by_leq_scan(lat) -> bool:
             if middles != 2:
                 return False
     return True
+
+
+def _rank2_groups(lower, b) -> dict:
+    """{a: the covers c of b above a} over the lower covers a of b's lower covers."""
+    groups = {}
+    for c in lower[b]:
+        for a in lower[c]:
+            groups.setdefault(a, []).append(c)
+    return groups
+
+
+def rank2_failure_by_groups(lat):
+    """REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None, element by element.
+
+    For each element b of rank k >= 2, the lower covers a of b's lower
+    covers are grouped by the covers of b above them: the interval [a, b]
+    is a diamond iff a's group has exactly two members.  Those pairs are
+    the edges of b's local flag graph, whose nodes are b's lower covers,
+    joined by a union-find.  A diamond failure anywhere outranks a
+    disconnected local graph.
+    """
+    lower = lat.lower_covers
+    connected = True
+    for b in range(len(lat)):
+        if lat.ranks[b] < 2:
+            continue
+        groups = _rank2_groups(lower, b)
+        if any(len(g) != 2 for g in groups.values()):
+            return REASON_DIAMOND
+        if connected:
+            component = {x: x for x in lower[b]}
+
+            def root(x):
+                while component[x] != x:
+                    x = component[x]
+                return x
+
+            for x, y in groups.values():
+                component[root(x)] = root(y)
+            connected = len({root(x) for x in lower[b]}) == 1
+    return None if connected else REASON_FLAG_CONNECTIVITY
+
+
+def cover_signs_by_groups(lat):
+    """``lat.cover_signs`` with each element's intervals regrouped from its covers.
+
+    The same parity union-find, in rank order, over ``_rank2_groups``;
+    expects a lattice that passes the rank-2 walk.
+    """
+    lower, signs = lat.lower_covers, {}
+    for b in sorted(range(len(lat)), key=lat.ranks.__getitem__):
+        parent = {c: (c, 1) for c in lower[b]}
+
+        def root(x):
+            sign = 1
+            while parent[x][0] != x:
+                x, step = parent[x]
+                sign *= step
+            return x, sign
+
+        for a, (c, c2) in _rank2_groups(lower, b).items():
+            (r, s), (r2, s2) = root(c), root(c2)
+            want = -signs[a, c] * signs[a, c2]
+            if r != r2:
+                parent[r] = (r2, s * s2 * want)
+            elif s * s2 != want:
+                return None
+        signs.update(((c, b), root(c)[1]) for c in lower[b])
+    first = [lat.bottom]
+    while first[-1] != lat.top:
+        first.append(lat.upper_covers[first[-1]][0])
+    if math.prod(signs[cover] for cover in zip(first, first[1:])) < 0:
+        signs.update(((c, lat.top), -signs[c, lat.top]) for c in lower[lat.top])
+    return signs
 
 
 def exact_integer_rank(M) -> int:

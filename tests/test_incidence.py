@@ -42,6 +42,7 @@ from conftest import (
     cross_polytope,
     cube,
     disjoint_squares,
+    disjoint_union,
     hemi_dodecahedron,
     ngon,
     octant_relation,
@@ -55,11 +56,13 @@ from conftest import (
 )
 from oracles import (
     brute_force_maxbicliques,
+    cover_signs_by_groups,
     covers_by_definition,
     diamond_by_leq_scan,
     flag_classes_by_bfs,
     flag_graph_connected_explicit,
     lattice_by_maximal_cuts,
+    rank2_failure_by_groups,
     super_cycles_by_walk,
 )
 
@@ -156,10 +159,28 @@ class TestRelation:
             IncidenceRelation(n, m, incident)
 
     def test_from_pairs_round_trips_through_json(self):
-        rel = IncidenceRelation.from_pairs(2, 2, [(True, 1), (1, 2), (2, 2)])
+        rel = IncidenceRelation.from_pairs(2, 2, [(np.int64(1), 1), (1, np.int32(2)), (2, 2)])
         payload = json.loads(json.dumps(relation_to_json_dict(rel)))
         assert payload["incident"] == [[1, 1], [1, 2], [2, 2]]
         assert relation_from_json_dict(payload) == rel
+
+    def test_from_pairs_takes_numpy_integer_rows(self):
+        rel = IncidenceRelation.from_pairs(2, 2, np.argwhere(np.eye(2, dtype=bool)) + 1)
+        assert rel.incident == {(1, 1), (2, 2)}
+        assert all(type(x) is int for pair in rel.incident for x in pair)
+
+    @pytest.mark.parametrize("pairs", [
+        [(1.7, 1), (2, 2.9)],
+        [(1.0, 1)],
+        [(True, 1), (1, 2)],
+        [(1, 1), (2, False)],
+        [(1, np.True_)],
+        [("1", 1)],
+        [(1, 1, 1)],
+    ], ids=["fractions", "whole-float", "true", "false", "numpy-bool", "string", "triple"])
+    def test_from_pairs_rejects_what_the_loader_rejects(self, pairs):
+        with pytest.raises(RelationFormatError, match="is not a pair of integers"):
+            IncidenceRelation.from_pairs(2, 2, pairs)
 
 
 class TestLatticeConstruction:
@@ -272,6 +293,25 @@ class TestCountingCovers:
         assert sum(not lat.is_graded for lat in lattices) > 100
         assert max(len(lat) for lat in lattices) > 100
 
+    @pytest.mark.parametrize("shape", [(4, 9), (6, 10), (7, 7), (9, 9), (9, 4), (10, 6)],
+                             ids="{0[0]}x{0[1]}".format)
+    def test_either_side_cuts(self, shape):
+        """Facet rows cut vertex sets when n <= m, vertex columns cut facet
+        sets when n > m; each relation and its transpose take opposite sides
+        unless n = m."""
+        rng = np.random.default_rng(shape)
+        n, m = shape
+        for _ in range(100):
+            pairs = np.argwhere(rng.random(shape) < rng.uniform(0.2, 0.8)) + 1
+            rel = IncidenceRelation.from_pairs(n, m, pairs)
+            assert_same_as_maximal_cuts(rel)
+            assert_same_as_maximal_cuts(rel.transpose())
+
+    @pytest.mark.parametrize("rel", [cube(5), cross_polytope(5), triangular_prism(), torus7(),
+                                     hemi_dodecahedron(), ngon(64)])
+    def test_families_transposed(self, rel):
+        assert_same_as_maximal_cuts(rel.transpose())
+
     def test_index_of_vertex_set_outside_the_vertices(self, octant):
         lat = build_maxbiclique_lattice(octant)
         assert lat.index_of_vertex_set([1, 2]) == lat.index_of_vertex_set((2, 1))
@@ -366,13 +406,17 @@ def test_one_rank2_walk_per_lattice(monkeypatch, pyramid):
     from conftest import PYRAMID_VERTICES
 
     walked = []
-    walk = incidence._rank2_failure
-    monkeypatch.setattr(incidence, "_rank2_failure", lambda lat: walked.append(lat) or walk(lat))
+    walk = incidence._rank2_walk
+    monkeypatch.setattr(incidence, "_rank2_walk",
+                        lambda lower: walked.append(lower) or walk(lower))
     lat, _, reason = lattice_gate(pyramid)
     assert reason is None
     assert check_diamond(lat) and check_flag_connected_local(lat)
     assert grunbaum_oracle(PYRAMID_VERTICES, lat)
-    assert walked == [lat]
+    assert len(walked) == 1 and walked[0] is lat.lower_covers
+    assert lat.cover_signs is not None
+    assert flag_graph_bipartition(lat) and enumerate_super_cycles_per_vertex(lat)
+    assert len(walked) == 1
     assert check_diamond(build_maxbiclique_lattice(pyramid))
     assert len(walked) == 2
 
@@ -437,6 +481,71 @@ class TestRankTwoWalk:
         lat = build_maxbiclique_lattice(pyramid_missing_incidence())
         with pytest.raises(NotDiamondError):
             check_flag_connected_local(lat)
+
+
+def assert_walk_matches_groups(lat) -> str:
+    """The array walk's reason and cover signs against the element-by-element
+    reference; returns the reason, or "not-graded"."""
+    if not lat.is_graded:
+        return "not-graded"
+    reason = lat.rank2_failure
+    assert reason == rank2_failure_by_groups(lat)
+    if reason is None:
+        got, want = lat.cover_signs, cover_signs_by_groups(lat)
+        assert got == want
+        assert got is None or list(got.items()) == list(want.items())
+    return reason
+
+
+# pairs of polytopes of one rank: the union's lattice is graded and its
+# top's local flag graph falls apart into the two boundaries
+POLYTOPES_BY_RANK = {
+    3: [ngon(3), ngon(4), ngon(7)],
+    4: [simplex(3), cube(3), cross_polytope(3), pyramid_relation(), triangular_prism()],
+}
+
+
+class TestArrayWalk:
+    """The rank-2 walk on cover arrays against the reference walk."""
+
+    @pytest.mark.parametrize("rel", [
+        *FAMILIES, torus7(), hemi_dodecahedron(), ngon(256), cube(7),
+        disjoint_union(ngon(128), ngon(128)),
+    ])
+    def test_families(self, rel):
+        assert_walk_matches_groups(build_maxbiclique_lattice(rel))
+
+    @pytest.mark.parametrize("rel,reason", [
+        (disjoint_squares(), "flag-connectivity"),
+        (pyramid_missing_incidence(), "diamond"),
+        (ngon(256), None),
+        (disjoint_union(ngon(128), ngon(128)), "flag-connectivity"),
+        (cube(7), None),
+        (hemi_dodecahedron(), None),
+    ], ids=["squares-disjoint", "pyramid-minus", "gon-256", "gons-128-disjoint", "cube-7",
+            "hemi-dodecahedron"])
+    def test_reasons(self, rel, reason):
+        assert assert_walk_matches_groups(build_maxbiclique_lattice(rel)) == reason
+
+    def test_random_relations(self):
+        rng = np.random.default_rng(20)
+        reasons = [assert_walk_matches_groups(build_maxbiclique_lattice(random_relation(rng)))
+                   for _ in range(3000)]
+        assert {r: reasons.count(r) for r in set(reasons)} == {
+            "not-graded": 737, "diamond": 821, None: 1442}
+
+    def test_disjoint_unions(self):
+        reasons = [
+            assert_walk_matches_groups(build_maxbiclique_lattice(disjoint_union(a, b)))
+            for family in POLYTOPES_BY_RANK.values() for a in family for b in family
+        ]
+        assert reasons == ["flag-connectivity"] * 34
+
+    def test_lattices_below_rank_two(self):
+        for rel in (IncidenceRelation.from_pairs(1, 1, []),
+                    IncidenceRelation.from_pairs(2, 2, [(1, 1), (2, 2)])):
+            lat = build_maxbiclique_lattice(rel)
+            assert lat.rank <= 2 and assert_walk_matches_groups(lat) is None
 
 
 class TestFlags:
