@@ -6,8 +6,9 @@ to find one.  This solver searches by alternating least squares over
 factors H (n x d) and W (d x m) with a hinge penalty pushing
 off-relation entries below 1 - margin, from one start.  The start is
 the cone form of the problem: the rank-(d+1) truncation of the 0/-1
-pattern, refined by a few alternating projections onto that pattern
-and dehomogenized by the row- and column-sum rescaling of
+pattern, refined by alternating projections onto that pattern until
+they reach a fixed point (at most ``CONE_PROJECTIONS`` of them), and
+dehomogenized by the row- and column-sum rescaling of
 ``numkernel.dehomogenize`` to a rank-d matrix near 1 on the incident
 pairs and below 1 elsewhere; from that start the easy families
 (simplices, cubes, cross-polytopes, polygons) realize after one sweep.
@@ -33,8 +34,12 @@ STATUS_NOT_FOUND = "not_found"
 CONVERGED_LOSS = 1e-14
 REL_IMPROVEMENT = 1e-12
 # Warm start: alternating projections refining the rank-(d+1) truncation
-# of the 0/-1 pattern, and the cap they keep off-pattern entries below.
+# of the 0/-1 pattern, at most CONE_PROJECTIONS of them; they stop early at
+# a fixed point, where a projection moves no entry by more than
+# CONE_SETTLED of the largest.  CONE_FLOOR is the cap they keep
+# off-pattern entries below.
 CONE_PROJECTIONS = 30
+CONE_SETTLED = 1e-12
 CONE_FLOOR = 0.2
 
 
@@ -100,12 +105,17 @@ def _cone_warm_start(problem: CompletionProblem):
     d = problem.d
     k = d + 1
     N1 = np.where(mask, 0.0, -1.0)
+    previous = None
     for _ in range(1 + CONE_PROJECTIONS):
         N = np.where(mask, 0.0, np.minimum(N1, -CONE_FLOOR))
+        if previous is not None and \
+                np.abs(N - previous).max() <= CONE_SETTLED * np.abs(N).max():
+            break  # the next truncation would give N1 again, up to roundoff
         U, s, Vt = np.linalg.svd(N, full_matrices=False)
         if len(s) < k or s[k - 1] <= DEFAULT_RANK_TOL * s[0]:
             return None
         N1 = (U[:, :k] * s[:k]) @ Vt[:k]
+        previous = N
     try:
         M = dehomogenize(N1)
     except NoPositiveScalingError:
@@ -121,9 +131,12 @@ def initialize_factors(problem: CompletionProblem):
     The start is the cone-form warm start.  Let N1 be the rank-(d+1)
     truncation of the 0/-1 pattern (0 on incident pairs, -1 off),
     refined by alternating projections: set the incident entries to 0,
-    cap the others at -CONE_FLOOR, truncate to rank d+1 again,
-    CONE_PROJECTIONS times.  With r = -N1 1 and c = -N1.T 1 its negated
-    row and column sums and s = sum(r), form
+    cap the others at -CONE_FLOOR, truncate to rank d+1 again, until a
+    projection moves no entry by more than CONE_SETTLED of the largest
+    (a fixed point: the next truncation would only repeat the last one
+    up to roundoff), and at most CONE_PROJECTIONS times.  With
+    r = -N1 1 and c = -N1.T 1 its negated row and column sums and
+    s = sum(r), form
     M = diag(s / r) N1 diag(1 / c) + 1, which has rank d by construction
     (``numkernel.dehomogenize``); its rank-d SVD factors
     (H = U sqrt(S), W = sqrt(S) V.T of M = U S V.T) are the start.  For

@@ -42,6 +42,7 @@ from .numkernel import (
     as_matrix,
     factor_against_form,
     numeric_rank,
+    numeric_ranks,
     sqrt_psd,
 )
 from .realize import FilledIncidenceMatrix
@@ -157,11 +158,20 @@ def _vertex_rank_condition(G, rel, d, rank_tol, ideal=frozenset()):
     Ideal vertices of hyperbolic polytopes are the exception: their ray
     is lightlike, the form restricted to its orthogonal complement has a
     one-dimensional radical, and the minor rank drops to exactly d-1.
+    The minors of all vertices of one degree are ranked by one stacked
+    SVD.
     """
+    by_degree = {}
+    for j in range(1, rel.n_vertices + 1):
+        by_degree.setdefault(len(rel.facets_of_vertex(j)), []).append(j)
+    rank_of = {}
+    for vertices in by_degree.values():
+        rows = np.array([sorted(rel.facets_of_vertex(j)) for j in vertices]) - 1
+        minors = G[rows[:, :, None], rows[:, None, :]]
+        rank_of.update(zip(vertices, numeric_ranks(minors, rank_tol).tolist()))
     failures = []
     for j in range(1, rel.n_vertices + 1):
-        rows = sorted(i - 1 for i in rel.facets_of_vertex(j))
-        r = numeric_rank(G[rows][:, rows], rank_tol)
+        r = rank_of[j]
         expected = d - 1 if j in ideal else d
         if r != expected:
             failures.append(f"vertex {j}: rank {r}, expected {expected}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -442,14 +441,18 @@ def _bits_of(vertices: Iterable[int]) -> int:
     return bits
 
 
-def _set_bits(bits: int) -> tuple:
-    """1-based positions of the set bits, ascending, one step per set bit."""
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append(low.bit_length())
-        bits ^= low
-    return tuple(found)
+def _bit_tuples(masks, width: int) -> list:
+    """The 1-based positions of each mask's set bits, ascending, as tuples.
+
+    All masks are unpacked by one ``np.unpackbits``; width bounds the
+    highest set bit.
+    """
+    size = -(-width // 8) or 1
+    raw = b"".join(x.to_bytes(size, "little") for x in masks)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").view(bool)
+    flat = (np.flatnonzero(bits) % (8 * size) + 1).tolist()
+    ends = list(itertools.accumulate(x.bit_count() for x in masks))
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
@@ -485,31 +488,44 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     for r in set(cutters):
         closed |= {c & r for c in closed}
 
-    entries = []  # (vertex set, closed set, the cutters above it, those touching it)
+    member_of = {1 << j: r for j, r in enumerate(members)}  # keyed by lowest set bit
+    entries = []  # (closed set, the cutters above it, those touching it)
     for c in closed:
-        above, touching, own = every, 0, _set_bits(c)
-        for j in own:
-            above &= members[j - 1]
-            touching |= members[j - 1]
-        entries.append((_set_bits(above) if by_facets else own, c, above, touching))
-    entries.sort()
-    vertex_sets, sets, dual, touching = zip(*entries)
+        above, touching, rest = every, 0, c
+        while rest:
+            low = rest & -rest
+            member = member_of[low]
+            above &= member
+            touching |= member
+            rest ^= low
+        entries.append((c, above, touching))
+    sets, dual, _ = zip(*entries)
     vbits, fbits = (dual, sets) if by_facets else (sets, dual)
+    size = len(entries)
+    tuples = _bit_tuples(vbits + fbits, max(n, m))
+    by_vertex_set = sorted(range(size), key=tuples.__getitem__)
+    sets, dual, touching = zip(*(entries[k] for k in by_vertex_set))
+    vbits = dual if by_facets else sets
     index = {bits: k for k, bits in enumerate(vbits)}
-    elements = tuple(Maxbiclique(_set_bits(f), vs) for f, vs in zip(fbits, vertex_sets))
-    size = len(elements)
+    elements = tuple(Maxbiclique(tuples[size + k], tuples[k]) for k in by_vertex_set)
 
-    order = sorted(range(size), key=lambda k: (len(vertex_sets[k]), k))
+    order = sorted(range(size), key=lambda k: (len(elements[k].vertex_set), k))
     bottom = order[0]
     top = index[(1 << m) - 1]
 
     element_of = dict(zip(sets, range(size)))
+    cutter_of = {1 << i: r for i, r in enumerate(cutters)}
     covers = []
     inverse = [[] for _ in range(size)]
     for b, bits in enumerate(sets):
         cutting = touching[b] & ~dual[b]
         if cutting:
-            counts = Counter(bits & cutters[i - 1] for i in _set_bits(cutting))
+            counts = {}
+            while cutting:
+                low = cutting & -cutting
+                cut = bits & cutter_of[low]
+                counts[cut] = counts.get(cut, 0) + 1
+                cutting ^= low
             below = sorted(
                 element_of[c] for c, k in counts.items()
                 if k == (dual[element_of[c]] & ~dual[b]).bit_count()

@@ -244,7 +244,7 @@ def hodge_star(vectors, form: BilinearForm) -> np.ndarray:
 LP_TOL = 1e-9
 
 
-def lp_strict_feasibility(W, on) -> float:
+def lp_strict_feasibility(W, on, lifted_svd: Svd = None) -> float:
     """The largest margin t of a strict supporting hyperplane of one facet.
 
     W holds the vertices as columns and the boolean mask on marks the
@@ -262,10 +262,14 @@ def lp_strict_feasibility(W, on) -> float:
     LP_TOL of the origin, relative to the facet's farthest vertex.  When
     the facet's vertices span aff(W), c is 0 and so is every value.
     Raises ValueError when they leave more than one free direction.
+    A caller solving several facets of one W may pass that SVD, the
+    ``compact_svd`` of [W; 1], as lifted_svd, so that it is taken once.
     """
     W = as_matrix(W, "W")
     on = np.asarray(on, dtype=bool)
-    L = compact_svd(np.vstack([W, np.ones(W.shape[1])]))
+    L = lifted_svd
+    if L is None:
+        L = compact_svd(np.vstack([W, np.ones(W.shape[1])]))
     _, s, Zt = np.linalg.svd(L.V[on] * L.sigma)
     free = Zt[np.count_nonzero(s > DEFAULT_RANK_TOL * s.max(initial=0.0)):]
     if len(free) > 1:

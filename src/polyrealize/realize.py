@@ -251,10 +251,10 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
     supporting vector h with <h, w_j> = 1 on its vertices and < 1 on
     every other vertex: the facet LP ``lp_strict_feasibility``, solved
     in closed form once per coatom, must have an optimal margin above
-    LP_TOL.  This decides every vertex
-    subset: by induction up the ranks, each element is a face of conv(W)
-    with exactly its vertex set, the covers of an element x are facets
-    of conv(W_x), the diamond property closes them under ridge
+    LP_TOL; the coatoms share one SVD of [W; 1].  This decides every
+    vertex subset: by induction up the ranks, each element is a face of
+    conv(W) with exactly its vertex set, the covers of an element x are
+    facets of conv(W_x), the diamond property closes them under ridge
     adjacency, and a polytope's facet graph is connected (Balinski), so
     they are all its facets.
     """
@@ -275,7 +275,8 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
         if np.any(numeric_ranks(lifted[:, cols].transpose(1, 0, 2)) != ranks[group]):
             return False
     ids = np.arange(1, m + 1)
+    lifted_svd = compact_svd(lifted)
     return all(
-        lp_strict_feasibility(W, np.isin(ids, el.vertex_set)) > LP_TOL
+        lp_strict_feasibility(W, np.isin(ids, el.vertex_set), lifted_svd) > LP_TOL
         for el, r in zip(lat.elements, lat.ranks) if r == lat.rank - 1
     )

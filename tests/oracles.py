@@ -530,6 +530,18 @@ def random_form_matrix(rng, size, negatives):
     return (Q * eigs) @ Q.T
 
 
+def vertex_minor_failures_one_at_a_time(G, rel, d, rank_tol, ideal=frozenset()) -> list:
+    """The vertex-minor-rank failures, one principal minor's rank per vertex."""
+    failures = []
+    for j in range(1, rel.n_vertices + 1):
+        rows = sorted(i - 1 for i in rel.facets_of_vertex(j))
+        r = numkernel.numeric_rank(G[np.ix_(rows, rows)], rank_tol)
+        expected = d - 1 if j in ideal else d
+        if r != expected:
+            failures.append(f"vertex {j}: rank {r}, expected {expected}")
+    return failures
+
+
 def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -> bool:
     """The pairwise super-cycle condition, one determinant per pair.
 

@@ -1,5 +1,7 @@
 """Completion solver: loss, initialization, determinism, recovery."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,13 @@ from polyrealize import (
     realizability_check,
     realize_from_matrix,
 )
-from polyrealize.complete import STATUS_FOUND, STATUS_NOT_FOUND, _best_rows, _cone_warm_start
+from polyrealize.complete import (
+    CONE_PROJECTIONS,
+    STATUS_FOUND,
+    STATUS_NOT_FOUND,
+    _best_rows,
+    _cone_warm_start,
+)
 from polyrealize.numkernel import numeric_rank
 from polyrealize.realize import STATUS_INCONCLUSIVE, STATUS_REALIZED
 
@@ -226,6 +234,61 @@ def test_cone_warm_start_applies(build, d):
     rel = build()
     H, W = _cone_warm_start(CompletionProblem(rel, d))
     assert H.shape == (rel.n_facets, d) and W.shape == (d, rel.n_vertices)
+
+
+# the first projection of these patterns' truncation moves no entry by
+# more than roundoff; those of the rest never settle within the cap
+SETTLE_AT_ONCE = (
+    [(f"simplex-{d}", lambda d=d: simplex(d), d) for d in range(2, 9)]
+    + [(f"cube-{d}", lambda d=d: cube(d), d) for d in range(2, 5)]
+    + [(f"cross-{d}", lambda d=d: cross_polytope(d), d) for d in range(2, 5)]
+    + [(f"gon-{n}", lambda n=n: ngon(n), 2) for n in (3, 4)]
+    + [("prism", triangular_prism, 3), ("pyramid", pyramid_relation, 3)]
+)
+NEVER_SETTLE = [("gon-10", lambda: ngon(10), 2), ("torus7", torus7, 3),
+                ("hemi-dodecahedron", hemi_dodecahedron, 3)]
+
+
+def _start_without_the_stop(monkeypatch, problem):
+    """The warm start after all 1 + CONE_PROJECTIONS projections."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["polyrealize.complete"], "CONE_SETTLED", -np.inf)
+        return _cone_warm_start(problem)
+
+
+@pytest.mark.parametrize(
+    "build, d, svds",
+    [case[1:] + (2,) for case in SETTLE_AT_ONCE]
+    + [case[1:] + (CONE_PROJECTIONS + 2,) for case in NEVER_SETTLE],
+    ids=[case[0] for case in SETTLE_AT_ONCE + NEVER_SETTLE],
+)
+def test_cone_warm_start_stops_at_its_fixed_point(monkeypatch, build, d, svds):
+    # one SVD per projection until it settles, and one of the dehomogenized start
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert _cone_warm_start(CompletionProblem(build(), d)) is not None
+    assert len(calls) == svds
+
+
+@pytest.mark.parametrize(
+    "build, d", [case[1:] for case in SETTLE_AT_ONCE], ids=[case[0] for case in SETTLE_AT_ONCE]
+)
+def test_settled_start_matches_the_full_start(monkeypatch, build, d):
+    problem = CompletionProblem(build(), d)
+    H, W = _cone_warm_start(problem)
+    H0, W0 = _start_without_the_stop(monkeypatch, problem)
+    full = H0 @ W0
+    assert np.abs(H @ W - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize(
+    "build, d", [case[1:] for case in NEVER_SETTLE], ids=[case[0] for case in NEVER_SETTLE]
+)
+def test_unsettled_start_is_the_full_start(monkeypatch, build, d):
+    problem = CompletionProblem(build(), d)
+    for got, full in zip(_cone_warm_start(problem), _start_without_the_stop(monkeypatch, problem)):
+        assert got.tobytes() == full.tobytes()
 
 
 def _row_losses(X, G, mask, ceiling):

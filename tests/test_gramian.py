@@ -40,6 +40,7 @@ from conftest import (
     octant_relation,
     pyramid_relation,
     simplex,
+    sphere_hull,
     triangular_prism,
 )
 from oracles import (
@@ -48,6 +49,7 @@ from oracles import (
     distinct_vertex_pairs_by_definition,
     super_cycle_pairs_by_definition,
     super_cycles_by_walk,
+    vertex_minor_failures_one_at_a_time,
 )
 
 IDEAL_TRIANGLE_RELATION = lambda: __import__("conftest").ngon(3)
@@ -905,3 +907,28 @@ class TestBlockGramian:
             out[4:, 4:], np.linalg.norm(x) * np.outer(y, y) / np.linalg.norm(y), atol=1e-10
         )
         assert np.abs(out - out.T).max() < 1e-12
+
+
+@pytest.mark.parametrize("build, d", [
+    (pyramid_relation, 3), (triangular_prism, 3), (lambda: cross_polytope(3), 3),
+    (lambda: sphere_hull(0, 12), 3), (lambda: ngon(7), 2),
+], ids=["pyramid", "prism", "cross-3", "hull12-0", "gon-7"])
+def test_vertex_minor_ranks_take_one_svd_per_degree(monkeypatch, build, d):
+    """Stacked minors per vertex degree against one numeric_rank per vertex."""
+    from polyrealize.gramian import _vertex_rank_condition
+
+    rel = build()
+    degrees = {len(rel.facets_of_vertex(j)) for j in range(1, rel.n_vertices + 1)}
+    rng = np.random.default_rng(rel.n_facets)
+    svd = np.linalg.svd
+    for rank in range(1, rel.n_facets + 1):
+        A = rng.standard_normal((rel.n_facets, rank))
+        G = A @ np.diag(rng.choice([-1.0, 1.0], rank)) @ A.T
+        ideal = frozenset(rng.choice(rel.n_vertices, 2, replace=False).tolist())
+        failures = vertex_minor_failures_one_at_a_time(G, rel, d, 1e-9, ideal)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+            check = _vertex_rank_condition(G, rel, d, 1e-9, ideal)
+        assert len(calls) == len(degrees)
+        assert (check.passed, check.detail) == (not failures, "; ".join(failures[:5]))

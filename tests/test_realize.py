@@ -369,6 +369,35 @@ def test_oracle_solves_one_lp_per_coatom(monkeypatch, build, d):
     assert len(calls) == rel.n_facets == lat.ranks.count(lat.rank - 1)
 
 
+@pytest.mark.parametrize("build, d", [(lambda: cube(4), 4), (lambda: cross_polytope(4), 4),
+                                      (lambda: ngon(12), 2)], ids=["cube-4", "cross-4", "gon-12"])
+def test_oracle_takes_one_lifted_svd(monkeypatch, build, d):
+    # the facet LPs share one SVD of [W; 1], and each value equals the
+    # one the LP gets from taking that SVD itself
+    rel = build()
+    lat = build_maxbiclique_lattice(rel)
+    W = realizability_check(rel, d).realization.W
+    lifted = np.vstack([W, np.ones(rel.n_vertices)])
+    lps, svds = [], []
+    original, svd = lp_strict_feasibility, np.linalg.svd
+
+    def recorded(*args):
+        lps.append(args)
+        return original(*args)
+
+    def counted(a, *args, **kwargs):
+        svds.append(np.array_equal(a, lifted))
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(realize_module, "lp_strict_feasibility", recorded)
+        patch.setattr(np.linalg, "svd", counted)
+        assert grunbaum_oracle(W, lat)
+    assert sum(svds) == 1
+    assert len(lps) == rel.n_facets
+    assert all(original(*args) == original(*args[:2]) for args in lps)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
 def test_oracle_agrees_with_exhaustive_check(name):
     build, d = ORACLE_FAMILIES[name]
