@@ -253,7 +253,7 @@ def cmd_convert(args) -> int:
     _emit(
         {
             "direction": args.direction,
-            "rank": numeric_rank(result.matrix, args.rank_tol),
+            "rank": result.rank(args.rank_tol),
             "written": out,
         },
         args,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInRangeError
-from .numkernel import DEFAULT_RANK_TOL, as_matrix, pseudoinverse
+from .numkernel import DEFAULT_RANK_TOL, _rank_of_sigma, as_matrix, pseudoinverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +54,7 @@ def gale_dual_cone(N, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:
     N = as_matrix(N)
     m = N.shape[1]
     _, s, Vt = np.linalg.svd(N, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > rank_tol * smax)) if smax > 0 else 0
+    r = int(_rank_of_sigma(s, rank_tol))
     null_basis = Vt[r:].T.copy()
     return GaleDual(null_basis, null_basis @ null_basis.T, r, trivial=(m == r))
 

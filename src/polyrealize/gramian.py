@@ -41,7 +41,6 @@ from .numkernel import (
     BilinearForm,
     as_matrix,
     factor_against_form,
-    numeric_rank,
     numeric_ranks,
     sqrt_psd,
 )
@@ -329,7 +328,7 @@ def realize_cone_from_gramian(
             f"{len(exc.violations)} entries; the candidate is not a valid Gramian",
             exc.violations,
         ) from None
-    rank = numeric_rank(N, rank_tol)
+    rank = fim.rank(rank_tol)
     if rank != cand.d + 1:
         raise PatternViolationError(
             f"constructed matrix has rank {rank}, expected {cand.d + 1}"

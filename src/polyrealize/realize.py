@@ -28,6 +28,7 @@ from .errors import (
     PatternViolationError,
     RankAnomalyError,
     RankMismatchError,
+    ZeroMatrixError,
 )
 from .incidence import (  # REASON_* and the Pattern* types stay importable from here
     DEFAULT_EQ_TOL,
@@ -51,8 +52,8 @@ from .numkernel import (
     compact_svd,
     dehomogenize,
     lp_strict_feasibility,
-    numeric_rank,
     numeric_ranks,
+    _rank_of_sigma,
 )
 
 KIND_POLYTOPE = "polytope"
@@ -65,13 +66,22 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True, eq=False)
 class FilledIncidenceMatrix:
-    """A matrix verified to realize a relation's pattern at the given fill."""
+    """A matrix verified to realize a relation's pattern at the given fill.
+
+    The matrix is a read-only copy, so its singular values are a fixed
+    property: the first SVD taken of it, by ``realize_from_matrix`` or
+    by ``rank``, keeps them (the values only, not the singular
+    vectors), and the conversions hand their result the values they
+    ranked it with.  A realization followed by both conversions thus
+    takes one SVD per distinct matrix.
+    """
 
     matrix: np.ndarray
     relation: IncidenceRelation
     fill: float
     eq_tol: float = DEFAULT_EQ_TOL
     slack_tol: float = DEFAULT_SLACK_TOL
+    _sigma: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         report = check_filled_incidence(
@@ -87,6 +97,18 @@ class FilledIncidenceMatrix:
             )
         object.__setattr__(self, "matrix", as_matrix(self.matrix).copy())
         self.matrix.setflags(write=False)
+
+    def _keep_sigma(self, sigma: np.ndarray) -> None:
+        """Keep the singular values of the first SVD taken of the matrix."""
+        if self._sigma is None:
+            sigma.setflags(write=False)
+            object.__setattr__(self, "_sigma", sigma)
+
+    def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+        """``numeric_rank`` of the matrix, from its kept singular values."""
+        if self._sigma is None:
+            self._keep_sigma(np.linalg.svd(self.matrix, compute_uv=False))
+        return int(_rank_of_sigma(self._sigma, rank_tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +167,18 @@ def realize_from_matrix(
     must equal d for fill 1 and d+1 for fill 0.
     """
     expected = d if fim.fill == 1.0 else d + 1
-    svd = compact_svd(fim.matrix, rank_tol)
-    if svd.rank != expected:
+    if not fim.matrix.any():
+        raise ZeroMatrixError("compact SVD of the zero matrix is undefined")
+    U, s, Vt = np.linalg.svd(fim.matrix, full_matrices=False)
+    fim._keep_sigma(s)
+    r = fim.rank(rank_tol)
+    if r != expected:
         raise RankMismatchError(
-            f"matrix has numeric rank {svd.rank}, expected {expected}"
+            f"matrix has numeric rank {r}, expected {expected}"
         )
-    root = np.sqrt(svd.sigma)
-    H = root[:, None] * svd.U.T
-    W = root[:, None] * svd.V.T
+    root = np.sqrt(s[:r])
+    H = root[:, None] * U[:, :r].T
+    W = root[:, None] * Vt[:r]
     kind = KIND_POLYTOPE if fim.fill == 1.0 else KIND_CONE
     return Realization(d, W, H, kind)
 
@@ -166,14 +192,15 @@ def polytope_to_cone_matrix(fim: FilledIncidenceMatrix, rank_tol: float = DEFAUL
     """
     if fim.fill != 1.0:
         raise ValueError("polytope_to_cone_matrix needs a fill-1 matrix")
-    d = numeric_rank(fim.matrix, rank_tol)
+    d = fim.rank(rank_tol)
     N = fim.matrix - 1.0
-    if numeric_rank(N, rank_tol) != d + 1:
+    sigma = np.linalg.svd(N, compute_uv=False)
+    rank = int(_rank_of_sigma(sigma, rank_tol))
+    if rank != d + 1:
         raise RankAnomalyError(
-            f"subtracting ones changed rank {d} to {numeric_rank(N, rank_tol)}, "
-            f"expected {d + 1}"
+            f"subtracting ones changed rank {d} to {rank}, expected {d + 1}"
         )
-    return FilledIncidenceMatrix(N, fim.relation, 0.0, fim.eq_tol, fim.slack_tol)
+    return _converted(fim, N, 0.0, sigma)
 
 
 def cone_to_polytope_matrix(
@@ -191,13 +218,21 @@ def cone_to_polytope_matrix(
     """
     if fim.fill != 0.0:
         raise ValueError("cone_to_polytope_matrix needs a fill-0 matrix")
-    d = numeric_rank(fim.matrix, rank_tol) - 1
+    d = fim.rank(rank_tol) - 1
     M = dehomogenize(fim.matrix)
-    if numeric_rank(M, rank_tol) != d:
-        raise RankAnomalyError(
-            f"rescaled matrix has rank {numeric_rank(M, rank_tol)}, expected {d}"
-        )
-    return FilledIncidenceMatrix(M, fim.relation, 1.0, fim.eq_tol, fim.slack_tol)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    rank = int(_rank_of_sigma(sigma, rank_tol))
+    if rank != d:
+        raise RankAnomalyError(f"rescaled matrix has rank {rank}, expected {d}")
+    return _converted(fim, M, 1.0, sigma)
+
+
+def _converted(fim: FilledIncidenceMatrix, matrix, fill: float, sigma) -> FilledIncidenceMatrix:
+    """The converted matrix, verified at fim's tolerances, keeping the singular
+    values its conversion ranked it with."""
+    out = FilledIncidenceMatrix(matrix, fim.relation, fill, fim.eq_tol, fim.slack_tol)
+    out._keep_sigma(sigma)
+    return out
 
 
 def realizability_check(

@@ -197,6 +197,27 @@ class TestConvert:
         assert run("verify", workdir / "pyramid.json", m_out,
                    "--d", "3", "--fill", "1") == 0
 
+    def test_each_direction_takes_two_svds(self, workdir, monkeypatch, capsys):
+        # the conversion ranks its source and its result once each, and
+        # the report reads the result's kept rank
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        n_out = workdir / "N.csv"
+        assert run("convert", workdir / "fig.csv", "polytope-to-cone", "--out", n_out,
+                   "--format", "json") == 0
+        assert len(calls) == 2
+        assert json.loads(capsys.readouterr().out)["rank"] == 4
+        assert run("convert", n_out, "cone-to-polytope", "--out", workdir / "M2.csv",
+                   "--format", "json") == 0
+        assert len(calls) == 4
+        assert json.loads(capsys.readouterr().out)["rank"] == 3
+
     def test_not_a_matrix(self, workdir):
         assert run("convert", workdir / "garbage.csv", "polytope-to-cone") == 3
 

@@ -5,6 +5,7 @@ import pytest
 
 from polyrealize import canonical_combination, gale_dual_cone, gale_dual_polytope
 from polyrealize.errors import NotInRangeError
+from polyrealize.numkernel import numeric_rank
 
 from conftest import PYRAMID_MATRIX, SQUARE_MATRIX, simplex
 
@@ -39,6 +40,19 @@ class TestGaleDualCone:
         base = coords[:4]
         assert np.all(np.abs(base) > 0.1)
         assert list(np.sign(base)) in ([1, -1, 1, -1], [-1, 1, -1, 1])
+
+
+    @pytest.mark.parametrize("rank_tol", [1e-9, 1e-6, 1e-12, 0.3])
+    def test_rank_is_numeric_rank(self, rank_tol):
+        # the zero matrix has rank 0 and its whole domain as null space
+        rng = np.random.default_rng(8)
+        cones = [np.zeros((3, 4)), np.zeros((4, 2)), PYRAMID_MATRIX - 1.0, square_cone_matrix()]
+        cones += [PYRAMID_MATRIX - 1.0 + eps * rng.standard_normal((5, 5))
+                  for eps in (1e-14, 1e-10, 1e-7, 1e-4)]
+        for N in cones:
+            dual = gale_dual_cone(N, rank_tol)
+            assert dual.rank == numeric_rank(N, rank_tol)
+            assert dual.null_basis.shape == (N.shape[1], N.shape[1] - dual.rank)
 
 
 class TestGaleDualPolytope:

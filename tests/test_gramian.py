@@ -163,6 +163,16 @@ class TestRealizeConeFromGramian:
         np.testing.assert_allclose(cone.N.matrix, -np.eye(3), atol=1e-12)
         assert numeric_rank(cone.N.matrix) == 3
 
+    def test_cone_keeps_the_rank_it_was_checked_with(self, monkeypatch):
+        cand = pyramid_cone_candidate()
+        cone = realize_cone_from_gramian(cand)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cone's rank was already computed")
+
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        assert cone.N.rank() == 4
+
     def test_octant_gramian_round_trip(self):
         cand = octant_candidate()
         cone = realize_cone_from_gramian(cand)

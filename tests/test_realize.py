@@ -24,12 +24,14 @@ from polyrealize.errors import (
     DimensionMismatchError,
     NoPositiveScalingError,
     PatternViolationError,
+    RankAnomalyError,
     RankMismatchError,
+    ZeroMatrixError,
 )
 from polyrealize import numkernel
 from polyrealize import realize as realize_module
 from polyrealize.complete import CompletionProblem, initialize_factors
-from polyrealize.numkernel import LP_TOL, lp_strict_feasibility, numeric_rank
+from polyrealize.numkernel import LP_TOL, dehomogenize, lp_strict_feasibility, numeric_rank
 from polyrealize.realize import (
     REASON_DIAMOND,
     REASON_FLAG_CONNECTIVITY,
@@ -184,6 +186,150 @@ class TestConversions:
         # transposed relation
         assert check_filled_incidence(PYRAMID_MATRIX.T, pyramid.transpose(), 1.0).ok
         FilledIncidenceMatrix(PYRAMID_MATRIX.T, pyramid.transpose(), 1.0)
+
+
+def certificate(rel, W) -> np.ndarray:
+    """M = H.T @ W, with h_i solving <h_i, w_j> = 1 on facet i's vertices."""
+    H = np.column_stack([np.linalg.lstsq(W[:, on].T, np.ones(on.sum()), rcond=None)[0]
+                         for on in rel.mask])
+    return H.T @ W
+
+
+def gon_vertices(n):
+    theta = 2 * np.pi * np.arange(n) / n
+    return np.vstack([np.cos(theta), np.sin(theta)])
+
+
+def cube_vertices(d):
+    return np.array([[1.0 if (v >> k) & 1 else -1.0 for v in range(2**d)] for k in range(d)])
+
+
+def cross_vertices(d):
+    return np.kron(np.eye(d), [1.0, -1.0])
+
+
+def simplex_vertices(d):
+    return np.hstack([np.eye(d), -np.ones((d, 1))])
+
+
+def prism_vertices():
+    ring = gon_vertices(3)
+    return np.vstack([np.hstack([ring, ring]), np.repeat([1.0, -1.0], 3)])
+
+
+MEMO_FAMILIES = {
+    "gon-5": (lambda: ngon(5), lambda: gon_vertices(5), 2),
+    "gon-64": (lambda: ngon(64), lambda: gon_vertices(64), 2),
+    "simplex-4": (lambda: simplex(4), lambda: simplex_vertices(4), 4),
+    "cube-3": (lambda: cube(3), lambda: cube_vertices(3), 3),
+    "cube-5": (lambda: cube(5), lambda: cube_vertices(5), 5),
+    "cross-4": (lambda: cross_polytope(4), lambda: cross_vertices(4), 4),
+    "prism": (triangular_prism, prism_vertices, 3),
+    "hull-0-9": (lambda: sphere_hull(0, 9), lambda: sphere_points(0, 9).T, 3),
+    "hull-3-16": (lambda: sphere_hull(3, 16), lambda: sphere_points(3, 16).T, 3),
+}
+
+
+def memo_family(name):
+    build, vertices, d = MEMO_FAMILIES[name]
+    rel = build()
+    return rel, certificate(rel, vertices()), d
+
+
+def counting_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestSingularValueMemo:
+    RANK_TOLS = (1e-9, 1e-6, 1e-12)
+
+    @pytest.mark.parametrize("name", ["gon-64", "cube-5", "hull-3-16"])
+    def test_realization_and_both_conversions_take_one_svd_per_matrix(self, monkeypatch, name):
+        rel, M, d = memo_family(name)
+        fim = FilledIncidenceMatrix(M, rel, 1.0)
+        calls = counting_svds(monkeypatch)
+        realize_from_matrix(fim, d)
+        cone = polytope_to_cone_matrix(fim)
+        back = cone_to_polytope_matrix(cone)
+        assert len(calls) == 3
+        assert (fim.rank(), cone.rank(), back.rank()) == (d, d + 1, d)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
+    def test_memo_rank_is_numeric_rank(self, name):
+        rel, M, d = memo_family(name)
+        rng = np.random.default_rng(sorted(MEMO_FAMILIES).index(name))
+        cone = polytope_to_cone_matrix(FilledIncidenceMatrix(M, rel, 1.0))
+        D1 = 10 ** rng.uniform(-2, 2, cone.matrix.shape[0])
+        D2 = 10 ** rng.uniform(-2, 2, cone.matrix.shape[1])
+        scaled = D1[:, None] * cone.matrix * D2
+        exact = [(M, 1.0), (cone.matrix, 0.0), (scaled, 0.0), (dehomogenize(scaled), 1.0)]
+        near = [(M + eps * rng.standard_normal(M.shape), 1.0) for eps in (1e-14, 1e-10, 1e-7, 1e-4)]
+        for A, fill in exact + near:
+            # the values-only SVD of rank, and the compact SVD of a realization
+            fresh = FilledIncidenceMatrix(A, rel, fill, 1e-3)
+            realized = FilledIncidenceMatrix(A, rel, fill, 1e-3)
+            realize_from_matrix(realized, numeric_rank(A) - (fill == 0.0))
+            for tol in self.RANK_TOLS:
+                assert fresh.rank(tol) == realized.rank(tol) == numeric_rank(A, tol)
+        for A, fill in exact:
+            fim = FilledIncidenceMatrix(A, rel, fill)
+            converted = polytope_to_cone_matrix(fim) if fill == 1.0 else cone_to_polytope_matrix(fim)
+            for tol in self.RANK_TOLS:
+                assert converted.rank(tol) == numeric_rank(converted.matrix, tol)
+
+    def test_source_array_is_copied_and_matrix_stays_read_only(self):
+        rel, M, d = memo_family("cube-3")
+        source = M.copy()
+        fim = FilledIncidenceMatrix(source, rel, 1.0)
+        source[:] = 0.0
+        np.testing.assert_array_equal(fim.matrix, M)
+        assert fim.rank() == d
+        source[:] = 1.0
+        assert fim.rank() == d and fim.rank(1e-12) == d
+        np.testing.assert_array_equal(fim.matrix, M)
+        cone = polytope_to_cone_matrix(fim)
+        for matrix in (fim.matrix, cone.matrix):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 2.0
+
+    def test_zero_matrix_has_rank_zero_and_no_realization(self):
+        rel = IncidenceRelation.from_pairs(2, 3, [(i, j) for i in (1, 2) for j in (1, 2, 3)])
+        fim = FilledIncidenceMatrix(np.zeros((2, 3)), rel, 0.0)
+        with pytest.raises(ZeroMatrixError, match="compact SVD of the zero matrix is undefined"):
+            realize_from_matrix(fim, 1)
+        assert fim.rank() == numeric_rank(fim.matrix) == 0
+
+    def test_rank_errors_keep_their_texts(self, pyramid):
+        fim = FilledIncidenceMatrix(PYRAMID_MATRIX, pyramid, 1.0)
+        with pytest.raises(RankMismatchError, match=r"^matrix has numeric rank 3, expected 2$"):
+            realize_from_matrix(fim, 2)
+        rel = IncidenceRelation.from_pairs(2, 3, [(i, j) for i in (1, 2) for j in (1, 2, 3)])
+        ones = FilledIncidenceMatrix(np.ones((2, 3)), rel, 1.0)
+        with pytest.raises(RankAnomalyError,
+                           match=r"^subtracting ones changed rank 1 to 0, expected 2$"):
+            polytope_to_cone_matrix(ones)
+
+    def test_rank_anomaly_comes_before_the_pattern_check(self):
+        # at rank_tol 0.3 this cone counts rank 2 and its rescaling rank
+        # 2 too, and the rescaled off entries come within 0.5 of 1
+        rel = ngon(5)
+        N = np.array([[0.0, 0.0, -0.6, -0.6, -37.2], [-63.0, 0.0, 0.0, -8.9, -70.9],
+                      [-37.7, -0.6, 0.0, 0.0, -23.9], [-1.3, -48.5, -8.8, 0.0, 0.0],
+                      [0.0, -1.0, -17.5, -15.4, 0.0]])
+        fim = FilledIncidenceMatrix(N, rel, 0.0, slack_tol=0.5)
+        assert not check_filled_incidence(dehomogenize(N), rel, 1.0, slack_tol=0.5).ok
+        with pytest.raises(RankAnomalyError, match=r"^rescaled matrix has rank 2, expected 1$"):
+            cone_to_polytope_matrix(fim, rank_tol=0.3)
 
 
 class TestRealizabilityCheck:
