@@ -42,7 +42,6 @@ from .incidence import (
     dump_relation,
     enumerate_flags,
     enumerate_super_cycles,
-    enumerate_super_cycles_per_vertex,
     flag_graph_bipartition,
     lattice_rank,
     load_relation,
@@ -52,7 +51,6 @@ from .numkernel import (
     Svd,
     compact_svd,
     factor_against_form,
-    hodge_star,
     pseudoinverse,
     read_matrix_csv,
     signature,

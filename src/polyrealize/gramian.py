@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     LightlikeNormalError,
-    NotBipartiteError,
     PatternViolationError,
 )
 from .incidence import (
@@ -32,8 +31,10 @@ from .incidence import (
     REASON_NOT_GRADED,
     REASON_RANK,
     IncidenceRelation,
+    _chain_classes,
+    _check_flag_cap,
     _cycle_table,
-    _flag_classes,
+    _is_int,
     lattice_gate,
 )
 from .numkernel import (
@@ -227,13 +228,13 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
             ideal=frozenset()):
     """The check sequence every Gramian verifier shares.
 
-    Runs the lattice gate, the flag classes, ``form_checks(w, thr)``
-    (the checks particular to the form, given G's eigenvalues w and zero
+    Runs the lattice gate, the flag cap, ``form_checks(w, thr)`` (the
+    checks particular to the form, given G's eigenvalues w and zero
     threshold thr), vertex minor ranks, then the super-cycle condition,
     left undecided and failed unless G has rank d+1.  A flag graph that
     is not bipartite fails the lattice check.  Returns (checks, cycles):
-    cycles is (lattice, cycle table) for a caller adding checks of its
-    own, or None when the lattice check failed.
+    cycles is (lattice, cycle table, cycle classes) for a caller adding
+    checks of its own, or None when the lattice check failed.
     """
     lat, d, reason = lattice_gate(rel, d)
     if reason is not None:
@@ -242,25 +243,25 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
         else:
             detail = _LATTICE_DETAILS[reason]
         return [ConditionCheck("lattice", False, detail)], None
-    try:
-        flag_class = _flag_classes(lat, flag_cap)
-    except NotBipartiteError:
+    _check_flag_cap(lat, flag_cap)
+    if lat.cover_signs is None:
         return [ConditionCheck("lattice", False, "flag graph is not bipartite")], None
     w = np.linalg.eigvalsh(0.5 * (G + G.T))
     thr = rank_tol * max(np.abs(w).max(), 1e-300)
     checks = [ConditionCheck("lattice", True), *form_checks(w, thr)]
     checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
-    table = _cycle_table(lat, flag_class)
+    table = _cycle_table(lat)
+    orientation = _chain_classes(lat, table.induced_chains(lat))
     rank = int(np.count_nonzero(np.abs(w) > thr))
     if rank == d + 1:
         rows, extras = table.super_cycles(rel)
         sequences = np.column_stack([table.facets[rows] - 1, extras])
         checks.append(_super_cycle_condition(
-            G, sequences, table.orientation[rows], det_factor, det_zero_tol))
+            G, sequences, orientation[rows], det_factor, det_zero_tol))
     else:
         checks.append(ConditionCheck(
             "super-cycle-pairs", False, f"not decided: rank {rank}, expected {d + 1}"))
-    return checks, (lat, table)
+    return checks, (lat, table, orientation)
 
 
 def _report(checks) -> ConditionReport:
@@ -421,6 +422,10 @@ def verify_hyperbolic_conditions(
     the super-cycle condition.
     """
     G = _facet_gramian(G, rel)
+    ideal_vertices = tuple(ideal_vertices)
+    for v in ideal_vertices:
+        if not (_is_int(v) or isinstance(v, np.integer)):
+            raise ValueError(f"ideal vertex {v!r} is not an integer")
     ideal = frozenset(int(v) for v in ideal_vertices)
     if not ideal <= set(range(1, rel.n_vertices + 1)):
         raise ValueError(f"ideal vertices {sorted(ideal)} out of range")
@@ -431,7 +436,7 @@ def verify_hyperbolic_conditions(
     )
     if cycles is None:
         return _report(checks)
-    lat, table = cycles
+    lat, table, orientation = cycles
     sequences = table.facets - 1
 
     # principal minors over the truncated cycles: the facet sets of the
@@ -454,7 +459,7 @@ def verify_hyperbolic_conditions(
     checks.append(ConditionCheck("truncated-cycles", not failures, "; ".join(failures)))
 
     count, failures = 0, []
-    for rows, cols in _distinct_vertex_pairs(table.orientation, table.vertex):
+    for rows, cols in _distinct_vertex_pairs(orientation, table.vertex):
         dets, scales = _minor_dets(G, sequences[rows], sequences[cols])
         count += len(rows)
         failures += [

@@ -7,9 +7,9 @@ Dedekind-MacNeille completion of the bipartite order between facets and
 vertices.  The module builds that lattice and decides the combinatorial
 conditions used by the realization pipeline: gradedness and rank, the
 diamond property, local flag connectivity (together the lattice gate),
-one sign per cover that 2-colors the flags, and the cycle / super cycle
-machinery that fixes orientations.  It also checks a matrix against the
-relation's filled incidence pattern.
+one sign per cover, whose product along a chain 2-colors the flags, and
+the cycle / super cycle walk whose chain classes fix orientations.  It
+also checks a matrix against the relation's filled incidence pattern.
 
 Facet and vertex indices are 1-based throughout, matching the relation
 file format.  Lattice elements are referred to by their position in
@@ -34,7 +34,6 @@ from .errors import (
     EmptyRelationError,
     FlagCapExceededError,
     NoCycleError,
-    NoExtraFacetError,
     NotBipartiteError,
     NotDiamondError,
     NotGradedError,
@@ -340,10 +339,6 @@ class MaxbicliqueLattice:
 
     def __len__(self):
         return len(self.elements)
-
-    def leq(self, a: int, b: int) -> bool:
-        """Order test: vertex set of a contained in vertex set of b."""
-        return (self._vbits[a] & self._vbits[b]) == self._vbits[a]
 
     def meet(self, a: int, b: int) -> int:
         """Greatest lower bound; closed vertex sets are intersection-closed."""
@@ -712,24 +707,37 @@ def enumerate_flags(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> tup
     return tuple(Flag(chain) for chain in chains)
 
 
-def _flag_classes(lat: MaxbicliqueLattice, cap: int):
-    """flag -> class, 0 when its cover-sign product is +1; errors as flag_graph_bipartition."""
-    _check_flag_cap(lat, cap)
+def _chain_classes(lat: MaxbicliqueLattice, chains) -> np.ndarray:
+    """Class of each chain: 0 when the product of its cover signs is +1, else 1.
+
+    ``chains`` holds element indices, one chain per row from bottom to
+    top, each step a cover; all covers are found by one sorted lookup in
+    ``lat.cover_signs``.  Raises NotDiamondError when the rank-2 walk
+    fails and NotBipartiteError on an odd cycle.
+    """
     signs = lat.cover_signs
     if signs is None:
         raise NotBipartiteError("flag graph contains an odd cycle")
-    return lambda flag: int(_sign_product(signs, flag.chain) < 0)
+    size = len(lat)
+    keys = np.fromiter((a * size + b for a, b in signs), dtype=np.intp, count=len(signs))
+    order = np.argsort(keys)
+    negative = np.fromiter(signs.values(), dtype=int, count=len(signs))[order] < 0
+    at = np.searchsorted(keys[order], chains[:, :-1] * size + chains[:, 1:])
+    return np.count_nonzero(negative[at], axis=1) % 2
 
 
 def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> dict:
     """Two-color the flag graph; the lexicographically first flag gets class 0.
 
     Every flag, in enumerate_flags order, with its class from the cover
-    signs.  Raises NotBipartiteError on an odd cycle and NotDiamondError
-    when the rank-2 walk fails.
+    signs.  Raises FlagCapExceededError when the lattice has more than
+    cap flags, then NotDiamondError when the rank-2 walk fails and
+    NotBipartiteError on an odd cycle.  The Gramian verifiers check the
+    same cap before their cycle walk, so it bounds that walk too.
     """
-    flag_class = _flag_classes(lat, cap)
-    return {flag: flag_class(flag) for flag in enumerate_flags(lat, cap)}
+    flags = enumerate_flags(lat, cap)
+    classes = _chain_classes(lat, np.array([flag.chain for flag in flags]))
+    return dict(zip(flags, classes.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -737,30 +745,34 @@ class _CycleTable:
     """Every cycle of a graded lattice, one row per cycle, vertex-major.
 
     ``facets`` (C x d) holds the facet sequences, ``vertex`` (C) the
-    vertex each meets in, ``meets`` (C x d) the partial meets (column t
-    has rank d - t; reversed between bottom and top they are the induced
-    flag) and ``orientation`` (C) that flag's bipartition class.  ``stop``
-    is the first vertex whose closure is not of rank 1, or None.
+    vertex each meets in and ``meets`` (C x d) the partial meets (column
+    t has rank d - t; reversed between bottom and top they are the
+    induced flag).  ``stop`` is the first vertex whose closure is not of
+    rank 1, or None.  The flag cap, checked first, bounds the walk.
     """
 
     facets: np.ndarray
     vertex: np.ndarray
     meets: np.ndarray
-    orientation: np.ndarray
     stop: object
 
     def super_cycles(self, rel: IncidenceRelation) -> tuple:
         """(rows, 0-based extras): each cycle then every facet avoiding its vertex."""
         return np.nonzero(~rel.mask[:, self.vertex - 1].T)
 
+    def induced_chains(self, lat: MaxbicliqueLattice) -> np.ndarray:
+        """The (C x d+2) induced flags as chains: bottom, the meets reversed, top."""
+        ends = np.ones((len(self.meets), 1), dtype=int)
+        return np.hstack([lat.bottom * ends, self.meets[:, ::-1], lat.top * ends])
 
-def _cycle_table(lat: MaxbicliqueLattice, flag_class) -> _CycleTable:
+
+def _cycle_table(lat: MaxbicliqueLattice) -> _CycleTable:
     """One walk per vertex, in order, up to ``stop``, over its cycles.
 
     A cycle at a vertex is a sequence of d facets through it whose
     partial meets descend one rank per step to the vertex atom; each
-    vertex's cycles come in lexicographic order.  ``flag_class`` maps
-    each induced flag to its bipartition class.
+    vertex's cycles come in lexicographic order.  The walk itself has no
+    cap: the Gramian verifiers bound it by checking the flag cap first.
     """
     if not lat.is_graded:
         raise NotGradedError("cycle search needs a graded lattice")
@@ -799,9 +811,8 @@ def _cycle_table(lat: MaxbicliqueLattice, flag_class) -> _CycleTable:
             break
         candidates = sorted(rel.facets_of_vertex(j))
         extend(None)
-    orientation = np.array([flag_class(_induced_flag(lat, m)) for m in meets], dtype=int)
     facets, meets = (np.array(a, dtype=int).reshape(len(a), max(d, 0)) for a in (facets, meets))
-    return _CycleTable(facets, np.array(vertex, dtype=int), meets, orientation, stop)
+    return _CycleTable(facets, np.array(vertex, dtype=int), meets, stop)
 
 
 def _induced_flag(lat: MaxbicliqueLattice, meets) -> Flag:
@@ -820,48 +831,15 @@ def enumerate_super_cycles(
     ``coloring`` maps flags to bipartition classes, as produced by
     flag_graph_bipartition.
     """
-    table = _cycle_table(lat, coloring.__getitem__)
+    table = _cycle_table(lat)
+    flags = [_induced_flag(lat, m) for m in table.meets.tolist()]
+    orientation = [int(coloring[flag]) for flag in flags]
     if table.stop is not None:
         raise NoCycleError(f"vertex {table.stop} does not generate a rank-1 element")
-    flags = [_induced_flag(lat, m) for m in table.meets.tolist()]
-    facets, vertex, orientation = (a.tolist() for a in (table.facets, table.vertex,
-                                                         table.orientation))
+    facets, vertex = table.facets.tolist(), table.vertex.tolist()
     rows, extras = table.super_cycles(lat.relation)
     return tuple(
         SuperCycle((*facets[k], extra + 1), vertex[k], flags[k], orientation[k])
         for k, extra in zip(rows.tolist(), extras.tolist())
     )
 
-
-def enumerate_super_cycles_per_vertex(
-    lat: MaxbicliqueLattice,
-    orientation: int = 0,
-    cap: int = DEFAULT_FLAG_CAP,
-) -> dict:
-    """One canonical super cycle per vertex, all of the same orientation.
-
-    For each vertex the lexicographically smallest cycle whose induced
-    flag lies in the requested bipartition class is chosen, and the
-    smallest facet avoiding the vertex is appended.  Requires a graded
-    lattice that passes the rank-2 walk, with a bipartite flag graph.
-    Raises, for the first vertex that has one, NoExtraFacetError when
-    every facet contains it and NoCycleError when it has no such cycle.
-    """
-    rel = lat.relation
-    table = _cycle_table(lat, _flag_classes(lat, cap))
-    hits = np.flatnonzero(table.orientation == orientation)
-    found, at = np.unique(table.vertex[hits], return_index=True)
-    first = dict(zip(found.tolist(), hits[at].tolist()))
-    extras = np.argmin(rel.mask, axis=0) + 1
-    for j in range(1, rel.n_vertices + 1):
-        if rel.mask[:, j - 1].all():
-            raise NoExtraFacetError(f"every facet is incident to vertex {j}")
-        if j == table.stop:
-            raise NoCycleError(f"vertex {j} does not generate a rank-1 element")
-        if j not in first:
-            raise NoCycleError(f"no cycle of orientation {orientation} exists at vertex {j}")
-    return {
-        j: SuperCycle((*table.facets[k].tolist(), int(extras[j - 1])), j,
-                      _induced_flag(lat, table.meets[k].tolist()), orientation)
-        for j, k in first.items()
-    }

@@ -2,11 +2,11 @@
 
 Rank-revealing compact SVD, Moore-Penrose pseudoinverse, PSD square
 root, signatures of symmetric matrices, factoring a Gramian against a
-bilinear form, the metric Hodge star, the strict-feasibility LP of one
-facet's supporting hyperplane solved in closed form from one SVD, and
-the diagonal rescaling that turns a cone-form (fill 0, rank d+1) matrix
-into polytope form (fill 1, rank d).  Everything operates on plain
-float64 numpy arrays; matrices must be finite.
+bilinear form, the strict-feasibility LP of one facet's supporting
+hyperplane solved in closed form from one SVD, and the diagonal
+rescaling that turns a cone-form (fill 0, rank d+1) matrix into
+polytope form (fill 1, rank d).  Everything operates on plain float64
+numpy arrays; matrices must be finite.
 """
 
 from __future__ import annotations
@@ -209,36 +209,6 @@ def factor_against_form(G, form: BilinearForm, tol: float = DEFAULT_RANK_TOL) ->
     Rp = R[:, orderp]
     B = Rp / np.sqrt(np.abs(wp))  # B.T @ phi @ B = diag(sign(wp)) = D
     return B @ K
-
-
-def hodge_star(vectors, form: BilinearForm) -> np.ndarray:
-    """Metric cross product of d vectors in R^(d+1).
-
-    Returns the unique v with phi(v, x_k) = 0 for every input and
-    phi(v, y) equal to the top-degree star of the inputs wedged with y,
-    where a positively oriented phi-orthonormal basis has top star 1.
-    Computed from the cofactor vector c (c_k the signed minor deleting
-    coordinate k): v = sqrt(|det phi|) * phi^-1 c.  The result is zero
-    exactly when the inputs are linearly dependent.
-    """
-    X = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    r = form.size
-    if X.shape != (r, r - 1):
-        raise DimensionMismatchError(
-            f"hodge star needs {r - 1} vectors of length {r}, got shape {X.shape}"
-        )
-    work = np.empty((r, r))
-    work[:, : r - 1] = X
-    c = np.empty(r)
-    for k in range(r):
-        work[:, r - 1] = 0.0
-        work[k, r - 1] = 1.0
-        c[k] = np.linalg.det(work)
-    sign, logdet = np.linalg.slogdet(form.phi)
-    if sign == 0:
-        raise DegenerateFormError("hodge star needs a nondegenerate form")
-    scale = np.exp(0.5 * logdet)
-    return scale * np.linalg.solve(form.phi, c)
 
 
 LP_TOL = 1e-9

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from polyrealize import (
+    BilinearForm,
     Flag,
     Maxbiclique,
     MaxbicliqueLattice,
@@ -21,6 +22,7 @@ from polyrealize import (
     numkernel,
 )
 from polyrealize.errors import (
+    DegenerateFormError,
     DimensionMismatchError,
     NoCycleError,
     NoExtraFacetError,
@@ -652,6 +654,36 @@ def distinct_vertex_pairs_by_definition(G, super_cycles, det_zero_tol) -> bool:
     return True
 
 
+def hodge_star(vectors, form: BilinearForm) -> np.ndarray:
+    """Metric cross product of d vectors in R^(d+1).
+
+    Returns the unique v with phi(v, x_k) = 0 for every input and
+    phi(v, y) equal to the top-degree star of the inputs wedged with y,
+    where a positively oriented phi-orthonormal basis has top star 1.
+    Computed from the cofactor vector c (c_k the signed minor deleting
+    coordinate k): v = sqrt(|det phi|) * phi^-1 c.  The result is zero
+    exactly when the inputs are linearly dependent.
+    """
+    X = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    r = form.size
+    if X.shape != (r, r - 1):
+        raise DimensionMismatchError(
+            f"hodge star needs {r - 1} vectors of length {r}, got shape {X.shape}"
+        )
+    work = np.empty((r, r))
+    work[:, : r - 1] = X
+    c = np.empty(r)
+    for k in range(r):
+        work[:, r - 1] = 0.0
+        work[k, r - 1] = 1.0
+        c[k] = np.linalg.det(work)
+    sign, logdet = np.linalg.slogdet(form.phi)
+    if sign == 0:
+        raise DegenerateFormError("hodge star needs a nondegenerate form")
+    scale = np.exp(0.5 * logdet)
+    return scale * np.linalg.solve(form.phi, c)
+
+
 def cone_by_hodge_star(cand):
     """(H, N) of the cone built along cycles, for a Gramian candidate.
 
@@ -665,7 +697,7 @@ def cone_by_hodge_star(cand):
     cycles = super_cycles_by_walk(lat, flag_classes_by_bfs(enumerate_flags(lat)), orientation=0)
     H = numkernel.factor_against_form(cand.G, cand.form)
     W = np.column_stack([
-        numkernel.hodge_star([H[:, i - 1] for i in cycles[j].facet_sequence[:-1]], cand.form)
+        hodge_star([H[:, i - 1] for i in cycles[j].facet_sequence[:-1]], cand.form)
         for j in sorted(cycles)
     ])
     N = H.T @ cand.form.phi @ W

@@ -23,7 +23,6 @@ from polyrealize import (
     gramian_of_cone,
     grunbaum_oracle,
     completion_loss,
-    hodge_star,
     polytope_to_cone_matrix,
     realizability_check,
     realize_cone_from_gramian,
@@ -58,6 +57,7 @@ from oracles import (
     brute_force_maxbicliques,
     exact_integer_rank,
     flag_graph_connected_explicit,
+    hodge_star,
     random_form_matrix,
     top_star,
 )

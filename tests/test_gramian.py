@@ -13,7 +13,6 @@ from polyrealize import (
     check_filled_incidence,
     compact_svd,
     enumerate_super_cycles,
-    enumerate_super_cycles_per_vertex,
     flag_graph_bipartition,
     gramian_of_cone,
     polytope_to_cone_matrix,
@@ -193,7 +192,7 @@ class TestRealizeConeFromGramian:
         cand = pyramid_cone_candidate()
         cone = realize_cone_from_gramian(cand)
         lat = build_maxbiclique_lattice(cand.relation)
-        cycles = enumerate_super_cycles_per_vertex(lat)
+        cycles = super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
         for j, sc in cycles.items():
             for i in sc.facet_sequence[:-1]:
                 val = cone.H[:, i - 1] @ cand.form.phi @ cone.W[:, j - 1]
@@ -329,6 +328,16 @@ class TestHyperbolic:
         rel, G = self.ideal_triangle()
         with pytest.raises(ValueError):
             verify_hyperbolic_conditions(rel, [7], G, 2)
+
+    @pytest.mark.parametrize("vertex", [1.5, True, "2"], ids=["float", "bool", "str"])
+    def test_non_integer_ideal_vertex_rejected(self, vertex):
+        rel, G = self.ideal_triangle()
+        with pytest.raises(ValueError, match=f"ideal vertex {vertex!r} is not an integer"):
+            verify_hyperbolic_conditions(rel, [vertex], G, 2)
+
+    def test_numpy_integer_ideal_vertices_accepted(self):
+        rel, G = self.ideal_triangle()
+        assert verify_hyperbolic_conditions(rel, np.arange(1, 4), G, 2).passed
 
     def test_right_angled_pentagon(self):
         # regular compact right-angled pentagon: adjacent normals
@@ -778,14 +787,15 @@ def test_one_cycle_walk_and_no_super_cycle_objects(call, walk_counts):
     }[call]()
     walks = 0 if call == "realize" else 1
     assert walk_counts == {"walks": walks, "super_cycles": 0}
-    # the counters see the public enumeration: one walk, one object per vertex
-    enumerate_super_cycles_per_vertex(build_maxbiclique_lattice(rel))
-    assert walk_counts == {"walks": walks + 1, "super_cycles": 5}
+    # the counters see the public enumeration: one walk, one object per super cycle
+    lat = build_maxbiclique_lattice(rel)
+    cycles = enumerate_super_cycles(lat, flag_graph_bipartition(lat))
+    assert walk_counts == {"walks": walks + 1, "super_cycles": len(cycles)}
 
 
 def test_gramian_path_enumerates_no_flag(monkeypatch):
-    """The verifiers, the cone realization and the per-vertex super cycles
-    read flag classes from the cover signs, never from enumerated flags."""
+    """The verifiers and the cone realization read flag classes from the
+    cover signs, never from enumerated flags."""
     from polyrealize import incidence
 
     def refuse(*args):
@@ -800,7 +810,6 @@ def test_gramian_path_enumerates_no_flag(monkeypatch):
     assert hyperbolic.check("lattice").passed
     assert hyperbolic.check("distinct-vertex-pairs").detail.startswith("exhaustive")
     assert realize_cone_from_gramian(cand).W.shape == (4, 5)
-    assert set(enumerate_super_cycles_per_vertex(build_maxbiclique_lattice(rel))) == set(range(1, 6))
     # 3,840 flags, none of them enumerated
     assert verify_spherical_conditions(cube(5), _cube_gramian(5), 5).passed
 
@@ -843,12 +852,13 @@ def test_cone_construction_needs_no_lattice(monkeypatch):
         raise AssertionError("the cone construction reached the lattice or the Hodge star")
 
     for module, name in [(incidence, "build_maxbiclique_lattice"), (incidence, "_cycle_table"),
-                         (gramian, "_cycle_table"), (numkernel, "hodge_star")]:
+                         (gramian, "_cycle_table")]:
         monkeypatch.setattr(module, name, refuse)
     cone = realize_cone_from_gramian(pyramid_cone_candidate())
     assert cone.W.shape == (4, 5)
     assert not hasattr(gramian, "build_maxbiclique_lattice")
     assert not hasattr(gramian, "hodge_star")
+    assert not hasattr(numkernel, "hodge_star")
 
 
 def test_batched_minor_dets_match_one_at_a_time():

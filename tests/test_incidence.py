@@ -16,7 +16,6 @@ from polyrealize import (
     check_flag_connected_local,
     enumerate_flags,
     enumerate_super_cycles,
-    enumerate_super_cycles_per_vertex,
     flag_graph_bipartition,
     lattice_rank,
 )
@@ -232,6 +231,9 @@ class TestLatticeConstruction:
         tlat = build_maxbiclique_lattice(rel.transpose())
         swapped = {(el.vertex_set, el.facet_set) for el in tlat.elements}
         assert swapped == elements_as_pairs(lat)
+        def leq(L, x, y):
+            return set(L.elements[x].vertex_set) <= set(L.elements[y].vertex_set)
+
         # order reverses: comparable pairs swap direction under the swap map
         tindex = {
             (el.facet_set, el.vertex_set): k for k, el in enumerate(tlat.elements)
@@ -240,7 +242,7 @@ class TestLatticeConstruction:
             for b, elb in enumerate(lat.elements):
                 ta = tindex[(ela.vertex_set, ela.facet_set)]
                 tb = tindex[(elb.vertex_set, elb.facet_set)]
-                assert lat.leq(a, b) == tlat.leq(tb, ta)
+                assert leq(lat, a, b) == leq(tlat, tb, ta)
 
     def test_irreducible_comparability_regenerates_lattice(self, pyramid):
         # The coatom/atom comparability of the lattice is the original
@@ -415,7 +417,7 @@ def test_one_rank2_walk_per_lattice(monkeypatch, pyramid):
     assert grunbaum_oracle(PYRAMID_VERTICES, lat)
     assert len(walked) == 1 and walked[0] is lat.lower_covers
     assert lat.cover_signs is not None
-    assert flag_graph_bipartition(lat) and enumerate_super_cycles_per_vertex(lat)
+    assert super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
     assert len(walked) == 1
     assert check_diamond(build_maxbiclique_lattice(pyramid))
     assert len(walked) == 2
@@ -682,7 +684,8 @@ class TestCoverSigns:
     ])
     def test_walk_failure_raises(self, rel, reason):
         lat = build_maxbiclique_lattice(rel)
-        for call in (flag_graph_bipartition, enumerate_super_cycles_per_vertex):
+        for call in (flag_graph_bipartition,
+                     lambda lat: super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)):
             with pytest.raises(NotDiamondError, match=reason):
                 call(lat)
 
@@ -690,7 +693,7 @@ class TestCoverSigns:
 class TestSuperCycles:
     def test_octant(self, octant):
         lat = build_maxbiclique_lattice(octant)
-        cycles = enumerate_super_cycles_per_vertex(lat)
+        cycles = super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
         assert set(cycles) == {1, 2, 3}
         for j, sc in cycles.items():
             assert len(sc.facet_sequence) == 3
@@ -701,14 +704,14 @@ class TestSuperCycles:
 
     def test_pyramid_apex_extra_is_base(self, pyramid):
         lat = build_maxbiclique_lattice(pyramid)
-        cycles = enumerate_super_cycles_per_vertex(lat)
+        cycles = super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
         apex = cycles[5]
         assert apex.facet_sequence[-1] == 5
         assert set(apex.facet_sequence[:-1]) <= {1, 2, 3, 4}
 
     def test_square_rank_two_case(self, square):
         lat = build_maxbiclique_lattice(square)
-        cycles = enumerate_super_cycles_per_vertex(lat)
+        cycles = super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
         for j, sc in cycles.items():
             assert len(sc.facet_sequence) == 3
             assert set(sc.facet_sequence[:-1]) == square.facets_of_vertex(j)
@@ -717,7 +720,7 @@ class TestSuperCycles:
     def test_same_orientation_across_vertices(self, pyramid):
         lat = build_maxbiclique_lattice(pyramid)
         for orientation in (0, 1):
-            cycles = enumerate_super_cycles_per_vertex(lat, orientation=orientation)
+            cycles = super_cycles_by_walk(lat, flag_graph_bipartition(lat), orientation)
             assert {sc.orientation for sc in cycles.values()} == {orientation}
 
     def test_no_extra_facet(self):
@@ -726,7 +729,7 @@ class TestSuperCycles:
         rel = IncidenceRelation.from_pairs(2, 2, [(1, 1), (1, 2), (2, 1)])
         lat = build_maxbiclique_lattice(rel)
         with pytest.raises((NoExtraFacetError, NotGradedError)):
-            enumerate_super_cycles_per_vertex(lat)
+            super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
 
 
 def _gramian_workload_relations() -> dict:
@@ -778,7 +781,7 @@ def _outcome(call):
 
 @pytest.mark.parametrize("name", list(WALK_RELATIONS))
 def test_super_cycles_match_the_walk(name):
-    """Both enumerations against one object per super cycle built by a
+    """The enumeration against one object per super cycle built by a
     depth-first walk, errors and their precedence included."""
     lat = build_maxbiclique_lattice(WALK_RELATIONS[name])
     try:
@@ -787,7 +790,32 @@ def test_super_cycles_match_the_walk(name):
         coloring = {}
     assert _outcome(lambda: enumerate_super_cycles(lat, coloring)) == \
         _outcome(lambda: super_cycles_by_walk(lat, coloring))
-    for orientation in (0, 1):
-        assert _outcome(lambda: enumerate_super_cycles_per_vertex(lat, orientation)) == \
-            _outcome(lambda: super_cycles_by_walk(lat, flag_graph_bipartition(lat),
-                                                  orientation))
+
+
+def _has_cover_signs(rel) -> bool:
+    lat = build_maxbiclique_lattice(rel)
+    return lat.is_graded and lat.rank2_failure is None and lat.cover_signs is not None
+
+
+SIGNED_RELATIONS = {name: rel for name, rel in {**WALK_RELATIONS, "cube-5": cube(5)}.items()
+                    if _has_cover_signs(rel)}
+
+
+@pytest.mark.parametrize("name", list(SIGNED_RELATIONS))
+def test_cycle_classes_match_the_flag_coloring(name):
+    """Each cycle's class on the Gramian path against the class of its
+    induced flag among the enumerated flags.  A chain that is not a run
+    of covers gets some sign without an error, so only this catches it."""
+    from polyrealize.gramian import _verify
+    from polyrealize.incidence import _chain_classes, _cycle_table, _induced_flag, lattice_gate
+
+    rel = SIGNED_RELATIONS[name]
+    lat = build_maxbiclique_lattice(rel)
+    coloring = flag_graph_bipartition(lat)
+    table = _cycle_table(lat)
+    expected = [coloring[_induced_flag(lat, meets)] for meets in table.meets.tolist()]
+    assert _chain_classes(lat, table.induced_chains(lat)).tolist() == expected
+    if rel.degeneracy_reason() is None and lattice_gate(rel)[2] is None:
+        _, (_, _, orientation) = _verify(rel, np.eye(rel.n_facets), None, lambda w, thr: [],
+                                         1.0, rank_tol=1e-9, det_zero_tol=1e-8, flag_cap=10**6)
+        assert orientation.tolist() == expected

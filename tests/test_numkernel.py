@@ -9,7 +9,6 @@ from polyrealize import (
     BilinearForm,
     compact_svd,
     factor_against_form,
-    hodge_star,
     pseudoinverse,
     signature,
     sqrt_psd,
@@ -33,6 +32,7 @@ from polyrealize.numkernel import (
 from conftest import PYRAMID_MATRIX, SQUARE_MATRIX
 import oracles
 from oracles import (
+    hodge_star,
     exact_integer_rank,
     random_form_matrix,
     simplex_strict_feasibility,
