@@ -5,11 +5,11 @@ outward normals, and the matrix of pairwise form values of those
 normals (the Gramian, whose entries are cosines of dihedral angles)
 determines the cone up to orthogonal transformations of the form.  This
 module verifies the determinant and rank conditions a candidate Gramian
-must satisfy for a given relation, and constructs an explicit cone from
-a passing candidate: factor G = H* Phi H, then recover each generator
-as the line phi-orthogonal to the normals of the facets at its vertex.
-Specialized condition sets cover the spherical (positive definite form)
-and hyperbolic (Lorentzian form, ideal vertices allowed) cases.
+must satisfy for a given relation and constructs a cone from a passing
+one; both factor G = H* Phi H and take each generator as the line
+phi-orthogonal to the normals at its vertex, and the verifiers read the
+pair determinants from that factor, one determinant per cycle.  Spherical
+and hyperbolic (Lorentzian, ideal vertices allowed) variants exist.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .realize import FilledIncidenceMatrix
 DEFAULT_DET_ZERO_TOL = 1e-8
 DIAG_TOL = 1e-7
 _DET_CHUNK = 4096
+_PAIR_BLOCK = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,34 +153,40 @@ def _unit_diagonal(G) -> ConditionCheck:
     return ConditionCheck("diagonal", bool(np.abs(np.diag(G) - 1.0).max() <= DIAG_TOL))
 
 
+def _facets_by_degree(rel):
+    """(0-based vertices, one row of 0-based facets each) per vertex degree."""
+    degree = rel.mask.sum(axis=0)
+    for k in dict.fromkeys(degree.tolist()):
+        vertices = np.flatnonzero(degree == k)
+        yield vertices, np.nonzero(rel.mask[:, vertices].T)[1].reshape(len(vertices), k)
+
+
 def _vertex_rank_condition(G, rel, d, rank_tol, ideal=frozenset()):
     """Principal minors over the facets at each vertex must have rank d.
 
     Ideal vertices of hyperbolic polytopes are the exception: their ray
     is lightlike, the form restricted to its orthogonal complement has a
     one-dimensional radical, and the minor rank drops to exactly d-1.
-    The minors of all vertices of one degree are ranked by one stacked
-    SVD.
+    The minors of all vertices of one degree are ranked by one stacked SVD.
     """
-    by_degree = {}
-    for j in range(1, rel.n_vertices + 1):
-        by_degree.setdefault(len(rel.facets_of_vertex(j)), []).append(j)
-    rank_of = {}
-    for vertices in by_degree.values():
-        rows = np.array([sorted(rel.facets_of_vertex(j)) for j in vertices]) - 1
-        minors = G[rows[:, :, None], rows[:, None, :]]
-        rank_of.update(zip(vertices, numeric_ranks(minors, rank_tol).tolist()))
-    failures = []
-    for j in range(1, rel.n_vertices + 1):
-        r = rank_of[j]
-        expected = d - 1 if j in ideal else d
-        if r != expected:
-            failures.append(f"vertex {j}: rank {r}, expected {expected}")
-    return ConditionCheck(
-        "vertex-minor-rank",
-        not failures,
-        "; ".join(failures[:5]),
-    )
+    rank_of = np.empty(rel.n_vertices, dtype=int)
+    for vertices, rows in _facets_by_degree(rel):
+        rank_of[vertices] = numeric_ranks(G[rows[:, :, None], rows[:, None, :]], rank_tol)
+    failures = [f"vertex {j}: rank {r}, expected {d - (j in ideal)}"
+                for j, r in enumerate(rank_of.tolist(), 1) if r != d - (j in ideal)]
+    return ConditionCheck("vertex-minor-rank", not failures, "; ".join(failures[:5]))
+
+
+def _generators(PH, rel) -> tuple:
+    """Generators W and N = PH* W, PH = Phi H: w_j is the last right
+    singular vector of PH[:, F_j]*, F_j the facets at vertex j (one
+    stacked SVD per degree), signed so that column j of N sums negative."""
+    W = np.empty((PH.shape[0], rel.n_vertices))
+    for vertices, rows in _facets_by_degree(rel):
+        W[:, vertices] = np.linalg.svd(PH[:, rows].transpose(1, 2, 0))[2][:, -1].T
+    N = PH.T @ W
+    signs = np.where(N.sum(axis=0) > 0, -1.0, 1.0)
+    return W * signs, N * signs
 
 
 def _signature_check(w, thr, expected) -> ConditionCheck:
@@ -189,8 +196,9 @@ def _signature_check(w, thr, expected) -> ConditionCheck:
     return ConditionCheck("signature", sig == expected, f"signature {sig}, expected {expected}")
 
 
-def _pair_detail(count, failures) -> str:
-    return f"exhaustive, {count} pairs" + ("; " + "; ".join(failures) if failures else "")
+def _pair_check(name, count, failures) -> ConditionCheck:
+    return ConditionCheck(name, not failures, f"exhaustive, {count} pairs"
+                          + ("; " + "; ".join(failures) if failures else ""))
 
 
 def _named(sequence) -> tuple:
@@ -198,43 +206,40 @@ def _named(sequence) -> tuple:
     return tuple((sequence + 1).tolist())
 
 
-def _super_cycle_condition(G, sequences, orientation, det_factor, ztol) -> ConditionCheck:
+def _super_cycle_condition(V, off, cycles, orientation, det_sign, ztol) -> ConditionCheck:
     """det G[a, b] * det_factor > 0 over same-orientation super-cycle pairs.
 
-    Super cycles are rows of 0-based facet indices, with their classes.
-    G has rank d+1, so G = H* Phi' H with H of d+1 rows and Phi' = +-1
-    diagonal, and det G[a, b] = det H_a * det Phi' * det H_b.  Every pair
-    of a class (a = b included) passes exactly when det G[a, a0] *
-    det_factor > ztol * scale for each a, with a0 the class's cycle of
-    largest |det G[a, a]| / scale.  The detail counts all 2K determinants.
-    """
-    refs = np.empty(len(sequences), dtype=int)
+    ``V[k, f]`` is det H_a of super cycle a = cycle k + facet f, f in
+    ``off[k]``; det G[a, b] = V_a * det Phi * V_b, det_sign = det_factor
+    * det Phi.  A class passes when det_sign * V_a * V_ref > ztol for
+    each member a, V_ref its first value within rounding of the largest
+    |V|.  The detail counts the 2K determinants of the K super cycles."""
+    values, refs = np.zeros_like(V), {}
     for c in np.unique(orientation):
-        members = np.flatnonzero(orientation == c)
-        dets, scales = _minor_dets(G, sequences[members], sequences[members])
-        refs[members] = members[np.argmax(np.abs(dets) / scales)]
-    dets, scales = _minor_dets(G, sequences, sequences[refs])
-    values = det_factor * dets
-    failures = [
-        f"cycles {_named(sequences[k])} x {_named(sequences[refs[k]])}: "
-        f"det*sign = {values[k]:.3g}"
-        for k in np.flatnonzero(values <= ztol * scales)[:5]
-    ]
-    return ConditionCheck("super-cycle-pairs", not failures,
-                          _pair_detail(2 * len(sequences), failures))
+        members = orientation == c
+        score = np.where(off & members[:, None], np.abs(V), -1.0)
+        k, f = np.unravel_index(np.argmax(score >= score.max() * (1 - 1e-12)), V.shape)
+        values[members] = det_sign * V[k, f] * V[members]
+        refs[c] = _named(np.append(cycles[k], f))
+    failures = [f"cycles {_named(np.append(cycles[k], f))} x {refs[orientation[k]]}: "
+                f"det*sign = {values[k, f]:.3g}"
+                for k, f in np.argwhere(off & (values <= ztol))[:5]]
+    return _pair_check("super-cycle-pairs", 2 * int(off.sum()), failures)
 
 
 def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_cap,
             ideal=frozenset()):
     """The check sequence every Gramian verifier shares.
 
-    Runs the lattice gate, the flag cap, ``form_checks(w, thr)`` (the
-    checks particular to the form, given G's eigenvalues w and zero
-    threshold thr), vertex minor ranks, then the super-cycle condition,
-    left undecided and failed unless G has rank d+1.  A flag graph that
-    is not bipartite fails the lattice check.  Returns (checks, cycles):
-    cycles is (lattice, cycle table, cycle classes) for a caller adding
-    checks of its own, or None when the lattice check failed.
+    Runs the lattice gate (a flag graph that is not bipartite fails it),
+    the flag cap, ``form_checks(w, thr)`` (the form's own checks, given
+    G's eigenvalues w and zero threshold thr), vertex minor ranks, then
+    the super-cycle condition, undecided and failed unless G has rank
+    d+1.  At rank d+1, G = H* Phi H over its d+1 largest |eigenvalues|,
+    Phi being G's own signature, and cycle C at vertex v has det[H_C, x]
+    = c . x with c = det A * A^-T e_d, A = [H_C, Phi w_v].  Returns
+    (checks, cycles): cycles is (lattice, cycle table, cycle classes,
+    (c, Phi) or None), or None when the lattice check failed.
     """
     lat, d, reason = lattice_gate(rel, d)
     if reason is not None:
@@ -246,22 +251,32 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
     _check_flag_cap(lat, flag_cap)
     if lat.cover_signs is None:
         return [ConditionCheck("lattice", False, "flag graph is not bipartite")], None
-    w = np.linalg.eigvalsh(0.5 * (G + G.T))
+    S = 0.5 * (G + G.T)
+    w = np.linalg.eigvalsh(S)
     thr = rank_tol * max(np.abs(w).max(), 1e-300)
     checks = [ConditionCheck("lattice", True), *form_checks(w, thr)]
     checks.append(_vertex_rank_condition(G, rel, d, rank_tol, ideal))
     table = _cycle_table(lat)
     orientation = _chain_classes(lat, table.induced_chains(lat))
     rank = int(np.count_nonzero(np.abs(w) > thr))
-    if rank == d + 1:
-        rows, extras = table.super_cycles(rel)
-        sequences = np.column_stack([table.facets[rows] - 1, extras])
-        checks.append(_super_cycle_condition(
-            G, sequences, orientation[rows], det_factor, det_zero_tol))
-    else:
+    if rank != d + 1:
         checks.append(ConditionCheck(
             "super-cycle-pairs", False, f"not decided: rank {rank}, expected {d + 1}"))
-    return checks, (lat, table, orientation)
+        return checks, (lat, table, orientation, None)
+    lam, Q = np.linalg.eigh(S)
+    top = np.argsort(-np.abs(lam))[:d + 1]
+    H, phi = np.sqrt(np.abs(lam[top]))[:, None] * Q[:, top].T, np.sign(lam[top])
+    W, _ = _generators(phi[:, None] * H, rel)
+    at = table.vertex - 1
+    A = np.concatenate([H[:, table.facets - 1].transpose(1, 0, 2),
+                        (phi[:, None] * W)[:, at].T[:, :, None]], axis=2)
+    det = np.linalg.det(A)
+    A[det == 0] = np.eye(d + 1)  # H_C of rank below d: c = 0
+    last = np.broadcast_to(np.eye(d + 1)[:, -1:], (len(A), d + 1, 1))
+    cof = det[:, None] * np.linalg.solve(A.transpose(0, 2, 1), last)[:, :, 0]
+    checks.append(_super_cycle_condition(cof @ H, ~rel.mask.T[at], table.facets - 1,
+                                         orientation, det_factor * np.prod(phi), det_zero_tol))
+    return checks, (lat, table, orientation, (cof, phi))
 
 
 def _report(checks) -> ConditionReport:
@@ -280,8 +295,8 @@ def verify_gramian_conditions(
     Conditions: the lattice preamble, signature of G matching the form
     (with n - d - 1 zeros), diagonals +-1, every vertex's principal
     minor of rank d, and positivity of det(minor) * sign(det Phi) for
-    every same-orientation super-cycle pair, decided through one reference
-    minor per super cycle; det_zero_tol bounds det H_a * det H_a0.
+    every same-orientation super-cycle pair, decided with one determinant
+    per cycle; det_zero_tol bounds det H_a * det H_ref.
     """
     G = cand.G
     rel = cand.relation
@@ -305,22 +320,16 @@ def realize_cone_from_gramian(
 ) -> ConeRealization:
     """Construct a cone whose Gramian is the candidate.
 
-    Factors G = H* Phi H and sets the generator w_j to the last right
-    singular vector of (Phi H)[:, F_j]*, F_j the facets at vertex j: on
-    a valid candidate their normals span d dimensions, so w_j spans the
-    line phi-orthogonal to all of them and N = (Phi H)* W vanishes
-    exactly on incident pairs.  Each w_j is signed so that column j of N
-    sums negative.  A final fill-0 pattern and rank check guards against
-    an unverified candidate; its failure raises PatternViolationError
-    rather than returning a wrong cone.
+    Factors G = H* Phi H against the form and takes W and N = (Phi H)* W
+    from _generators, as the verifiers do: on a valid candidate w_j spans
+    the line phi-orthogonal to the normals at vertex j, so N vanishes
+    exactly on incident pairs.  A final fill-0 pattern and rank check
+    guards against an unverified candidate; its failure raises
+    PatternViolationError rather than returning a wrong cone.
     """
     rel = cand.relation
     H = factor_against_form(cand.G, cand.form, rank_tol)
-    PH = cand.form.phi @ H
-    W = np.column_stack([np.linalg.svd(PH[:, at].T)[2][-1] for at in rel.mask.T])
-    N = PH.T @ W
-    signs = np.where(N.sum(axis=0) > 0, -1.0, 1.0)
-    W, N = W * signs, N * signs
+    W, N = _generators(cand.form.phi @ H, rel)
     try:
         fim = FilledIncidenceMatrix(N, rel, 0.0, 1e-9 * max(np.abs(N).max(), 1.0), 1e-9)
     except PatternViolationError as exc:
@@ -384,18 +393,25 @@ def verify_spherical_conditions(
     return _report(checks)
 
 
-def _distinct_vertex_pairs(orientation, vertex):
-    """(rows, cols) index arrays of the pairs a <= b of one orientation class
-    at distinct vertices, in row-major order, in blocks of at most _DET_CHUNK."""
+def _distinct_vertex_condition(table, orientation, factor, ztol) -> ConditionCheck:
+    """det G[C_a, C_b] > ztol over same-orientation cycles at distinct vertices.
+
+    By Cauchy-Binet det G[C_a, C_b] = det Phi * phi(c_a, c_b), c the
+    cofactor vectors from _verify; at most _PAIR_BLOCK pairs at a time."""
+    cof, phi = factor
+    count, failures = 0, []
     for c in np.unique(orientation):
         members = np.flatnonzero(orientation == c)
-        starts = np.concatenate([[0], np.cumsum(np.arange(len(members), 0, -1))])
-        for first in range(0, starts[-1], _DET_CHUNK):
-            t = np.arange(first, min(first + _DET_CHUNK, starts[-1]))
-            row = np.searchsorted(starts, t, side="right") - 1
-            a, b = members[row], members[row + t - starts[row]]
-            keep = vertex[a] != vertex[b]
-            yield a[keep], b[keep]
+        step = max(1, _PAIR_BLOCK // len(members))
+        for start in range(0, len(members), step):
+            rows = members[start:start + step]
+            pairs = (table.vertex[rows, None] != table.vertex[members]) & (rows[:, None] < members)
+            values = np.prod(phi) * (cof[rows] * phi) @ cof[members].T
+            count += int(pairs.sum())
+            failures += [f"cycles {tuple(table.facets[rows[k]].tolist())} x "
+                         f"{tuple(table.facets[members[b]].tolist())}: det {values[k, b]:.3g}"
+                         for k, b in np.argwhere(pairs & (values <= ztol))[:5 - len(failures)]]
+    return _pair_check("distinct-vertex-pairs", count, failures)
 
 
 def verify_hyperbolic_conditions(
@@ -415,11 +431,8 @@ def verify_hyperbolic_conditions(
     super-cycle pair determinants negative, decided as in
     verify_gramian_conditions; truncated-cycle principal minors zero at
     ideal vertices, positive at finite vertices and at all higher faces;
-    and cross determinants of same-orientation cycles at different
-    vertices positive.  The last condition uses the d x d minors over
-    the cycle parts, which carry the pairwise form values of the
-    generators; the full super-cycle minors already appear (negated) in
-    the super-cycle condition.
+    and the d x d minors over same-orientation cycles at distinct
+    vertices positive, decided or left undecided with the super cycles.
     """
     G = _facet_gramian(G, rel)
     ideal_vertices = tuple(ideal_vertices)
@@ -436,7 +449,9 @@ def verify_hyperbolic_conditions(
     )
     if cycles is None:
         return _report(checks)
-    lat, table, orientation = cycles
+    lat, table, orientation, factor = cycles
+    distinct = (_distinct_vertex_condition(table, orientation, factor, det_zero_tol) if factor
+                else ConditionCheck("distinct-vertex-pairs", False, checks[-1].detail))
     sequences = table.facets - 1
 
     # principal minors over the truncated cycles: the facet sets of the
@@ -456,19 +471,7 @@ def verify_hyperbolic_conditions(
             elif det <= ztol:
                 found.append((k, s, f"facets {_named(row)}: det {det:.3g}"))
     failures = [text for _, _, text in sorted(found)[:5]]
-    checks.append(ConditionCheck("truncated-cycles", not failures, "; ".join(failures)))
-
-    count, failures = 0, []
-    for rows, cols in _distinct_vertex_pairs(orientation, table.vertex):
-        dets, scales = _minor_dets(G, sequences[rows], sequences[cols])
-        count += len(rows)
-        failures += [
-            f"cycles {_named(sequences[rows[k]])} x {_named(sequences[cols[k]])}: "
-            f"det {dets[k]:.3g}"
-            for k in np.flatnonzero(dets <= det_zero_tol * scales)[:5 - len(failures)]
-        ]
-    checks.append(ConditionCheck(
-        "distinct-vertex-pairs", not failures, _pair_detail(count, failures)))
+    checks += [ConditionCheck("truncated-cycles", not failures, "; ".join(failures)), distinct]
     return _report(checks)
 
 

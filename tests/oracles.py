@@ -544,6 +544,23 @@ def vertex_minor_failures_one_at_a_time(G, rel, d, rank_tol, ideal=frozenset()) 
     return failures
 
 
+def _pair_minors_positive(G, rows, cols, sign, det_zero_tol) -> bool:
+    """Whether sign * det G[rows, cols[l]] clears det_zero_tol times the
+    product of that minor's row norms (at least 1), for every row l of
+    cols; one determinant per pair, the pairs of one row stacked."""
+    minors = G[rows[:, None], cols[:, None, :]]
+    scale = np.maximum(np.prod(np.maximum(np.linalg.norm(minors, axis=2), 1e-30), axis=1), 1.0)
+    return not np.any(np.linalg.det(minors) * sign <= det_zero_tol * scale)
+
+
+def _by_orientation(super_cycles) -> list:
+    """The super cycles of each orientation class, in their given order."""
+    classes = {}
+    for c in super_cycles:
+        classes.setdefault(c.orientation, []).append(c)
+    return list(classes.values())
+
+
 def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -> bool:
     """The pairwise super-cycle condition, one determinant per pair.
 
@@ -552,13 +569,11 @@ def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -
     of the minor's row norms (at least 1), where G[a, b] takes the rows
     of a's facet sequence and the columns of b's.
     """
-    for a, b in itertools.combinations_with_replacement(super_cycles, 2):
-        if a.orientation != b.orientation:
-            continue
-        minor = G[np.ix_(np.array(a.facet_sequence) - 1, np.array(b.facet_sequence) - 1)]
-        scale = max(float(np.prod(np.maximum(np.linalg.norm(minor, axis=1), 1e-30))), 1.0)
-        if np.linalg.det(minor) * det_factor <= det_zero_tol * scale:
-            return False
+    for members in _by_orientation(super_cycles):
+        sequences = np.array([c.facet_sequence for c in members]) - 1
+        for k, rows in enumerate(sequences):
+            if not _pair_minors_positive(G, rows, sequences[k:], det_factor, det_zero_tol):
+                return False
     return True
 
 
@@ -643,14 +658,13 @@ def distinct_vertex_pairs_by_definition(G, super_cycles, det_zero_tol) -> bool:
     vertices needs the d x d minor of G over the cycle parts (rows from
     a, columns from b) above det_zero_tol times its row-norm scale.
     """
-    for a, b in itertools.combinations(super_cycles, 2):
-        if a.orientation != b.orientation or a.vertex == b.vertex:
-            continue
-        minor = G[np.ix_(np.array(a.facet_sequence[:-1]) - 1,
-                         np.array(b.facet_sequence[:-1]) - 1)]
-        scale = max(float(np.prod(np.maximum(np.linalg.norm(minor, axis=1), 1e-30))), 1.0)
-        if np.linalg.det(minor) <= det_zero_tol * scale:
-            return False
+    for members in _by_orientation(super_cycles):
+        cycles = np.array([c.facet_sequence[:-1] for c in members]) - 1
+        vertex = np.array([c.vertex for c in members])
+        for k, rows in enumerate(cycles):
+            later = cycles[k + 1:][vertex[k + 1:] != vertex[k]]
+            if not _pair_minors_positive(G, rows, later, 1.0, det_zero_tol):
+                return False
     return True
 
 

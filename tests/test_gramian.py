@@ -40,6 +40,7 @@ from conftest import (
     pyramid_relation,
     simplex,
     sphere_hull,
+    sphere_points,
     triangular_prism,
 )
 from oracles import (
@@ -283,6 +284,17 @@ def test_gramian_shape_must_match_the_facets(verify, shape):
         verify(ngon(4), G)
 
 
+def _ideal_octahedron():
+    """The ideal regular octahedron: vertices (+-e_i, 1), all six ideal, and
+    one facet normal (s_1, s_2, s_3, 1) per sign triple."""
+    vertices = np.vstack([np.eye(3), -np.eye(3)])
+    H = np.array([[s1, s2, s3, 1.0] for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]).T
+    rel = IncidenceRelation.from_pairs(8, 6, [
+        (i + 1, j + 1) for i in range(8) for j in range(6)
+        if np.isclose(H[:3, i] @ vertices[j], 1.0)])
+    return rel, range(1, 7), gramian_of_cone(H, BilinearForm.hyperbolic(4))
+
+
 class TestHyperbolic:
     def ideal_triangle(self):
         rel = IDEAL_TRIANGLE_RELATION()
@@ -366,6 +378,13 @@ class TestHyperbolic:
         report = verify_hyperbolic_conditions(ngon(3), [], G, 2)
         assert report.passed
 
+    def test_ideal_regular_octahedron(self):
+        rel, ideal, G = _ideal_octahedron()
+        assert verify_hyperbolic_conditions(rel, ideal, G, 3).passed
+        flipped = verify_hyperbolic_conditions(rel, ideal, _flip_first_normal(G), 3)
+        assert not flipped.check("super-cycle-pairs").passed
+        assert not flipped.check("distinct-vertex-pairs").passed
+
     def test_spherical_gramian_fails_hyperbolic(self, octant):
         report = verify_hyperbolic_conditions(octant, [], np.eye(3), 2)
         assert not report.passed
@@ -430,8 +449,9 @@ FAILING_HYPERBOLIC = {
 }
 
 # pass flags captured before the pair determinants were batched, details
-# with one reference minor per super cycle and distinct-vertex pairs over
-# cycles; the spherical reports leave out the "psd" detail, a
+# with the pairs read from one factor of G (each super cycle against its
+# class's first largest |det H|, one form value per distinct-vertex cycle
+# pair); the spherical reports leave out the "psd" detail, a
 # rounding-level eigenvalue
 EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                             "lattice": True,
@@ -468,13 +488,12 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                            "super-cycle-pairs": False,
                            "vertex-minor-rank": True},
             "details": {"signature": "signature (3, 0, 5), expected (3, 0, 5)",
-                        "super-cycle-pairs": "exhaustive, 192 pairs; cycles (8, 1, 2) x "
-                                             "(6, 7, 2): det*sign = -0.0732; cycles (8, 1, "
-                                             "3) x (6, 7, 2): det*sign = -0.177; cycles "
-                                             "(8, 1, 4) x (6, 7, 2): det*sign = -0.25; "
-                                             "cycles (8, 1, 5) x (6, 7, 2): det*sign = "
-                                             "-0.25; cycles (8, 1, 6) x (6, 7, 2): "
-                                             "det*sign = -0.177"},
+                        "super-cycle-pairs": "exhaustive, 192 pairs; cycles (2, 3, 4) x (8, "
+                                             "1, 4): det*sign = -0.0732; cycles (2, 3, 5) x "
+                                             "(8, 1, 4): det*sign = -0.177; cycles (2, 3, 6) "
+                                             "x (8, 1, 4): det*sign = -0.25; cycles (2, 3, 7) "
+                                             "x (8, 1, 4): det*sign = -0.25; cycles (2, 3, 8) "
+                                             "x (8, 1, 4): det*sign = -0.177"},
             "passed": False},
            {"conditions": {"diagonal": True,
                            "lattice": True,
@@ -483,13 +502,12 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                            "super-cycle-pairs": False,
                            "vertex-minor-rank": True},
             "details": {"rank": "rank 3, expected 3",
-                        "super-cycle-pairs": "exhaustive, 192 pairs; cycles (8, 1, 2) x "
-                                             "(6, 7, 2): det*sign = -0.0732; cycles (8, 1, "
-                                             "3) x (6, 7, 2): det*sign = -0.177; cycles "
-                                             "(8, 1, 4) x (6, 7, 2): det*sign = -0.25; "
-                                             "cycles (8, 1, 5) x (6, 7, 2): det*sign = "
-                                             "-0.25; cycles (8, 1, 6) x (6, 7, 2): "
-                                             "det*sign = -0.177"},
+                        "super-cycle-pairs": "exhaustive, 192 pairs; cycles (2, 3, 4) x (8, "
+                                             "1, 4): det*sign = -0.0732; cycles (2, 3, 5) x "
+                                             "(8, 1, 4): det*sign = -0.177; cycles (2, 3, 6) "
+                                             "x (8, 1, 4): det*sign = -0.25; cycles (2, 3, 7) "
+                                             "x (8, 1, 4): det*sign = -0.25; cycles (2, 3, 8) "
+                                             "x (8, 1, 4): det*sign = -0.177"},
             "passed": False}),
  "pyramid": ({"conditions": {"diagonal": True,
                              "lattice": True,
@@ -497,14 +515,13 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                              "super-cycle-pairs": False,
                              "vertex-minor-rank": True},
               "details": {"signature": "signature (4, 0, 1), expected (4, 0, 1)",
-                          "super-cycle-pairs": "exhaustive, 128 pairs; cycles (2, 3, 5, "
-                                               "4) x (1, 5, 4, 3): det*sign = -0.569; "
-                                               "cycles (2, 5, 3, 4) x (1, 4, 5, 3): "
-                                               "det*sign = -0.569; cycles (3, 2, 5, 4) x "
-                                               "(1, 4, 5, 3): det*sign = -0.569; cycles "
-                                               "(3, 5, 2, 4) x (1, 5, 4, 3): det*sign = "
-                                               "-0.569; cycles (5, 2, 3, 4) x (1, 5, 4, "
-                                               "3): det*sign = -0.569"},
+                          "super-cycle-pairs": "exhaustive, 128 pairs; cycles (2, 3, 5, 4) x "
+                                               "(1, 5, 4, 2): det*sign = -0.569; cycles (2, 5, "
+                                               "3, 4) x (1, 4, 5, 2): det*sign = -0.569; cycles "
+                                               "(3, 2, 5, 4) x (1, 4, 5, 2): det*sign = -0.569; "
+                                               "cycles (3, 5, 2, 4) x (1, 5, 4, 2): det*sign = "
+                                               "-0.569; cycles (5, 2, 3, 4) x (1, 5, 4, 2): "
+                                               "det*sign = -0.569"},
               "passed": False},
              {"conditions": {"diagonal": True,
                              "lattice": True,
@@ -513,14 +530,13 @@ EXPECTED_EUCLIDEAN = {"cube-3": ({"conditions": {"diagonal": True,
                              "super-cycle-pairs": False,
                              "vertex-minor-rank": True},
               "details": {"rank": "rank 4, expected 4",
-                          "super-cycle-pairs": "exhaustive, 128 pairs; cycles (2, 3, 5, "
-                                               "4) x (1, 5, 4, 3): det*sign = -0.569; "
-                                               "cycles (2, 5, 3, 4) x (1, 4, 5, 3): "
-                                               "det*sign = -0.569; cycles (3, 2, 5, 4) x "
-                                               "(1, 4, 5, 3): det*sign = -0.569; cycles "
-                                               "(3, 5, 2, 4) x (1, 5, 4, 3): det*sign = "
-                                               "-0.569; cycles (5, 2, 3, 4) x (1, 5, 4, "
-                                               "3): det*sign = -0.569"},
+                          "super-cycle-pairs": "exhaustive, 128 pairs; cycles (2, 3, 5, 4) x "
+                                               "(1, 5, 4, 2): det*sign = -0.569; cycles (2, 5, "
+                                               "3, 4) x (1, 4, 5, 2): det*sign = -0.569; cycles "
+                                               "(3, 2, 5, 4) x (1, 4, 5, 2): det*sign = -0.569; "
+                                               "cycles (3, 5, 2, 4) x (1, 5, 4, 2): det*sign = "
+                                               "-0.569; cycles (5, 2, 3, 4) x (1, 5, 4, 2): "
+                                               "det*sign = -0.569"},
               "passed": False})}
 
 EXPECTED_HYPERBOLIC = {"false-ideal-triangle": {"conditions": {"diagonal": True,
@@ -656,6 +672,32 @@ ORACLE_FAMILIES = {
 }
 
 
+def _hull_gramian(seed, n):
+    """Gramian of the cone over conftest.sphere_hull(seed, n) from the hull's
+    own points, moved to put their mean at the origin: facet i has normal
+    (h_i, -1), <h_i, p> = 1 on its vertices."""
+    points, rel = sphere_points(seed, n), sphere_hull(seed, n)
+    points = points - points.mean(axis=0)
+    H = np.column_stack([
+        np.linalg.solve(points[np.array(sorted(rel.vertices_of_facet(i))) - 1], np.ones(3))
+        for i in range(1, rel.n_facets + 1)])
+    return rel, 3, gramian_of_cone(np.vstack([H, -np.ones(rel.n_facets)]),
+                                   BilinearForm.euclidean(4))
+
+
+# seeded simplicial 3-polytopes at the zero test: hull8-0 and hull9-0 have
+# super cycles with |det H_a| below 2e-4 (unit normals), which fail the
+# pairwise oracle against themselves at det_zero_tol and pass the verifiers
+HULL_GRAMIANS = {f"hull{n}-0": lambda n=n: _hull_gramian(0, n) for n in (7, 8, 9, 10)}
+
+
+def _genuine_gramian(name):
+    if name in HULL_GRAMIANS:
+        return HULL_GRAMIANS[name]()
+    rel, d = ORACLE_FAMILIES[name]()
+    return rel, d, _family_gramian(rel, d)
+
+
 def _assert_matches_pairwise(rel, G, d, det_factor, *reports):
     """super-cycle-pairs against the pairwise oracle where G has rank d+1."""
     checks = [report.check("super-cycle-pairs") for report in reports]
@@ -668,6 +710,24 @@ def _assert_matches_pairwise(rel, G, d, det_factor, *reports):
     assert all(c.passed == expected for c in checks)
 
 
+def _assert_between_pairwise(rel, G, d, *reports):
+    """super-cycle-pairs at the zero-test boundary, against the pairwise oracle.
+
+    The verifiers test each super cycle a against its class's largest,
+    det_factor * det G[a, ref] > det_zero_tol; the oracle tests every pair,
+    a with itself included, so a super cycle with |det H_a| near
+    sqrt(det_zero_tol) fails the oracle and passes the verifiers.  Their
+    verdict lies between the oracle at det_zero_tol and the oracle on signs.
+    """
+    checks = [report.check("super-cycle-pairs") for report in reports]
+    assert numeric_rank(G) == d + 1
+    lat = build_maxbiclique_lattice(rel)
+    cycles = enumerate_super_cycles(lat, flag_graph_bipartition(lat))
+    strict = super_cycle_pairs_by_definition(G, cycles, 1.0, 1e-8)
+    signs = super_cycle_pairs_by_definition(G, cycles, 1.0, 0.0)
+    assert all(strict <= c.passed <= signs for c in checks)
+
+
 def _assert_distinct_vertex_pairs_match(rel, ideal, G, d):
     """distinct-vertex-pairs over cycles against the oracle over super cycles."""
     check = verify_hyperbolic_conditions(rel, ideal, G, d).check("distinct-vertex-pairs")
@@ -677,16 +737,18 @@ def _assert_distinct_vertex_pairs_match(rel, ideal, G, d):
 
 
 class TestSuperCycleReference:
-    """One reference minor per super cycle decides every same-orientation pair."""
+    """One reference super cycle per class decides every same-orientation pair."""
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + sorted(HULL_GRAMIANS))
     def test_genuine_and_flipped(self, name):
-        rel, d = ORACLE_FAMILIES[name]()
-        genuine = _family_gramian(rel, d)
+        rel, d, genuine = _genuine_gramian(name)
         for G in (genuine, _flip_first_normal(genuine)):
             cand = GramianCandidate(G, BilinearForm.euclidean(d + 1), rel, d)
-            _assert_matches_pairwise(rel, G, d, 1.0, verify_gramian_conditions(cand),
-                                     verify_spherical_conditions(rel, G, d))
+            reports = verify_gramian_conditions(cand), verify_spherical_conditions(rel, G, d)
+            if name in HULL_GRAMIANS:
+                _assert_between_pairwise(rel, G, d, *reports)
+            else:
+                _assert_matches_pairwise(rel, G, d, 1.0, *reports)
 
     @pytest.mark.parametrize("name", sorted(FLIPPED_EUCLIDEAN))
     def test_flipped_euclidean(self, name):
@@ -695,25 +757,32 @@ class TestSuperCycleReference:
         _assert_matches_pairwise(rel, G, d, 1.0, verify_gramian_conditions(cand))
 
     @pytest.mark.parametrize("name", ["ideal-triangle", "right-angled-pentagon",
-                                      "compact-triangle", *sorted(FAILING_HYPERBOLIC)])
+                                      "compact-triangle", "ideal-octahedron",
+                                      "flipped-ideal-octahedron", *sorted(FAILING_HYPERBOLIC)])
     def test_hyperbolic(self, name):
+        def flipped_octahedron():
+            rel, ideal, G = _ideal_octahedron()
+            return rel, ideal, _flip_first_normal(G)
+
         cases = {
             "ideal-triangle": lambda: (ngon(3), [1, 2, 3], np.array(
                 [[1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])),
             "right-angled-pentagon": lambda: (ngon(5), [], _right_angled_pentagon()),
             "compact-triangle": lambda: (ngon(3), [], _compact_triangle()),
+            "ideal-octahedron": _ideal_octahedron,
+            "flipped-ideal-octahedron": flipped_octahedron,
             **FAILING_HYPERBOLIC,
         }
         rel, ideal, G = cases[name]()
-        _assert_matches_pairwise(rel, G, 2, -1.0, verify_hyperbolic_conditions(rel, ideal, G, 2))
-        _assert_distinct_vertex_pairs_match(rel, ideal, G, 2)
+        d = build_maxbiclique_lattice(rel).rank - 1
+        _assert_matches_pairwise(rel, G, d, -1.0, verify_hyperbolic_conditions(rel, ideal, G, d))
+        _assert_distinct_vertex_pairs_match(rel, ideal, G, d)
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+    @pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + sorted(HULL_GRAMIANS))
     def test_distinct_vertex_pairs(self, name):
         """Genuine, flipped and seeded-noise normals through the hyperbolic verifier."""
-        rng = np.random.default_rng(sorted(ORACLE_FAMILIES).index(name))
-        rel, d = ORACLE_FAMILIES[name]()
-        genuine = _family_gramian(rel, d)
+        rng = np.random.default_rng((sorted(ORACLE_FAMILIES) + sorted(HULL_GRAMIANS)).index(name))
+        rel, d, genuine = _genuine_gramian(name)
         H = factor_against_form(genuine, BilinearForm.euclidean(d + 1))
         gramians = [genuine, _flip_first_normal(genuine)] + [
             gramian_of_cone(H + noise * rng.standard_normal(H.shape),
@@ -879,25 +948,59 @@ def test_batched_minor_dets_match_one_at_a_time():
         assert scales[k] == max(float(np.prod(np.maximum(norms, 1e-30))), 1.0)
 
 
-def test_distinct_vertex_pair_blocks_match_the_pair_loop():
-    """Blocked index pairs against combinations_with_replacement, across a block boundary."""
-    from itertools import combinations_with_replacement
+def _cross_gramian(d):
+    """Cone over the d-cross-polytope: facet s + 1 has normal (1 - 2 b(s), -1),
+    b(s) the bits of s, as conftest.cross_polytope numbers them."""
+    signs = 1.0 - 2 * ((np.arange(2**d)[None, :] >> np.arange(d)[:, None]) & 1)
+    return gramian_of_cone(np.vstack([signs, -np.ones(2**d)]), BilinearForm.euclidean(d + 1))
 
-    from polyrealize.gramian import _DET_CHUNK, _distinct_vertex_pairs
 
-    rng = np.random.default_rng(2)
-    orientation = rng.integers(0, 2, 230)
-    vertex = rng.integers(1, 9, 230)
-    expected = [
-        (a, b)
-        for c in (0, 1)
-        for a, b in combinations_with_replacement(np.flatnonzero(orientation == c), 2)
-        if vertex[a] != vertex[b]
-    ]
-    blocks = list(_distinct_vertex_pairs(orientation, vertex))
-    assert len(blocks) > 2 and all(len(rows) <= _DET_CHUNK for rows, _ in blocks)
-    rows, cols = (np.concatenate(x) for x in zip(*blocks))
-    assert list(zip(rows.tolist(), cols.tolist())) == [(int(a), int(b)) for a, b in expected]
+@pytest.mark.parametrize("build, d", [
+    (lambda: (cube(5), _cube_gramian(5)), 5), (lambda: (cross_polytope(4), _cross_gramian(4)), 4),
+], ids=["cube-5", "cross-4"])
+def test_pair_checks_take_one_determinant_per_cycle(monkeypatch, build, d):
+    """No minor per super cycle: the Euclidean and spherical verifiers
+    decide their pairs with at most one determinant per cycle."""
+    from polyrealize import gramian
+    from polyrealize.incidence import _cycle_table
+
+    rel, G = build()
+    cycles = len(_cycle_table(build_maxbiclique_lattice(rel)).facets)
+    cand = GramianCandidate(G, BilinearForm.euclidean(d + 1), rel, d)
+
+    def refuse(*args):
+        raise AssertionError("a minor determinant on the pair path")
+
+    det, counted = np.linalg.det, []
+    monkeypatch.setattr(gramian, "_minor_dets", refuse)
+    monkeypatch.setattr(np.linalg, "det",
+                        lambda a: counted.append(int(np.prod(np.shape(a)[:-2]))) or det(a))
+    for verify in (lambda: verify_gramian_conditions(cand),
+                   lambda: verify_spherical_conditions(rel, G, d)):
+        counted.clear()
+        assert verify().passed
+        assert 0 < sum(counted) <= cycles
+
+
+@pytest.mark.parametrize("build, d", [
+    (lambda: (cube(4), _cube_gramian(4)), 4), (lambda: (cross_polytope(4), _cross_gramian(4)), 4),
+    (lambda: (ngon(5), _right_angled_pentagon()), 2),
+], ids=["cube-4", "cross-4", "pentagon"])
+def test_pair_counts_match_independent_counts(build, d):
+    """The detail headers' pair counts against the enumerated super cycles
+    and a brute-force count of same-class cycle pairs at distinct vertices."""
+    rel, G = build()
+    lat = build_maxbiclique_lattice(rel)
+    coloring = flag_graph_bipartition(lat)
+    super_cycles = enumerate_super_cycles(lat, coloring)
+    cycles = {(c.facet_sequence[:-1], c.vertex, c.orientation)
+              for c in super_cycles_by_walk(lat, coloring)}
+    vertex, orientation = (np.array(x) for x in zip(*((v, o) for _, v, o in cycles)))
+    pairs = (orientation[:, None] == orientation) & (vertex[:, None] != vertex)
+    report = verify_hyperbolic_conditions(rel, [], G, d)
+    for name, count in [("super-cycle-pairs", 2 * len(super_cycles)),
+                        ("distinct-vertex-pairs", int(pairs.sum()) // 2)]:
+        assert report.check(name).detail.split(";")[0] == f"exhaustive, {count} pairs"
 
 
 class TestBlockGramian:

@@ -816,6 +816,6 @@ def test_cycle_classes_match_the_flag_coloring(name):
     expected = [coloring[_induced_flag(lat, meets)] for meets in table.meets.tolist()]
     assert _chain_classes(lat, table.induced_chains(lat)).tolist() == expected
     if rel.degeneracy_reason() is None and lattice_gate(rel)[2] is None:
-        _, (_, _, orientation) = _verify(rel, np.eye(rel.n_facets), None, lambda w, thr: [],
+        _, (_, _, orientation, _) = _verify(rel, np.eye(rel.n_facets), None, lambda w, thr: [],
                                          1.0, rank_tol=1e-9, det_zero_tol=1e-8, flag_cap=10**6)
         assert orientation.tolist() == expected
