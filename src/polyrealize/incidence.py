@@ -12,16 +12,21 @@ the cycle / super cycle walk whose chain classes fix orientations.  It
 also checks a matrix against the relation's filled incidence pattern.
 
 Facet and vertex indices are 1-based throughout, matching the relation
-file format.  Lattice elements are referred to by their position in
-``MaxbicliqueLattice.elements``, which is sorted lexicographically by
-vertex set so that all derived enumerations are deterministic.
+file format.  Lattice elements are referred to by their row in the
+arrays of ``MaxbicliqueLattice``, sorted lexicographically by vertex set
+so that all derived enumerations are deterministic.  The lattice holds
+element sets as boolean rows and covers as compressed sparse rows; the
+per-element ``Maxbiclique`` objects and cover tuples are built only when
+first read, which the lattice gate never does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -37,6 +42,7 @@ from .errors import (
     NotBipartiteError,
     NotDiamondError,
     NotGradedError,
+    PolyrealizeError,
     RelationFormatError,
 )
 from .numkernel import as_matrix
@@ -322,23 +328,66 @@ class SuperCycle:
 class MaxbicliqueLattice:
     """All maxbicliques of a relation ordered by vertex-set containment.
 
-    ``elements`` is sorted lexicographically by vertex set.  ``ranks`` is
-    None when the lattice is not graded.  Cover lists index into
-    ``elements``.  Instances are immutable; all methods are pure.
+    The lattice is held as arrays with one row per element, the elements
+    sorted lexicographically by vertex set.  ``vertex_rows`` (|L| x m) and
+    ``facet_rows`` (|L| x n) are read-only boolean masks of each element's
+    vertices and facets.  The lower covers of element b are
+    ``lower_indices[lower_indptr[b]:lower_indptr[b + 1]]``, ascending
+    (compressed sparse rows).  ``ranks`` is a tuple, or None when the
+    lattice is not graded.  ``elements``, ``lower_covers``,
+    ``upper_covers`` and the vertex-set index behind ``meet`` are built
+    from the arrays on first access and cached.  Instances are immutable;
+    all methods are pure.
     """
 
     relation: IncidenceRelation
-    elements: tuple
-    upper_covers: tuple = field(repr=False)
-    lower_covers: tuple = field(repr=False)
+    vertex_rows: np.ndarray = field(repr=False)
+    facet_rows: np.ndarray = field(repr=False)
+    lower_indptr: np.ndarray = field(repr=False)
+    lower_indices: np.ndarray = field(repr=False)
     ranks: object = field(repr=False)
     bottom: int
     top: int
-    _vbits: tuple = field(repr=False)
-    _index: Mapping = field(repr=False)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.vertex_rows)
+
+    @cached_property
+    def elements(self) -> tuple:
+        """One ``Maxbiclique`` per element, its facets and vertices as ascending tuples."""
+        return tuple(map(Maxbiclique, _row_tuples(self.facet_rows), _row_tuples(self.vertex_rows)))
+
+    @cached_property
+    def lower_covers(self) -> tuple:
+        """Each element's lower covers as an ascending tuple."""
+        flat, ends = self.lower_indices.tolist(), self.lower_indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
+    def upper_covers(self) -> tuple:
+        """Each element's upper covers as an ascending tuple."""
+        upper = [[] for _ in range(len(self))]
+        for b, below in enumerate(self.lower_covers):
+            for a in below:
+                upper[a].append(b)
+        return tuple(map(tuple, upper))
+
+    @cached_property
+    def _vbits(self) -> tuple:
+        """Each element's vertex set as an int, with bit j - 1 for vertex j."""
+        packed = np.packbits(self.vertex_rows, axis=1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[1]
+        return tuple(int.from_bytes(raw[k:k + width], "little")
+                     for k in range(0, len(raw), width))
+
+    @cached_property
+    def _index(self) -> dict:
+        return {bits: k for k, bits in enumerate(self._vbits)}
+
+    @cached_property
+    def _rank_order(self) -> list:
+        """The elements of a graded lattice by ascending rank, ties by index."""
+        return np.argsort(self.ranks, kind="stable").tolist()
 
     def meet(self, a: int, b: int) -> int:
         """Greatest lower bound; closed vertex sets are intersection-closed."""
@@ -372,13 +421,13 @@ class MaxbicliqueLattice:
 
     @cached_property
     def _rank2(self) -> tuple:
-        """``_rank2_walk`` of the cover lists, walked once per lattice.
+        """``_rank2_walk`` of the lower covers, walked once per lattice.
 
         Raises NotGradedError for a lattice that is not graded.
         """
         if self.ranks is None:
             raise NotGradedError("diamond and flag conditions need a graded lattice")
-        return _rank2_walk(self.lower_covers)
+        return _rank2_walk(self.lower_indptr, self.lower_indices)
 
     @property
     def rank2_failure(self):
@@ -402,7 +451,7 @@ class MaxbicliqueLattice:
         lower, signs = self.lower_covers, {}
         ends = np.searchsorted(groups[0], np.arange(len(self) + 1)).tolist()
         _, a_of, c_of, c2_of = (g.tolist() for g in groups)
-        for b in sorted(range(len(self)), key=self.ranks.__getitem__):
+        for b in self._rank_order:
             parent = {c: (c, 1) for c in lower[b]}  # c: (parent, s(c,b) s(parent,b))
 
             def root(x):
@@ -436,18 +485,39 @@ def _bits_of(vertices: Iterable[int]) -> int:
     return bits
 
 
-def _bit_tuples(masks, width: int) -> list:
-    """The 1-based positions of each mask's set bits, ascending, as tuples.
+def _high_bits_of(indices: Iterable[int], count: int) -> int:
+    """The mask with bit count - k set for each index k: index 1 is the highest bit."""
+    bits = 0
+    for k in indices:
+        bits |= 1 << (count - k)
+    return bits
 
-    All masks are unpacked by one ``np.unpackbits``; width bounds the
-    highest set bit.
+
+def _bit_rows(masks, width: int) -> np.ndarray:
+    """Each mask's bits, highest first, as a boolean row, all unpacked by one ``np.unpackbits``.
+
+    The rows have ``width`` rounded up to bytes columns; bit b is in
+    column -1 - b.
     """
     size = -(-width // 8) or 1
-    raw = b"".join(x.to_bytes(size, "little") for x in masks)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little").view(bool)
-    flat = (np.flatnonzero(bits) % (8 * size) + 1).tolist()
-    ends = list(itertools.accumulate(x.bit_count() for x in masks))
+    raw = b"".join(x.to_bytes(size, "big") for x in masks)
+    return np.unpackbits(np.frombuffer(raw, np.uint8)).view(bool).reshape(len(masks), 8 * size)
+
+
+def _row_tuples(rows: np.ndarray) -> list:
+    """The 1-based positions of each row's True entries, ascending, as tuples."""
+    flat = (np.nonzero(rows)[1] + 1).tolist()
+    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _csr_transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """(indptr, indices) of the converse: row a lists each b whose row holds a, ascending."""
+    size = len(indptr) - 1
+    owner = np.repeat(np.arange(size), np.diff(indptr))
+    counts = np.bincount(indices, minlength=size)
+    return (np.concatenate(([0], np.cumsum(counts))),
+            owner[np.argsort(indices, kind="stable")])
 
 
 def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
@@ -461,21 +531,32 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     facets T_b that touch b.  Every closed set strictly below b lies in
     a cut ``b & row_i`` by a facet i in T_b but not in F_b, or in the
     empty set when there is no such facet.  A cut c is a lower cover of
-    b exactly when it is counted once for each facet above c but not
-    above b: each of them cuts b down to c, so no cut strictly contains
-    c.  This is the counting form of Lindig's upper-neighbour test, and
-    it costs each set work in proportion to its own size.
+    b exactly when it is counted |F_c| - |F_b| times, once for each facet
+    above c but not above b: each of them cuts b down to c, so no cut
+    strictly contains c.  This is the counting form of Lindig's
+    upper-neighbour test, and it costs each set work in proportion to its
+    own size.  Ranks are longest paths up the covers, taken in order of
+    size; the lattice is graded exactly when each element's lower covers
+    all have one rank.
 
     The relation and its transpose have one lattice, with the order
     reversed, so the same steps run on whichever side has fewer members:
     with more facets than vertices, facet sets are cut by vertex columns,
-    which yields each element's upper covers, and the lower covers are
-    their inverse.  The result is always a complete lattice; whether it
-    is graded, diamond, and so on is decided separately.
+    which yields each element's upper covers and its distance from the
+    top, and the lower covers are their converse.  The result is always a
+    complete lattice; whether it is graded, diamond, and so on is
+    decided separately.
+
+    Index k of n is bit n - k of a mask, so the vertex sets sort
+    lexicographically by one integer each: ``2^m + |S| - x - (x & -x)``
+    for the mask x of a nonempty set S counts the vertex sets before S.
+    The sets stay Python ints while they are cut; the lattice holds
+    them as boolean rows and the lower covers as compressed sparse rows
+    (see ``MaxbicliqueLattice``), and no per-element object is built.
     """
     n, m = rel.n_facets, rel.n_vertices
-    rows = [_bits_of(rel.vertices_of_facet(i)) for i in range(1, n + 1)]
-    cols = [_bits_of(rel.facets_of_vertex(j)) for j in range(1, m + 1)]
+    rows = [_high_bits_of(rel.vertices_of_facet(i), m) for i in range(n, 0, -1)]
+    cols = [_high_bits_of(rel.facets_of_vertex(j), n) for j in range(m, 0, -1)]
     by_facets = n > m
     cutters, members = (cols, rows) if by_facets else (rows, cols)
     every = (1 << len(cutters)) - 1
@@ -495,23 +576,21 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
             rest ^= low
         entries.append((c, above, touching))
     sets, dual, _ = zip(*entries)
-    vbits, fbits = (dual, sets) if by_facets else (sets, dual)
-    size = len(entries)
-    tuples = _bit_tuples(vbits + fbits, max(n, m))
-    by_vertex_set = sorted(range(size), key=tuples.__getitem__)
-    sets, dual, touching = zip(*(entries[k] for k in by_vertex_set))
-    vbits = dual if by_facets else sets
-    index = {bits: k for k, bits in enumerate(vbits)}
-    elements = tuple(Maxbiclique(tuples[size + k], tuples[k]) for k in by_vertex_set)
-
-    order = sorted(range(size), key=lambda k: (len(elements[k].vertex_set), k))
-    bottom = order[0]
-    top = index[(1 << m) - 1]
+    size, full = len(entries), 1 << m
+    before = [full + x.bit_count() - x - (x & -x) if x else 0
+              for x in (dual if by_facets else sets)]
+    sets, dual, touching = zip(*(entries[k] for k in sorted(range(size), key=before.__getitem__)))
+    unpacked = _bit_rows(dual + sets if by_facets else sets + dual, max(n, m))
+    vertex_rows, facet_rows = unpacked[:size, -m:], unpacked[size:, -n:]
+    vertex_rows.setflags(write=False)
+    facet_rows.setflags(write=False)
 
     element_of = dict(zip(sets, range(size)))
+    least = element_of[functools.reduce(operator.and_, cutters)]
+    most = element_of[(1 << len(members)) - 1]
     cutter_of = {1 << i: r for i, r in enumerate(cutters)}
-    covers = []
-    inverse = [[] for _ in range(size)]
+    duals = [x.bit_count() for x in dual]
+    covers = []  # each member set's lower covers among the member sets
     for b, bits in enumerate(sets):
         cutting = touching[b] & ~dual[b]
         if cutting:
@@ -521,37 +600,36 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
                 cut = bits & cutter_of[low]
                 counts[cut] = counts.get(cut, 0) + 1
                 cutting ^= low
-            below = sorted(
-                element_of[c] for c, k in counts.items()
-                if k == (dual[element_of[c]] & ~dual[b]).bit_count()
-            )
+            base = duals[b]
+            below = sorted(c for c, k in zip(map(element_of.__getitem__, counts), counts.values())
+                           if k == duals[c] - base)
         else:
             below = [element_of[0]] if dual[b] != every else []
-        covers.append(tuple(below))
-        for a in below:
-            inverse[a].append(b)
-    covers, inverse = tuple(covers), tuple(tuple(u) for u in inverse)
-    lower_covers, upper_covers = (inverse, covers) if by_facets else (covers, inverse)
+        covers.append(below)
 
-    ranks = [0] * size
-    for k in order:
-        if k == bottom:
-            continue
-        ranks[k] = 1 + max(ranks[a] for a in lower_covers[k])
-    graded = all(
-        ranks[b] == ranks[a] + 1 for b in range(size) for a in lower_covers[b]
-    )
+    sizes = [x.bit_count() for x in sets]
+    height, graded = [0] * size, True
+    for k in sorted(range(size), key=sizes.__getitem__)[1:]:  # after the least member set
+        levels = {height[a] for a in covers[k]}
+        height[k] = 1 + max(levels)
+        graded = graded and len(levels) == 1
+    indptr = np.fromiter(itertools.accumulate(map(len, covers), initial=0),
+                         dtype=np.intp, count=size + 1)
+    indices = np.fromiter(itertools.chain.from_iterable(covers), dtype=np.intp,
+                          count=int(indptr[-1]))
+    if by_facets:
+        indptr, indices = _csr_transpose(indptr, indices)
+        height = [height[most] - h for h in height]
 
     return MaxbicliqueLattice(
         relation=rel,
-        elements=elements,
-        upper_covers=upper_covers,
-        lower_covers=lower_covers,
-        ranks=tuple(ranks) if graded else None,
-        bottom=bottom,
-        top=top,
-        _vbits=vbits,
-        _index=index,
+        vertex_rows=vertex_rows,
+        facet_rows=facet_rows,
+        lower_indptr=indptr,
+        lower_indices=indices,
+        ranks=tuple(height) if graded else None,
+        bottom=most if by_facets else least,
+        top=least if by_facets else most,
     )
 
 
@@ -566,19 +644,19 @@ def _sign_product(signs, chain) -> int:
     return math.prod(signs[cover] for cover in zip(chain, chain[1:]))
 
 
-def _rank2_walk(lower) -> tuple:
-    """(reason, groups) of a graded lattice's cover lists.
+def _rank2_walk(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """(reason, groups) of a graded lattice's lower covers, as compressed sparse rows.
 
     The reason is REASON_DIAMOND, REASON_FLAG_CONNECTIVITY or None.
 
-    One pass of array operations over the cover lists, flattened into
-    edges (b, c), one per cover.  Every triple (b, c, a) with a a lower
-    cover of c is keyed by (b, a); such triples exist only for b of rank
-    at least 2.  The interval [a, b] is a diamond iff its key occurs
-    exactly twice.  The two covers c, c' of b above a are then an edge of
-    b's local flag graph, whose nodes are b's lower covers (two of them
-    meet two ranks below b iff they share a lower cover).  Min-label hooking
-    with pointer jumping labels the components of every local graph at
+    One pass of array operations over the covers, read as edges (b, c),
+    one per cover.  Every triple (b, c, a) with a a lower cover of c is
+    keyed by (b, a); such triples exist only for b of rank at least 2.
+    The interval [a, b] is a diamond iff its key occurs exactly twice.
+    The two covers c, c' of b above a are then an edge of b's local flag
+    graph, whose nodes are b's lower covers (two of them meet two ranks
+    below b iff they share a lower cover).  Min-label hooking with
+    pointer jumping labels the components of every local graph at
     once, with the covers as nodes, so each local graph is connected iff
     there is one component per element other than the bottom.  A diamond
     failure anywhere outranks a disconnected local graph.
@@ -587,13 +665,11 @@ def _rank2_walk(lower) -> tuple:
     [a, b], grouped by b and, within b, in the order in which a is first
     reached; it is None on a diamond failure.
     """
-    size = len(lower)
-    degree = np.fromiter(map(len, lower), dtype=np.intp, count=size)
-    start = np.cumsum(degree) - degree
+    size = len(indptr) - 1
+    degree, start = np.diff(indptr), indptr[:-1]
     # the covers (b, c), b ascending and each cover list in order
     b_of = np.repeat(np.arange(size), degree)
-    c_of = np.fromiter(itertools.chain.from_iterable(lower), dtype=np.intp,
-                       count=int(degree.sum()))
+    c_of = indices
     # the triples (b, c, a): cover (b, c) once for each cover (c, a), in cover order
     fan = degree[c_of]
     cover = np.repeat(np.arange(c_of.size), fan)
@@ -649,11 +725,12 @@ def _atoms_and_coatoms(lat: MaxbicliqueLattice) -> bool:
     coatom of its own iff no other facet contains i's vertices: the
     elements with one vertex, and those with one facet, are then one
     per vertex and one per facet.  Otherwise a vertex sits inside a
-    face or two facets share one face, which no polytope has.
+    face or two facets share one face, which no polytope has.  The
+    elements are counted over the lattice's rows.
     """
     rel = lat.relation
-    return (sum(len(el.vertex_set) == 1 for el in lat.elements) == rel.n_vertices
-            and sum(len(el.facet_set) == 1 for el in lat.elements) == rel.n_facets)
+    return (np.count_nonzero(lat.vertex_rows.sum(axis=1) == 1) == rel.n_vertices
+            and np.count_nonzero(lat.facet_rows.sum(axis=1) == 1) == rel.n_facets)
 
 
 def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
@@ -685,7 +762,7 @@ def count_flags(lat: MaxbicliqueLattice) -> int:
         raise NotGradedError("flag counting needs a graded lattice")
     paths = [0] * len(lat)
     paths[lat.bottom] = 1
-    for k in sorted(range(len(lat)), key=lat.ranks.__getitem__)[1:]:  # the bottom first
+    for k in lat._rank_order[1:]:  # the bottom first
         paths[k] = sum(paths[a] for a in lat.lower_covers[k])
     return paths[lat.top]
 
@@ -829,11 +906,17 @@ def enumerate_super_cycles(
     A super cycle is a cycle at some vertex followed by one facet not
     incident to that vertex (which pushes the total meet to bottom).
     ``coloring`` maps flags to bipartition classes, as produced by
-    flag_graph_bipartition.
+    flag_graph_bipartition; PolyrealizeError names the chain of the
+    first induced flag that it lacks.
     """
     table = _cycle_table(lat)
     flags = [_induced_flag(lat, m) for m in table.meets.tolist()]
-    orientation = [int(coloring[flag]) for flag in flags]
+    try:
+        orientation = [int(coloring[flag]) for flag in flags]
+    except KeyError:
+        missing = next(flag for flag in flags if flag not in coloring)
+        raise PolyrealizeError(
+            f"the coloring has no class for the induced flag {missing.chain}") from None
     if table.stop is not None:
         raise NoCycleError(f"vertex {table.stop} does not generate a rank-1 element")
     facets, vertex = table.facets.tolist(), table.vertex.tolist()

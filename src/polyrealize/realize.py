@@ -282,7 +282,8 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
 
     True exactly when lat is graded and diamond, every element of rank
     r has vertices whose lifted matrix [W_x; 1] has numeric rank r (one
-    stacked rank count per vertex-set size), and every coatom has a
+    stacked rank count per vertex-set size, the sets read from the
+    lattice's vertex rows), and every coatom has a
     supporting vector h with <h, w_j> = 1 on its vertices and < 1 on
     every other vertex: the facet LP ``lp_strict_feasibility``, solved
     in closed form once per coatom, must have an optimal margin above
@@ -300,18 +301,13 @@ def grunbaum_oracle(W, lat: MaxbicliqueLattice) -> bool:
     if not lat.is_graded or lat.rank2_failure == REASON_DIAMOND:
         return False
     lifted = np.vstack([W, np.ones(m)])
-    ranks = np.array(lat.ranks)
-    by_size = {}
-    for k, el in enumerate(lat.elements):
-        if el.vertex_set:  # the bottom alone may be empty, and it has rank 0
-            by_size.setdefault(len(el.vertex_set), []).append(k)
-    for group in by_size.values():
-        cols = np.array([lat.elements[k].vertex_set for k in group]) - 1
+    rows, ranks = lat.vertex_rows, np.array(lat.ranks)
+    sizes = np.count_nonzero(rows, axis=1)
+    for size in np.unique(sizes[sizes > 0]):  # the bottom alone may be empty, and it has rank 0
+        group = np.flatnonzero(sizes == size)
+        cols = np.nonzero(rows[group])[1].reshape(len(group), size)
         if np.any(numeric_ranks(lifted[:, cols].transpose(1, 0, 2)) != ranks[group]):
             return False
-    ids = np.arange(1, m + 1)
     lifted_svd = compact_svd(lifted)
-    return all(
-        lp_strict_feasibility(W, np.isin(ids, el.vertex_set), lifted_svd) > LP_TOL
-        for el, r in zip(lat.elements, lat.ranks) if r == lat.rank - 1
-    )
+    return all(lp_strict_feasibility(W, on, lifted_svd) > LP_TOL
+               for on in rows[ranks == lat.rank - 1])

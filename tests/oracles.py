@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from polyrealize import (
     BilinearForm,
     Flag,
     Maxbiclique,
-    MaxbicliqueLattice,
     SuperCycle,
     build_maxbiclique_lattice,
     enumerate_flags,
@@ -28,6 +28,7 @@ from polyrealize.errors import (
     NoExtraFacetError,
     NotBipartiteError,
     NotGradedError,
+    PolyrealizeError,
 )
 from polyrealize.incidence import REASON_DIAMOND, REASON_FLAG_CONNECTIVITY
 from polyrealize.numkernel import LP_TOL
@@ -93,6 +94,10 @@ def covers_by_definition(rel) -> dict:
     }
 
 
+LATTICE_FIELDS = ("elements", "upper_covers", "lower_covers", "ranks", "bottom", "top",
+                  "_vbits", "_index")
+
+
 def lattice_by_maximal_cuts(rel):
     """The maxbiclique lattice with each element's lower covers as its maximal cuts.
 
@@ -100,7 +105,8 @@ def lattice_by_maximal_cuts(rel):
     lower covers of b are the sets maximal among its cuts
     ``b & row != b``, found by comparing every pair of cuts, and each
     element's facet set comes from a scan over all rows.  Returns a
-    ``MaxbicliqueLattice`` with every field built this way.
+    record of the fields that ``MaxbicliqueLattice`` materializes
+    (``LATTICE_FIELDS``), every one built this way.
     """
     m = rel.n_vertices
     rows = [sum(1 << (j - 1) for j in rel.vertices_of_facet(i))
@@ -138,8 +144,7 @@ def lattice_by_maximal_cuts(rel):
     for k in order[1:]:
         ranks[k] = 1 + max(ranks[a] for a in lower[k])
     graded = all(ranks[b] == ranks[a] + 1 for b in range(size) for a in lower[b])
-    return MaxbicliqueLattice(
-        relation=rel,
+    return SimpleNamespace(
         elements=elements,
         upper_covers=tuple(tuple(u) for u in upper),
         lower_covers=tuple(lower),
@@ -620,6 +625,12 @@ def _induced_flag_by_meets(lat, cycle):
     return Flag((lat.bottom, *reversed(meets), lat.top))
 
 
+def _class_of(coloring, flag):
+    if flag not in coloring:
+        raise PolyrealizeError(f"the coloring has no class for the induced flag {flag.chain}")
+    return coloring[flag]
+
+
 def super_cycles_by_walk(lat, coloring, orientation=None):
     """Super cycles built one object at a time, vertex by vertex.
 
@@ -636,14 +647,14 @@ def super_cycles_by_walk(lat, coloring, orientation=None):
         if orientation is None:
             for cycle in _cycles_at_vertex(lat, j):
                 flag = _induced_flag_by_meets(lat, cycle)
-                found += [SuperCycle(cycle + (extra,), j, flag, coloring[flag])
+                found += [SuperCycle(cycle + (extra,), j, flag, _class_of(coloring, flag))
                           for extra in others]
             continue
         if not others:
             raise NoExtraFacetError(f"every facet is incident to vertex {j}")
         for cycle in _cycles_at_vertex(lat, j):
             flag = _induced_flag_by_meets(lat, cycle)
-            if coloring[flag] == orientation:
+            if _class_of(coloring, flag) == orientation:
                 found[j] = SuperCycle(cycle + (others[0],), j, flag, orientation)
                 break
         else:

@@ -2,8 +2,8 @@
 
 import json
 import os
+import re
 import sys
-from dataclasses import fields
 from math import comb
 
 import numpy as np
@@ -27,6 +27,7 @@ from polyrealize.errors import (
     NotBipartiteError,
     NotDiamondError,
     NotGradedError,
+    PolyrealizeError,
     RelationFormatError,
 )
 from polyrealize.incidence import (
@@ -54,6 +55,7 @@ from conftest import (
     triangular_prism,
 )
 from oracles import (
+    LATTICE_FIELDS,
     brute_force_maxbicliques,
     cover_signs_by_groups,
     covers_by_definition,
@@ -263,13 +265,25 @@ class TestLatticeConstruction:
         assert relat.rank_profile() == lat.rank_profile()
 
 
-def assert_same_as_maximal_cuts(rel):
-    lat, ref = build_maxbiclique_lattice(rel), lattice_by_maximal_cuts(rel)
-    for f in fields(lat):
-        got, want = getattr(lat, f.name), getattr(ref, f.name)
+def assert_same_as_maximal_cuts(rel, lat=None):
+    """Every materialized field of the lattice (built here unless given)
+    against the maximal cuts, then ``meet`` and ``index_of_vertex_set``
+    against the elements' vertex sets."""
+    lat = build_maxbiclique_lattice(rel) if lat is None else lat
+    ref = lattice_by_maximal_cuts(rel)
+    for name in LATTICE_FIELDS:
+        got, want = getattr(lat, name), getattr(ref, name)
         if isinstance(got, dict):  # the same keys in the same order
             got, want = list(got.items()), list(want.items())
-        assert got == want, f.name
+        assert got == want, name
+    vertex_sets = [el.vertex_set for el in ref.elements]
+    position = {vs: k for k, vs in enumerate(vertex_sets)}
+    size = len(vertex_sets)
+    assert len(lat) == size
+    for a, vs in enumerate(vertex_sets):
+        assert lat.index_of_vertex_set(reversed(vs)) == a
+        for b in {size - 1 - a, (3 * a + 1) % size}:
+            assert lat.meet(a, b) == position[tuple(sorted(set(vs) & set(vertex_sets[b])))]
 
 
 class TestCountingCovers:
@@ -339,6 +353,7 @@ class TestClosedFormCounts:
     def test_gon_512(self):
         n = 512
         lat = build_maxbiclique_lattice(ngon(n))
+        assert_same_as_maximal_cuts(ngon(n), lat)
         assert len(lat) == 2 * n + 2
         assert lat.rank_profile() == (1, n, n, 1)
         assert lower_cover_counts(lat) == {(0, 0): 1, (1, 1): n, (2, 2): n, (n, n): 1}
@@ -346,6 +361,7 @@ class TestClosedFormCounts:
     def test_cube_8(self):
         d = 8
         lat = build_maxbiclique_lattice(cube(d))
+        assert_same_as_maximal_cuts(cube(d), lat)
         assert len(lat) == 3**d + 1 == 6562
         faces = [comb(d, k) * 2 ** (d - k) for k in range(d + 1)]  # k-faces, k = 0..d
         assert lat.rank_profile() == (1, *faces)
@@ -356,6 +372,7 @@ class TestClosedFormCounts:
     def test_cross_7(self):
         d = 7
         lat = build_maxbiclique_lattice(cross_polytope(d))
+        assert_same_as_maximal_cuts(cross_polytope(d), lat)
         assert len(lat) == 3**d + 1 == 2188
         faces = [comb(d, k) * 2**k for k in range(1, d + 1)]  # simplices on k vertices
         assert lat.rank_profile() == (1, *faces, 1)
@@ -410,12 +427,13 @@ def test_one_rank2_walk_per_lattice(monkeypatch, pyramid):
     walked = []
     walk = incidence._rank2_walk
     monkeypatch.setattr(incidence, "_rank2_walk",
-                        lambda lower: walked.append(lower) or walk(lower))
+                        lambda *csr: walked.append(csr) or walk(*csr))
     lat, _, reason = lattice_gate(pyramid)
     assert reason is None
     assert check_diamond(lat) and check_flag_connected_local(lat)
     assert grunbaum_oracle(PYRAMID_VERTICES, lat)
-    assert len(walked) == 1 and walked[0] is lat.lower_covers
+    assert len(walked) == 1
+    assert walked[0][0] is lat.lower_indptr and walked[0][1] is lat.lower_indices
     assert lat.cover_signs is not None
     assert super_cycles_by_walk(lat, flag_graph_bipartition(lat), 0)
     assert len(walked) == 1
@@ -531,8 +549,12 @@ class TestArrayWalk:
 
     def test_random_relations(self):
         rng = np.random.default_rng(20)
-        reasons = [assert_walk_matches_groups(build_maxbiclique_lattice(random_relation(rng)))
-                   for _ in range(3000)]
+        reasons = []
+        for _ in range(3000):
+            rel = random_relation(rng)
+            lat = build_maxbiclique_lattice(rel)
+            reasons.append(assert_walk_matches_groups(lat))
+            assert_same_as_maximal_cuts(rel, lat)
         assert {r: reasons.count(r) for r in set(reasons)} == {
             "not-graded": 737, "diamond": 821, None: 1442}
 
@@ -678,6 +700,49 @@ class TestCoverSigns:
         assert "cover_signs" not in vars(lat) and "cover_signs" not in vars(verdict.lattice)
         assert lat.cover_signs is not None and "cover_signs" in vars(lat)
 
+    def test_gate_and_check_build_no_objects(self, monkeypatch, pyramid):
+        """The gate, the search and the check sequence read only the lattice's
+        arrays: no element object and no cover tuple is built until a field
+        is read, and then every field equals the maximal cuts'."""
+        from polyrealize import (
+            FilledIncidenceMatrix,
+            cone_to_polytope_matrix,
+            gale_dual_polytope,
+            grunbaum_oracle,
+            incidence,
+            polytope_to_cone_matrix,
+            realizability_check,
+            realize_from_matrix,
+        )
+        from polyrealize.incidence import lattice_gate
+
+        def no_element(*args):
+            raise AssertionError("a Maxbiclique was built")
+
+        monkeypatch.setattr(incidence, "Maxbiclique", no_element)
+        lattices = []
+        for rel in (pyramid, cube(3)):
+            lat, _, reason = lattice_gate(rel)
+            verdict = realizability_check(rel)
+            assert reason is None and verdict.status == "realized"
+            lattices += [(rel, lat), (rel, verdict.lattice)]
+        rel = cube(4)
+        lat, d, reason = lattice_gate(rel)
+        W = np.array([[1.0 if (v >> k) & 1 else -1.0 for v in range(16)] for k in range(4)])
+        H = np.kron(np.eye(4), [1.0, -1.0])  # facets 2k+1 and 2k+2 fix coordinate k at +-1
+        fim = FilledIncidenceMatrix(H.T @ W, rel, 1.0)
+        real = realize_from_matrix(fim, d)
+        cone_to_polytope_matrix(polytope_to_cone_matrix(fim))
+        gale_dual_polytope(fim.matrix)
+        assert reason is None and grunbaum_oracle(real.W, lat)
+        lattices.append((rel, lat))
+        lazy = {"elements", "lower_covers", "upper_covers", "_vbits", "_index"}
+        for rel, lat in lattices:
+            assert not lazy & set(vars(lat))
+        monkeypatch.undo()
+        for rel, lat in lattices:
+            assert_same_as_maximal_cuts(rel, lat)
+
     @pytest.mark.parametrize("rel,reason", [
         (disjoint_squares(), "flag-connectivity"),
         (pyramid_missing_incidence(), "diamond"),
@@ -701,6 +766,12 @@ class TestSuperCycles:
             cycle, extra = sc.facet_sequence[:-1], sc.facet_sequence[-1]
             assert set(cycle) == octant.facets_of_vertex(j)
             assert extra == j  # the only facet missing ray j
+
+    def test_coloring_without_an_induced_flag(self, pyramid):
+        lat = build_maxbiclique_lattice(pyramid)
+        first = enumerate_super_cycles(lat, flag_graph_bipartition(lat))[0].induced_flag
+        with pytest.raises(PolyrealizeError, match=re.escape(f"induced flag {first.chain}")):
+            enumerate_super_cycles(lat, {})
 
     def test_pyramid_apex_extra_is_base(self, pyramid):
         lat = build_maxbiclique_lattice(pyramid)
