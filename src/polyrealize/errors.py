@@ -36,10 +36,10 @@ class NotDiamondError(PolyrealizeError):
 
 
 class FlagCapExceededError(PolyrealizeError):
-    """Flag enumeration would exceed the configured cap."""
+    """Flag enumeration, or the Gramian verifiers' cycle walk, would exceed the configured cap."""
 
-    def __init__(self, count, cap):
-        super().__init__(f"lattice has {count} flags, exceeding the cap of {cap}")
+    def __init__(self, count, cap, counted="flags"):
+        super().__init__(f"lattice has {count} {counted}, exceeding the cap of {cap}")
         self.count = count
         self.cap = cap
 

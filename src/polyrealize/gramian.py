@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    FlagCapExceededError,
     LightlikeNormalError,
     PatternViolationError,
 )
@@ -32,7 +33,7 @@ from .incidence import (
     REASON_RANK,
     IncidenceRelation,
     _chain_classes,
-    _check_flag_cap,
+    _count_cycles,
     _cycle_table,
     _is_int,
     lattice_gate,
@@ -232,10 +233,10 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
     """The check sequence every Gramian verifier shares.
 
     Runs the lattice gate (a flag graph that is not bipartite fails it),
-    the flag cap, ``form_checks(w, thr)`` (the form's own checks, given
-    G's eigenvalues w and zero threshold thr), vertex minor ranks, then
-    the super-cycle condition, undecided and failed unless G has rank
-    d+1.  At rank d+1, G = H* Phi H over its d+1 largest |eigenvalues|,
+    the flag cap on the number of cycles, ``form_checks(w, thr)`` (the
+    form's own checks, given G's eigenvalues w and zero threshold thr),
+    vertex minor ranks, then the super-cycle condition, undecided and
+    failed unless G has rank d+1.  At rank d+1, G = H* Phi H over its d+1 largest |eigenvalues|,
     Phi being G's own signature, and cycle C at vertex v has det[H_C, x]
     = c . x with c = det A * A^-T e_d, A = [H_C, Phi w_v].  Returns
     (checks, cycles): cycles is (lattice, cycle table, cycle classes,
@@ -248,7 +249,8 @@ def _verify(rel, G, d, form_checks, det_factor, *, rank_tol, det_zero_tol, flag_
         else:
             detail = _LATTICE_DETAILS[reason]
         return [ConditionCheck("lattice", False, detail)], None
-    _check_flag_cap(lat, flag_cap)
+    if (cycles := _count_cycles(lat)) > flag_cap:
+        raise FlagCapExceededError(cycles, flag_cap, "cycles")
     if lat.cover_signs is None:
         return [ConditionCheck("lattice", False, "flag graph is not bipartite")], None
     S = 0.5 * (G + G.T)
@@ -463,7 +465,7 @@ def verify_hyperbolic_conditions(
                                   return_index=True)
         dets, scales = _minor_dets(G, facets, facets)
         for k, row, det, ztol in zip(first.tolist(), facets, dets, det_zero_tol * scales):
-            vset = lat.elements[table.meets[k, s - 1]].vertex_set
+            vset = (np.flatnonzero(lat.vertex_rows[table.meets[k, s - 1]]) + 1).tolist()
             if len(vset) == 1 and vset[0] in ideal:
                 if abs(det) > ztol:
                     found.append((k, s, f"facets {_named(row)} at ideal vertex {vset[0]}: "

@@ -15,9 +15,10 @@ Facet and vertex indices are 1-based throughout, matching the relation
 file format.  Lattice elements are referred to by their row in the
 arrays of ``MaxbicliqueLattice``, sorted lexicographically by vertex set
 so that all derived enumerations are deterministic.  The lattice holds
-element sets as boolean rows and covers as compressed sparse rows; the
-per-element ``Maxbiclique`` objects and cover tuples are built only when
-first read, which the lattice gate never does.
+element sets as boolean rows and covers as compressed sparse rows, and
+the flag and cycle layer reads only those arrays; the per-element
+``Maxbiclique`` objects and cover tuples are built only when first read,
+which the lattice gate, the check path and the Gramian path never do.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -334,10 +334,10 @@ class MaxbicliqueLattice:
     vertices and facets.  The lower covers of element b are
     ``lower_indices[lower_indptr[b]:lower_indptr[b + 1]]``, ascending
     (compressed sparse rows).  ``ranks`` is a tuple, or None when the
-    lattice is not graded.  ``elements``, ``lower_covers``,
-    ``upper_covers`` and the vertex-set index behind ``meet`` are built
-    from the arrays on first access and cached.  Instances are immutable;
-    all methods are pure.
+    lattice is not graded.  ``cover_signs`` is aligned with
+    ``lower_indices``.  ``elements``, ``lower_covers`` and
+    ``upper_covers`` are built from the arrays on first access and
+    cached.  Instances are immutable; all methods are pure.
     """
 
     relation: IncidenceRelation
@@ -360,38 +360,17 @@ class MaxbicliqueLattice:
     @cached_property
     def lower_covers(self) -> tuple:
         """Each element's lower covers as an ascending tuple."""
-        flat, ends = self.lower_indices.tolist(), self.lower_indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+        return _csr_tuples(self.lower_indptr, self.lower_indices)
 
     @cached_property
     def upper_covers(self) -> tuple:
         """Each element's upper covers as an ascending tuple."""
-        upper = [[] for _ in range(len(self))]
-        for b, below in enumerate(self.lower_covers):
-            for a in below:
-                upper[a].append(b)
-        return tuple(map(tuple, upper))
-
-    @cached_property
-    def _vbits(self) -> tuple:
-        """Each element's vertex set as an int, with bit j - 1 for vertex j."""
-        packed = np.packbits(self.vertex_rows, axis=1, bitorder="little")
-        raw, width = packed.tobytes(), packed.shape[1]
-        return tuple(int.from_bytes(raw[k:k + width], "little")
-                     for k in range(0, len(raw), width))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {bits: k for k, bits in enumerate(self._vbits)}
+        return _csr_tuples(*_csr_transpose(self.lower_indptr, self.lower_indices))
 
     @cached_property
     def _rank_order(self) -> list:
         """The elements of a graded lattice by ascending rank, ties by index."""
         return np.argsort(self.ranks, kind="stable").tolist()
-
-    def meet(self, a: int, b: int) -> int:
-        """Greatest lower bound; closed vertex sets are intersection-closed."""
-        return self._index[self._vbits[a] & self._vbits[b]]
 
     @property
     def is_graded(self) -> bool:
@@ -410,15 +389,6 @@ class MaxbicliqueLattice:
             counts[r] += 1
         return tuple(counts)
 
-    def index_of_vertex_set(self, vertices: Iterable[int]) -> int:
-        """Position of the element with exactly these vertices; KeyError if none."""
-        vertices = sorted(vertices)
-        m = self.relation.n_vertices
-        bits = _bits_of(vertices) if all(1 <= j <= m for j in vertices) else None
-        if bits not in self._index:
-            raise KeyError(f"no lattice element with vertex set {vertices}")
-        return self._index[bits]
-
     @cached_property
     def _rank2(self) -> tuple:
         """``_rank2_walk`` of the lower covers, walked once per lattice.
@@ -436,53 +406,52 @@ class MaxbicliqueLattice:
 
     @cached_property
     def cover_signs(self):
-        """{(a, b): +-1} over the covers, or None when the flag graph has an odd cycle.
+        """One sign +-1 per cover, int8 and aligned with ``lower_indices``, or
+        None when the flag graph has an odd cycle.
 
-        In rank order, a parity union-find over the rank-2 walk's groups
-        makes s(a,c) s(c,b) = -s(a,c') s(c',b) on every interval [a, b]
-        with middles c, c', so adjacent flags' sign products differ.  The
-        walk connects each interval's flags, so this fails only where no
-        2-coloring exists.  The lexicographically first flag gets product
-        +1.  Raises NotDiamondError when the walk fails.
+        In rank order, a parity union-find over the rank-2 walk's groups,
+        with the covers as nodes, makes s(a,c) s(c,b) = -s(a,c') s(c',b)
+        on every interval [a, b] with middles c, c', so adjacent flags'
+        sign products differ.  The walk connects each interval's flags, so
+        this fails only where no 2-coloring exists.  The lexicographically
+        first flag gets product +1.  Raises NotDiamondError when the walk
+        fails.
         """
         reason, groups = self._rank2
         if reason is not None:
             raise NotDiamondError(f"flag classes need the rank-2 walk to pass: {reason}")
-        lower, signs = self.lower_covers, {}
-        ends = np.searchsorted(groups[0], np.arange(len(self) + 1)).tolist()
-        _, a_of, c_of, c2_of = (g.tolist() for g in groups)
+        indptr = self.lower_indptr
+        # b's groups have their covers (b, c) in b's row, so they split where the rows do
+        ends, starts = np.searchsorted(groups[0], indptr).tolist(), indptr.tolist()
+        bc, bc2, ca, c2a = (g.tolist() for g in groups)
+        signs = [1] * len(self.lower_indices)
+        parent, step = list(range(len(signs))), [1] * len(signs)  # s(c,b) s(parent,b)
+
+        def root(x):
+            sign = 1
+            while parent[x] != x:
+                sign *= step[x]
+                x = parent[x]
+            return x, sign
+
         for b in self._rank_order:
-            parent = {c: (c, 1) for c in lower[b]}  # c: (parent, s(c,b) s(parent,b))
-
-            def root(x):
-                sign = 1
-                while parent[x][0] != x:
-                    x, step = parent[x]
-                    sign *= step
-                return x, sign
-
             for k in range(ends[b], ends[b + 1]):
-                a, c, c2 = a_of[k], c_of[k], c2_of[k]
-                (r, s), (r2, s2) = root(c), root(c2)
-                want = -signs[a, c] * signs[a, c2]  # s(c,b) s(c2,b)
+                (r, s), (r2, s2) = root(bc[k]), root(bc2[k])
+                want = -signs[ca[k]] * signs[c2a[k]]  # s(c,b) s(c',b)
                 if r != r2:
-                    parent[r] = (r2, s * s2 * want)
+                    parent[r], step[r] = r2, s * s2 * want
                 elif s * s2 != want:
                     return None
-            signs.update(((c, b), root(c)[1]) for c in lower[b])
+            for p in range(starts[b], starts[b + 1]):
+                signs[p] = root(p)[1]
+        signs = np.array(signs, dtype=np.int8)
+        uptr, upper = _csr_transpose(indptr, self.lower_indices)
         first = [self.bottom]
         while first[-1] != self.top:
-            first.append(self.upper_covers[first[-1]][0])
-        if _sign_product(signs, first) < 0:
-            signs.update(((c, self.top), -signs[c, self.top]) for c in lower[self.top])
+            first.append(int(upper[uptr[first[-1]]]))
+        if np.count_nonzero(signs[_cover_positions(self, np.array([first]))] < 0) % 2:
+            signs[starts[self.top]:starts[self.top + 1]] *= -1
         return signs
-
-
-def _bits_of(vertices: Iterable[int]) -> int:
-    bits = 0
-    for j in vertices:
-        bits |= 1 << (j - 1)
-    return bits
 
 
 def _high_bits_of(indices: Iterable[int], count: int) -> int:
@@ -509,6 +478,21 @@ def _row_tuples(rows: np.ndarray) -> list:
     flat = (np.nonzero(rows)[1] + 1).tolist()
     ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
     return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+
+
+def _csr_tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """Each row of compressed sparse rows as a tuple."""
+    flat, ends = indices.tolist(), indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+
+
+def _csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple:
+    """(k, p): the entries of the listed rows, row after row, at positions
+    p of the compressed sparse rows, each from row ``rows[k]``."""
+    start = indptr[rows]
+    degree = indptr[rows + 1] - start
+    k = np.repeat(np.arange(len(rows)), degree)
+    return k, np.arange(k.size) + np.repeat(start + degree - np.cumsum(degree), degree)
 
 
 def _csr_transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple:
@@ -640,10 +624,6 @@ def lattice_rank(lat: MaxbicliqueLattice):
     return lat.rank
 
 
-def _sign_product(signs, chain) -> int:
-    return math.prod(signs[cover] for cover in zip(chain, chain[1:]))
-
-
 def _rank2_walk(indptr: np.ndarray, indices: np.ndarray) -> tuple:
     """(reason, groups) of a graded lattice's lower covers, as compressed sparse rows.
 
@@ -661,20 +641,18 @@ def _rank2_walk(indptr: np.ndarray, indices: np.ndarray) -> tuple:
     there is one component per element other than the bottom.  A diamond
     failure anywhere outranks a disconnected local graph.
 
-    ``groups`` holds the arrays (b, a, c, c'), one entry per interval
-    [a, b], grouped by b and, within b, in the order in which a is first
-    reached; it is None on a diamond failure.
+    ``groups`` holds four arrays of cover positions in the compressed
+    sparse rows, (b, c), (b, c'), (c, a) and (c', a), one entry per
+    interval [a, b], grouped by b and, within b, in the order in which a
+    is first reached; it is None on a diamond failure.
     """
     size = len(indptr) - 1
-    degree, start = np.diff(indptr), indptr[:-1]
     # the covers (b, c), b ascending and each cover list in order
-    b_of = np.repeat(np.arange(size), degree)
+    b_of = np.repeat(np.arange(size), np.diff(indptr))
     c_of = indices
-    # the triples (b, c, a): cover (b, c) once for each cover (c, a), in cover order
-    fan = degree[c_of]
-    cover = np.repeat(np.arange(c_of.size), fan)
-    offset = np.cumsum(fan) - fan
-    a = c_of[np.arange(cover.size) + np.repeat(start[c_of] - offset, fan)]
+    # the triples (b, c, a): cover (b, c) once for each cover (c, a) at position below
+    cover, below = _csr_gather(indptr, c_of)
+    a = c_of[below]
     key = b_of[cover] * size + a
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -695,7 +673,7 @@ def _rank2_walk(indptr: np.ndarray, indices: np.ndarray) -> tuple:
             label = jumped
     roots = np.count_nonzero(label == np.arange(c_of.size))
     reason = None if roots == size - 1 else REASON_FLAG_CONNECTIVITY
-    return reason, (b_of[c1], a[one], c_of[c1], c_of[c2])
+    return reason, (c1, c2, below[one], below[two])
 
 
 def check_diamond(lat: MaxbicliqueLattice) -> bool:
@@ -756,28 +734,31 @@ def lattice_gate(rel: IncidenceRelation, d: int = None) -> tuple:
     return lat, d, reason
 
 
+def _paths_down(lat: MaxbicliqueLattice, weights: list) -> list:
+    """Entry c sums, over the chains of covers from the top of a graded lattice
+    down to c, the product of their covers' ``weights`` (aligned with
+    ``lower_indices``), in Python ints, which do not overflow."""
+    below, ends = lat.lower_indices.tolist(), lat.lower_indptr.tolist()
+    paths = [0] * len(lat)
+    paths[lat.top] = 1
+    for b in reversed(lat._rank_order):  # the top first
+        for p in range(ends[b], ends[b + 1]):
+            paths[below[p]] += paths[b] * weights[p]
+    return paths
+
+
 def count_flags(lat: MaxbicliqueLattice) -> int:
     """Number of maximal chains, by path counting over the Hasse diagram."""
     if not lat.is_graded:
         raise NotGradedError("flag counting needs a graded lattice")
-    paths = [0] * len(lat)
-    paths[lat.bottom] = 1
-    for k in lat._rank_order[1:]:  # the bottom first
-        paths[k] = sum(paths[a] for a in lat.lower_covers[k])
-    return paths[lat.top]
-
-
-def _check_flag_cap(lat: MaxbicliqueLattice, cap: int) -> None:
-    if not lat.is_graded:
-        raise NotGradedError("flag enumeration needs a graded lattice")
-    total = count_flags(lat)
-    if total > cap:
-        raise FlagCapExceededError(total, cap)
+    return _paths_down(lat, [1] * len(lat.lower_indices))[lat.bottom]
 
 
 def enumerate_flags(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> tuple:
     """All flags in a deterministic order (lexicographic by element index)."""
-    _check_flag_cap(lat, cap)
+    total = count_flags(lat)
+    if total > cap:
+        raise FlagCapExceededError(total, cap)
     chains = [(lat.bottom,)]
     for _ in range(lat.rank):  # graded: every chain reaches the top in rank steps
         chains = [chain + (b,) for chain in chains for b in lat.upper_covers[chain[-1]]]
@@ -795,12 +776,15 @@ def _chain_classes(lat: MaxbicliqueLattice, chains) -> np.ndarray:
     signs = lat.cover_signs
     if signs is None:
         raise NotBipartiteError("flag graph contains an odd cycle")
+    return np.count_nonzero(signs[_cover_positions(lat, chains)] < 0, axis=1) % 2
+
+
+def _cover_positions(lat: MaxbicliqueLattice, chains) -> np.ndarray:
+    """Position in ``lower_indices`` of each cover (a, b) of each chain (a row of
+    elements, bottom to top), by one lookup into the keys b * |L| + a, which are sorted."""
     size = len(lat)
-    keys = np.fromiter((a * size + b for a, b in signs), dtype=np.intp, count=len(signs))
-    order = np.argsort(keys)
-    negative = np.fromiter(signs.values(), dtype=int, count=len(signs))[order] < 0
-    at = np.searchsorted(keys[order], chains[:, :-1] * size + chains[:, 1:])
-    return np.count_nonzero(negative[at], axis=1) % 2
+    keys = np.repeat(np.arange(size), np.diff(lat.lower_indptr)) * size + lat.lower_indices
+    return np.searchsorted(keys, chains[:, 1:] * size + chains[:, :-1])
 
 
 def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> dict:
@@ -809,8 +793,7 @@ def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP)
     Every flag, in enumerate_flags order, with its class from the cover
     signs.  Raises FlagCapExceededError when the lattice has more than
     cap flags, then NotDiamondError when the rank-2 walk fails and
-    NotBipartiteError on an odd cycle.  The Gramian verifiers check the
-    same cap before their cycle walk, so it bounds that walk too.
+    NotBipartiteError on an odd cycle.
     """
     flags = enumerate_flags(lat, cap)
     classes = _chain_classes(lat, np.array([flag.chain for flag in flags]))
@@ -824,8 +807,8 @@ class _CycleTable:
     ``facets`` (C x d) holds the facet sequences, ``vertex`` (C) the
     vertex each meets in and ``meets`` (C x d) the partial meets (column
     t has rank d - t; reversed between bottom and top they are the
-    induced flag).  ``stop`` is the first vertex whose closure is not of
-    rank 1, or None.  The flag cap, checked first, bounds the walk.
+    induced flag).  ``stop`` is the first vertex whose least element is
+    not of rank 1, or None.  ``_count_cycles`` gives C without the walk.
     """
 
     facets: np.ndarray
@@ -843,53 +826,68 @@ class _CycleTable:
         return np.hstack([lat.bottom * ends, self.meets[:, ::-1], lat.top * ends])
 
 
+def _walked_vertices(lat: MaxbicliqueLattice) -> tuple:
+    """(count, stop): the first vertex whose least element is not of rank 1,
+    or None, and the count of vertices before it.  A vertex off the bottom
+    lies in at most one rank-1 element, and then that is its least."""
+    on_atom = lat.vertex_rows[np.asarray(lat.ranks) == 1].any(axis=0)
+    walked = on_atom & ~lat.vertex_rows[lat.bottom]
+    if walked.all():
+        return len(walked), None
+    count = int(np.argmin(walked))
+    return count, count + 1
+
+
 def _cycle_table(lat: MaxbicliqueLattice) -> _CycleTable:
-    """One walk per vertex, in order, up to ``stop``, over its cycles.
+    """Every cycle at the vertices before ``stop``, as labelled chains of covers.
 
     A cycle at a vertex is a sequence of d facets through it whose
-    partial meets descend one rank per step to the vertex atom; each
-    vertex's cycles come in lexicographic order.  The walk itself has no
-    cap: the Gramian verifiers bound it by checking the flag cap first.
+    partial meets descend one rank per step to the vertex atom.  The
+    meet of an element x and facet i is x's lower cover c exactly when
+    i contains c but not x, so the cycles at vertex j are the chains of
+    covers from the top down through elements that contain j, one for
+    each choice of a label i in F_c - F_x at every step.  The chains of
+    all vertices are extended together, rank by rank; one lexsort puts
+    the rows vertex-major, each vertex's cycles in lexicographic order.
+    The walk itself has no cap: ``_count_cycles`` gives its size first.
     """
     if not lat.is_graded:
         raise NotGradedError("cycle search needs a graded lattice")
     d = lat.rank - 1
-    rel = lat.relation
-    ranks, vbits, index = lat.ranks, lat._vbits, lat._index
-    felem = [None] + [lat.index_of_vertex_set(rel.vertices_of_facet(i))
-                      for i in range(1, rel.n_facets + 1)]
-    facets, meets, vertex = [], [], []
-    seq, chain = [], []
+    walked, stop = _walked_vertices(lat)
+    vertex = np.arange(walked if d >= 1 else 0)  # 0-based
+    current = np.full(len(vertex), lat.top)
+    facets, meets = [], []
+    for _ in range(d):
+        k, p = _csr_gather(lat.lower_indptr, current)
+        c = lat.lower_indices[p]
+        keep = lat.vertex_rows[c, vertex[k]]
+        k, c = k[keep], c[keep]
+        step, label = np.nonzero(lat.facet_rows[c] & ~lat.facet_rows[current[k]])
+        k, current = k[step], c[step]
+        vertex = vertex[k]
+        facets, meets = [f[k] for f in facets] + [label + 1], [m[k] for m in meets] + [current]
+    order = np.lexsort((*facets[::-1], vertex))
+    facets, meets = (np.array(a, dtype=int).T[order].reshape(len(order), max(d, 0))
+                     for a in (facets, meets))
+    return _CycleTable(facets, vertex[order] + 1, meets, stop)
 
-    def extend(current):  # runs in the vertex loop below, reading its j, atom, candidates
-        t = len(seq)
-        if t == d:
-            if current == atom:
-                facets.append(tuple(seq))
-                meets.append(tuple(chain))
-                vertex.append(j)
-            return
-        for i in candidates:
-            if i in seq:
-                continue
-            nxt = felem[i] if t == 0 else index[vbits[current] & vbits[felem[i]]]
-            if ranks[nxt] == d - t:
-                seq.append(i)
-                chain.append(nxt)
-                extend(nxt)
-                seq.pop()
-                chain.pop()
 
-    stop = None
-    for j in range(1, rel.n_vertices + 1):
-        atom = lat.index_of_vertex_set(rel.closure({j}))
-        if ranks[atom] != 1:
-            stop = j
-            break
-        candidates = sorted(rel.facets_of_vertex(j))
-        extend(None)
-    facets, meets = (np.array(a, dtype=int).reshape(len(a), max(d, 0)) for a in (facets, meets))
-    return _CycleTable(facets, np.array(vertex, dtype=int), meets, stop)
+def _count_cycles(lat: MaxbicliqueLattice) -> int:
+    """Number of rows of the cycle table of a graded lattice, by one path count.
+
+    A chain of covers from the top down to a rank-1 element gives one
+    cycle at each vertex before ``stop`` that the element holds, for
+    every choice of labels: |F_c| - |F_x| of them at cover (x, c).
+    """
+    if lat.rank < 2:
+        return 0
+    walked, _ = _walked_vertices(lat)
+    size = np.count_nonzero(lat.facet_rows, axis=1)
+    labels = size[lat.lower_indices] - np.repeat(size, np.diff(lat.lower_indptr))
+    paths = _paths_down(lat, labels.tolist())
+    held = np.count_nonzero(lat.vertex_rows[:, :walked], axis=1).tolist()
+    return sum(p * k for p, k, r in zip(paths, held, lat.ranks) if r == 1)
 
 
 def _induced_flag(lat: MaxbicliqueLattice, meets) -> Flag:

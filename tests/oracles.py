@@ -4,6 +4,7 @@ Everything here is written against the definitions only, never through
 the library's own algorithms, so the two paths stay independent.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,8 +95,7 @@ def covers_by_definition(rel) -> dict:
     }
 
 
-LATTICE_FIELDS = ("elements", "upper_covers", "lower_covers", "ranks", "bottom", "top",
-                  "_vbits", "_index")
+LATTICE_FIELDS = ("elements", "upper_covers", "lower_covers", "ranks", "bottom", "top")
 
 
 def lattice_by_maximal_cuts(rel):
@@ -151,8 +151,6 @@ def lattice_by_maximal_cuts(rel):
         ranks=tuple(ranks) if graded else None,
         bottom=order[0],
         top=index[full],
-        _vbits=vbits,
-        _index=index,
     )
 
 
@@ -292,7 +290,7 @@ def rank2_failure_by_groups(lat):
 
 
 def cover_signs_by_groups(lat):
-    """``lat.cover_signs`` with each element's intervals regrouped from its covers.
+    """``lat.cover_signs`` as {(a, b): s(a, b)}, each element's intervals regrouped from its covers.
 
     The same parity union-find, in rank order, over ``_rank2_groups``;
     expects a lattice that passes the rank-2 walk.
@@ -582,6 +580,24 @@ def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -
     return True
 
 
+def index_of_vertex_set(lat, vertices) -> int:
+    """Position of the element with exactly these vertices; KeyError if none.
+
+    A binary search of ``lat.elements``, which are sorted by vertex set.
+    """
+    vertices = sorted(vertices)
+    k = bisect.bisect_left(lat.elements, tuple(vertices), key=lambda el: el.vertex_set)
+    if k == len(lat) or list(lat.elements[k].vertex_set) != vertices:
+        raise KeyError(f"no lattice element with vertex set {vertices}")
+    return k
+
+
+def meet(lat, a, b) -> int:
+    """Greatest lower bound: the element whose vertex set is the intersection of a's and b's."""
+    return index_of_vertex_set(
+        lat, set(lat.elements[a].vertex_set) & set(lat.elements[b].vertex_set))
+
+
 def _cycles_at_vertex(lat, vertex):
     """Facet sequences through the vertex whose partial meets descend one
     rank per step to its atom, in lexicographic order, depth first."""
@@ -589,11 +605,11 @@ def _cycles_at_vertex(lat, vertex):
         raise NotGradedError("cycle search needs a graded lattice")
     d = lat.rank - 1
     rel = lat.relation
-    atom = lat.index_of_vertex_set(rel.closure({vertex}))
+    atom = index_of_vertex_set(lat, rel.closure({vertex}))
     if lat.ranks[atom] != 1:
         raise NoCycleError(f"vertex {vertex} does not generate a rank-1 element")
     candidates = sorted(rel.facets_of_vertex(vertex))
-    felem = {i: lat.index_of_vertex_set(rel.vertices_of_facet(i)) for i in candidates}
+    felem = {i: index_of_vertex_set(lat, rel.vertices_of_facet(i)) for i in candidates}
     seq = []
 
     def extend(current):
@@ -605,7 +621,7 @@ def _cycles_at_vertex(lat, vertex):
         for i in candidates:
             if i in seq:
                 continue
-            nxt = felem[i] if t == 0 else lat.meet(current, felem[i])
+            nxt = felem[i] if t == 0 else meet(lat, current, felem[i])
             if lat.ranks[nxt] != d - t:
                 continue
             seq.append(i)
@@ -619,8 +635,8 @@ def _induced_flag_by_meets(lat, cycle):
     """Bottom, the partial meets of the cycle from the last, then top."""
     meets, current = [], None
     for t, i in enumerate(cycle):
-        el = lat.index_of_vertex_set(lat.relation.vertices_of_facet(i))
-        current = el if t == 0 else lat.meet(current, el)
+        el = index_of_vertex_set(lat, lat.relation.vertices_of_facet(i))
+        current = el if t == 0 else meet(lat, current, el)
         meets.append(current)
     return Flag((lat.bottom, *reversed(meets), lat.top))
 

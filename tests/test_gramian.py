@@ -138,6 +138,31 @@ class TestVerifyGramianConditions:
         with pytest.raises(FlagCapExceededError):
             verify_gramian_conditions(pyramid_cone_candidate(), flag_cap=5)
 
+    @pytest.mark.parametrize("make", [pyramid_relation, lambda: cross_polytope(4),
+                                      lambda: cross_polytope(5), lambda: cube(5)],
+                             ids=["pyramid", "cross-4", "cross-5", "cube-5"])
+    def test_cycle_count_is_the_table_length(self, make):
+        from polyrealize.incidence import _count_cycles, _cycle_table
+
+        lat = build_maxbiclique_lattice(make())
+        assert _count_cycles(lat) == len(_cycle_table(lat).facets)
+
+    def test_flag_cap_bounds_the_cycles(self):
+        """cross-6 has 46,080 flags but 47,185,920 cycles: the verifiers
+        raise at the default cap before walking them."""
+        import time
+
+        from polyrealize.errors import FlagCapExceededError
+        from polyrealize.incidence import count_flags
+
+        rel = cross_polytope(6)
+        assert count_flags(build_maxbiclique_lattice(rel)) == 46080
+        start = time.process_time()
+        with pytest.raises(FlagCapExceededError,
+                           match="lattice has 47185920 cycles, exceeding the cap of 1000000"):
+            verify_spherical_conditions(rel, np.eye(64), 6)
+        assert time.process_time() - start < 1.0
+
     @pytest.mark.parametrize("builder,d", [("triangular_prism", 3), ("cube", 3),
                                            ("cross_polytope", 3), ("ngon", 2)])
     def test_realized_cones_round_trip(self, builder, d):

@@ -23,6 +23,7 @@ from polyrealize.errors import (
     DegenerateRelationError,
     EmptyRelationError,
     FlagCapExceededError,
+    NoCycleError,
     NoExtraFacetError,
     NotBipartiteError,
     NotDiamondError,
@@ -56,13 +57,17 @@ from conftest import (
 )
 from oracles import (
     LATTICE_FIELDS,
+    _cycles_at_vertex,
+    _induced_flag_by_meets,
     brute_force_maxbicliques,
     cover_signs_by_groups,
     covers_by_definition,
     diamond_by_leq_scan,
     flag_classes_by_bfs,
     flag_graph_connected_explicit,
+    index_of_vertex_set,
     lattice_by_maximal_cuts,
+    meet,
     rank2_failure_by_groups,
     super_cycles_by_walk,
 )
@@ -267,23 +272,20 @@ class TestLatticeConstruction:
 
 def assert_same_as_maximal_cuts(rel, lat=None):
     """Every materialized field of the lattice (built here unless given)
-    against the maximal cuts, then ``meet`` and ``index_of_vertex_set``
-    against the elements' vertex sets."""
+    against the maximal cuts, then the oracles' ``meet`` and
+    ``index_of_vertex_set`` against the elements' vertex sets."""
     lat = build_maxbiclique_lattice(rel) if lat is None else lat
     ref = lattice_by_maximal_cuts(rel)
     for name in LATTICE_FIELDS:
-        got, want = getattr(lat, name), getattr(ref, name)
-        if isinstance(got, dict):  # the same keys in the same order
-            got, want = list(got.items()), list(want.items())
-        assert got == want, name
+        assert getattr(lat, name) == getattr(ref, name), name
     vertex_sets = [el.vertex_set for el in ref.elements]
     position = {vs: k for k, vs in enumerate(vertex_sets)}
     size = len(vertex_sets)
     assert len(lat) == size
     for a, vs in enumerate(vertex_sets):
-        assert lat.index_of_vertex_set(reversed(vs)) == a
+        assert index_of_vertex_set(lat, reversed(vs)) == a
         for b in {size - 1 - a, (3 * a + 1) % size}:
-            assert lat.meet(a, b) == position[tuple(sorted(set(vs) & set(vertex_sets[b])))]
+            assert meet(lat, a, b) == position[tuple(sorted(set(vs) & set(vertex_sets[b])))]
 
 
 class TestCountingCovers:
@@ -330,12 +332,12 @@ class TestCountingCovers:
 
     def test_index_of_vertex_set_outside_the_vertices(self, octant):
         lat = build_maxbiclique_lattice(octant)
-        assert lat.index_of_vertex_set([1, 2]) == lat.index_of_vertex_set((2, 1))
+        assert index_of_vertex_set(lat, [1, 2]) == index_of_vertex_set(lat, (2, 1))
         for vertices in ([0], [4], [-1], [1, 4], [2, 1, 0]):
             with pytest.raises(KeyError, match=r"no lattice element with vertex set \["):
-                lat.index_of_vertex_set(vertices)
+                index_of_vertex_set(lat, vertices)
         with pytest.raises(KeyError, match=r"vertex set \[0, 1\]"):
-            lat.index_of_vertex_set(iter([1, 0]))
+            index_of_vertex_set(lat, iter([1, 0]))
 
 
 def lower_cover_counts(lat) -> dict:
@@ -503,6 +505,17 @@ class TestRankTwoWalk:
             check_flag_connected_local(lat)
 
 
+def signs_by_cover(lat) -> dict:
+    """``lat.cover_signs`` read back through the compressed sparse rows as
+    {(a, b): s(a, b)}, or None."""
+    signs = lat.cover_signs
+    if signs is None:
+        return None
+    assert signs.dtype == np.int8 and signs.shape == lat.lower_indices.shape
+    upper = np.repeat(np.arange(len(lat)), np.diff(lat.lower_indptr))
+    return dict(zip(zip(lat.lower_indices.tolist(), upper.tolist()), signs.tolist()))
+
+
 def assert_walk_matches_groups(lat) -> str:
     """The array walk's reason and cover signs against the element-by-element
     reference; returns the reason, or "not-graded"."""
@@ -511,9 +524,7 @@ def assert_walk_matches_groups(lat) -> str:
     reason = lat.rank2_failure
     assert reason == rank2_failure_by_groups(lat)
     if reason is None:
-        got, want = lat.cover_signs, cover_signs_by_groups(lat)
-        assert got == want
-        assert got is None or list(got.items()) == list(want.items())
+        assert signs_by_cover(lat) == cover_signs_by_groups(lat)
     return reason
 
 
@@ -701,18 +712,28 @@ class TestCoverSigns:
         assert lat.cover_signs is not None and "cover_signs" in vars(lat)
 
     def test_gate_and_check_build_no_objects(self, monkeypatch, pyramid):
-        """The gate, the search and the check sequence read only the lattice's
-        arrays: no element object and no cover tuple is built until a field
-        is read, and then every field equals the maximal cuts'."""
+        """The gate, the search, the check sequence and the Gramian path read
+        only the lattice's arrays: no element object and no cover tuple is
+        built until a field is read, and then every field equals the
+        maximal cuts'.  The Gramian verifiers' cover signs are one int8 per
+        cover."""
         from polyrealize import (
+            BilinearForm,
             FilledIncidenceMatrix,
+            GramianCandidate,
             cone_to_polytope_matrix,
             gale_dual_polytope,
+            gramian,
+            gramian_of_cone,
             grunbaum_oracle,
             incidence,
             polytope_to_cone_matrix,
             realizability_check,
+            realize_cone_from_gramian,
             realize_from_matrix,
+            verify_gramian_conditions,
+            verify_hyperbolic_conditions,
+            verify_spherical_conditions,
         )
         from polyrealize.incidence import lattice_gate
 
@@ -736,7 +757,28 @@ class TestCoverSigns:
         gale_dual_polytope(fim.matrix)
         assert reason is None and grunbaum_oracle(real.W, lat)
         lattices.append((rel, lat))
-        lazy = {"elements", "lower_covers", "upper_covers", "_vbits", "_index"}
+        verified, gate = [], gramian.lattice_gate
+
+        def captured_gate(rel, d):
+            verified.append(gate(rel, d))
+            return verified[-1]
+
+        monkeypatch.setattr(gramian, "lattice_gate", captured_gate)
+        rel = cube(3)
+        # the cone over [-1, 1]^3: facet 2k+1 has normal (e_k, -1), facet 2k+2 (-e_k, -1)
+        H = np.vstack([np.kron(np.eye(3), [1.0, -1.0]), -np.ones(6)])
+        G = gramian_of_cone(H, BilinearForm.euclidean(4))
+        cand = GramianCandidate(G, BilinearForm.euclidean(4), rel, 3)
+        assert verify_gramian_conditions(cand).passed
+        assert verify_spherical_conditions(rel, G, 3).passed
+        assert verify_hyperbolic_conditions(rel, [], G, 3).check("lattice").passed
+        assert realize_cone_from_gramian(cand).W.shape == (4, 8)
+        assert len(verified) == 3
+        for lat, _, _ in verified:
+            assert lat.cover_signs.dtype == np.int8
+            assert lat.cover_signs.shape == (len(lat.lower_indices),)
+            lattices.append((rel, lat))
+        lazy = {"elements", "lower_covers", "upper_covers"}
         for rel, lat in lattices:
             assert not lazy & set(vars(lat))
         monkeypatch.undo()
@@ -861,6 +903,50 @@ def test_super_cycles_match_the_walk(name):
         coloring = {}
     assert _outcome(lambda: enumerate_super_cycles(lat, coloring)) == \
         _outcome(lambda: super_cycles_by_walk(lat, coloring))
+
+
+def assert_cycle_table_matches_the_walk(lat):
+    """The cycle table's rows (facets, vertex, partial meets), their order,
+    its stop and the cycle count against the depth-first walk, vertex by
+    vertex, of a graded lattice."""
+    from polyrealize.incidence import _count_cycles, _cycle_table
+
+    rows, stop = [], None
+    for j in range(1, lat.relation.n_vertices + 1):
+        try:
+            cycles = list(_cycles_at_vertex(lat, j))
+        except NoCycleError:
+            stop = j
+            break
+        rows += [(cycle, j, _induced_flag_by_meets(lat, cycle).chain[-2:0:-1])
+                 for cycle in cycles]
+    table = _cycle_table(lat)
+    assert table.stop == stop
+    assert table.facets.shape == table.meets.shape == (len(rows), max(lat.rank - 1, 0))
+    assert list(zip(map(tuple, table.facets.tolist()), table.vertex.tolist(),
+                    map(tuple, table.meets.tolist()))) == rows
+    assert _count_cycles(lat) == len(rows)
+    return stop, len(rows)
+
+
+class TestCycleTable:
+    """The cycle table from labelled chains of covers against the walk by meets."""
+
+    @pytest.mark.parametrize("rel", [*FAMILIES, *(rel.transpose() for rel in FAMILIES)])
+    def test_families(self, rel):
+        assert_cycle_table_matches_the_walk(build_maxbiclique_lattice(rel))
+
+    def test_random_relations(self):
+        rng = np.random.default_rng(0)
+        relations = [random_relation(rng) for _ in range(3000)]
+        found = []
+        for rel in relations + [rel.transpose() for rel in relations]:
+            lat = build_maxbiclique_lattice(rel)
+            if lat.is_graded:
+                found.append(assert_cycle_table_matches_the_walk(lat))
+        # graded lattices, those walked to the last vertex, those with a cycle
+        assert (len(found), sum(stop is None for stop, _ in found),
+                sum(count > 0 for _, count in found)) == (4446, 1182, 1642)
 
 
 def _has_cover_signs(rel) -> bool:
