@@ -84,7 +84,7 @@ def _margin(text: str) -> float:
     return value
 
 
-def _sweeps(text: str) -> int:
+def _count(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
@@ -370,10 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
         "eq-tol": dict(type=_positive, default=DEFAULT_EQ_TOL),
         "slack-tol": dict(type=_positive, default=DEFAULT_SLACK_TOL),
         "det-zero-tol": dict(type=_positive, default=DEFAULT_DET_ZERO_TOL),
-        "flag-cap": dict(type=int, default=DEFAULT_FLAG_CAP),
+        "flag-cap": dict(type=_count, default=DEFAULT_FLAG_CAP),
         "out": dict(help="output file or directory"),
         "margin": dict(type=_margin, default=0.1),
-        "iters": dict(type=_sweeps, default=2000),
+        "iters": dict(type=_count, default=2000),
     }
     tols = ("rank-tol", "eq-tol", "slack-tol")
     gramian = ("d", "rank-tol", "det-zero-tol", "flag-cap")

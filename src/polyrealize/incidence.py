@@ -509,19 +509,20 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
 
     With each facet row as a vertex bitmask, the Galois-closed vertex
     sets ``J = vertices_of(facets_of(J))`` are exactly the intersections
-    of rows, the empty intersection being the full vertex set; they are
-    collected by cutting every set found so far with each row in turn.
-    Each set b keeps its facet bitmask F_b, the facets above b, and the
-    facets T_b that touch b.  Every closed set strictly below b lies in
-    a cut ``b & row_i`` by a facet i in T_b but not in F_b, or in the
-    empty set when there is no such facet.  A cut c is a lower cover of
-    b exactly when it is counted |F_c| - |F_b| times, once for each facet
-    above c but not above b: each of them cuts b down to c, so no cut
-    strictly contains c.  This is the counting form of Lindig's
-    upper-neighbour test, and it costs each set work in proportion to its
-    own size.  Ranks are longest paths up the covers, taken in order of
-    size; the lattice is graded exactly when each element's lower covers
-    all have one rank.
+    of rows, the empty intersection being the full vertex set.  They are
+    discovered from the top down (Lindig's neighbour-based construction):
+    each set b, numbered when first found, gets its facet bitmask F_b, the
+    facets above b, and the facets T_b that touch b.  Every closed set
+    strictly below b lies in a cut ``b & row_i`` by a facet i in T_b but
+    not in F_b, or in the empty set when there is no such facet, and each
+    cut, itself a closed set, is numbered when first seen.  A cut c is a
+    lower cover of b exactly when it is counted |F_c| - |F_b| times, once
+    for each facet above c but not above b: each of them cuts b down to
+    c, so no cut strictly contains c.  Every closed set but the top is a
+    lower cover of another, so the walk from the full set reaches them
+    all, and each set costs work in proportion to its own size.  Ranks
+    are longest paths up the covers, taken in order of size; the lattice
+    is graded exactly when each element's lower covers all have one rank.
 
     The relation and its transpose have one lattice, with the order
     reversed, so the same steps run on whichever side has fewer members:
@@ -533,7 +534,8 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
 
     Index k of n is bit n - k of a mask, so the vertex sets sort
     lexicographically by one integer each: ``2^m + |S| - x - (x & -x)``
-    for the mask x of a nonempty set S counts the vertex sets before S.
+    for the mask x of a nonempty set S counts the vertex sets before S,
+    and one sort by it turns discovery numbers into element indices.
     The sets stay Python ints while they are cut; the lattice holds
     them as boolean rows and the lower covers as compressed sparse rows
     (see ``MaxbicliqueLattice``), and no per-element object is built.
@@ -544,52 +546,63 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     by_facets = n > m
     cutters, members = (cols, rows) if by_facets else (rows, cols)
     every = (1 << len(cutters)) - 1
-    closed = {(1 << len(members)) - 1}
-    for r in set(cutters):
-        closed |= {c & r for c in closed}
-
     member_of = {1 << j: r for j, r in enumerate(members)}  # keyed by lowest set bit
-    entries = []  # (closed set, the cutters above it, those touching it)
-    for c in closed:
-        above, touching, rest = every, 0, c
+    cutter_of = {1 << i: r for i, r in enumerate(cutters)}
+    sets, dual, duals, cutting, found = [], [], [], [], {}
+
+    def enter(bits):
+        """Number a closed set by discovery, with the cutters above it and those cutting it."""
+        above, touching, rest = every, 0, bits
         while rest:
             low = rest & -rest
             member = member_of[low]
             above &= member
             touching |= member
             rest ^= low
-        entries.append((c, above, touching))
-    sets, dual, _ = zip(*entries)
-    size, full = len(entries), 1 << m
+        found[bits] = len(sets)
+        sets.append(bits)
+        dual.append(above)
+        duals.append(above.bit_count())
+        cutting.append(touching & ~above)
+        return found[bits]
+
+    enter((1 << len(members)) - 1)
+    covers = []  # each member set's lower covers, by discovery index
+    for b, bits in enumerate(sets):  # the sets entered below join this loop
+        if rest := cutting[b]:
+            counts = {}
+            while rest:
+                low = rest & -rest
+                cut = bits & cutter_of[low]
+                counts[cut] = counts.get(cut, 0) + 1
+                rest ^= low
+            base = duals[b]
+            below = []
+            for cut, k in counts.items():
+                c = found.get(cut)
+                if c is None:
+                    c = enter(cut)
+                if k == duals[c] - base:
+                    below.append(c)
+        else:
+            below = [found[0] if 0 in found else enter(0)] if dual[b] != every else []
+        covers.append(below)
+
+    size, full = len(sets), 1 << m
     before = [full + x.bit_count() - x - (x & -x) if x else 0
               for x in (dual if by_facets else sets)]
-    sets, dual, touching = zip(*(entries[k] for k in sorted(range(size), key=before.__getitem__)))
+    order = sorted(range(size), key=before.__getitem__)
+    position = [0] * size
+    for k, d in enumerate(order):
+        position[d] = k
+    sets, dual = [sets[d] for d in order], [dual[d] for d in order]
+    covers = [sorted(map(position.__getitem__, covers[d])) for d in order]
     unpacked = _bit_rows(dual + sets if by_facets else sets + dual, max(n, m))
     vertex_rows, facet_rows = unpacked[:size, -m:], unpacked[size:, -n:]
     vertex_rows.setflags(write=False)
     facet_rows.setflags(write=False)
-
-    element_of = dict(zip(sets, range(size)))
-    least = element_of[functools.reduce(operator.and_, cutters)]
-    most = element_of[(1 << len(members)) - 1]
-    cutter_of = {1 << i: r for i, r in enumerate(cutters)}
-    duals = [x.bit_count() for x in dual]
-    covers = []  # each member set's lower covers among the member sets
-    for b, bits in enumerate(sets):
-        cutting = touching[b] & ~dual[b]
-        if cutting:
-            counts = {}
-            while cutting:
-                low = cutting & -cutting
-                cut = bits & cutter_of[low]
-                counts[cut] = counts.get(cut, 0) + 1
-                cutting ^= low
-            base = duals[b]
-            below = sorted(c for c, k in zip(map(element_of.__getitem__, counts), counts.values())
-                           if k == duals[c] - base)
-        else:
-            below = [element_of[0]] if dual[b] != every else []
-        covers.append(below)
+    least = position[found[functools.reduce(operator.and_, cutters)]]
+    most = position[0]
 
     sizes = [x.bit_count() for x in sets]
     height, graded = [0] * size, True

@@ -29,8 +29,11 @@ DEFAULT_RANK_TOL = 1e-9
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array."""
-    arr = np.asarray(value, dtype=float)
+    """Coerce to a finite 2-D float64 array; complex input is refused, not truncated."""
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} contains complex entries")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.size == 0:

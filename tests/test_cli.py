@@ -322,6 +322,16 @@ class TestGramianCommands:
         assert captured.out == ""
         assert captured.err == "error: gramian diagonals must be +1 or -1\n"
 
+    @pytest.mark.parametrize("command", ["spherical-verify", "hyperbolic-verify",
+                                         "gramian-verify", "gramian-realize"])
+    def test_negative_flag_cap_is_input_error(self, workdir, capsys, command):
+        phi = [workdir / "phi3.csv"] if command.startswith("gramian-") else []
+        assert run(command, workdir / "octant.json", workdir / "gram3.csv", *phi,
+                   "--d", "2", "--flag-cap", "-1") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --flag-cap: must be a non-negative integer, got -1" in captured.err
+
     def test_hyperbolic(self, workdir):
         dump_relation(ngon(3), workdir / "triangle.json")
         G = np.array([[1.0, -1, -1], [-1, 1, -1], [-1, -1, 1]])

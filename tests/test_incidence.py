@@ -301,6 +301,19 @@ class TestCountingCovers:
         for n in range(20, 61, 10):
             assert_same_as_maximal_cuts(sphere_hull(seed, n))
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_large_sphere_hulls(self, seed):
+        """About 600 facets on 300 vertices: facet sets cut by vertex columns,
+        and vertex sets by facet rows in the transpose."""
+        rel = sphere_hull(seed, 300)
+        assert_same_as_maximal_cuts(rel)
+        assert_same_as_maximal_cuts(rel.transpose())
+
+    def test_large_polygon(self):
+        rel = ngon(512)
+        assert_same_as_maximal_cuts(rel)
+        assert_same_as_maximal_cuts(rel.transpose())
+
     def test_random_relations(self):
         rng = np.random.default_rng(19)
         relations = [random_relation(rng, max_side=10) for _ in range(600)]

@@ -22,6 +22,7 @@ from polyrealize.errors import (
     ZeroMatrixError,
 )
 from polyrealize.numkernel import (
+    as_matrix,
     lp_strict_feasibility,
     numeric_rank,
     numeric_ranks,
@@ -38,6 +39,30 @@ from oracles import (
     simplex_strict_feasibility,
     top_star,
 )
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("value", [
+        np.array([[1 + 2j, 0.5], [0.5, 1]]),
+        np.array([[1, 0.5], [0.5, 1]], dtype=complex),
+        [[1j, 0.0], [0.0, 1.0]],
+    ], ids=["imaginary", "complex-dtype", "list"])
+    def test_complex_input_is_refused(self, value):
+        with pytest.raises(ValueError, match="gramian contains complex entries"):
+            as_matrix(value, "gramian")
+        with pytest.raises(ValueError, match="matrix contains complex entries"):
+            numeric_rank(value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_is_refused(self, bad):
+        with pytest.raises(ValueError, match="matrix contains NaN or Inf entries"):
+            as_matrix([[1.0, bad]])
+
+    def test_real_input_is_float64(self):
+        for value in ([[1, 2], [3, 4]], np.eye(2, dtype=np.float32), np.eye(2, dtype=bool)):
+            arr = as_matrix(value)
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, np.asarray(value, dtype=float))
 
 
 class TestNumericRanks:
