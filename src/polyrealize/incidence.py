@@ -504,47 +504,10 @@ def _csr_transpose(indptr: np.ndarray, indices: np.ndarray) -> tuple:
             owner[np.argsort(indices, kind="stable")])
 
 
-def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
-    """Enumerate all maxbicliques of the relation, ordered by vertex set.
-
-    With each facet row as a vertex bitmask, the Galois-closed vertex
-    sets ``J = vertices_of(facets_of(J))`` are exactly the intersections
-    of rows, the empty intersection being the full vertex set.  They are
-    discovered from the top down (Lindig's neighbour-based construction):
-    each set b, numbered when first found, gets its facet bitmask F_b, the
-    facets above b, and the facets T_b that touch b.  Every closed set
-    strictly below b lies in a cut ``b & row_i`` by a facet i in T_b but
-    not in F_b, or in the empty set when there is no such facet, and each
-    cut, itself a closed set, is numbered when first seen.  A cut c is a
-    lower cover of b exactly when it is counted |F_c| - |F_b| times, once
-    for each facet above c but not above b: each of them cuts b down to
-    c, so no cut strictly contains c.  Every closed set but the top is a
-    lower cover of another, so the walk from the full set reaches them
-    all, and each set costs work in proportion to its own size.  Ranks
-    are longest paths up the covers, taken in order of size; the lattice
-    is graded exactly when each element's lower covers all have one rank.
-
-    The relation and its transpose have one lattice, with the order
-    reversed, so the same steps run on whichever side has fewer members:
-    with more facets than vertices, facet sets are cut by vertex columns,
-    which yields each element's upper covers and its distance from the
-    top, and the lower covers are their converse.  The result is always a
-    complete lattice; whether it is graded, diamond, and so on is
-    decided separately.
-
-    Index k of n is bit n - k of a mask, so the vertex sets sort
-    lexicographically by one integer each: ``2^m + |S| - x - (x & -x)``
-    for the mask x of a nonempty set S counts the vertex sets before S,
-    and one sort by it turns discovery numbers into element indices.
-    The sets stay Python ints while they are cut; the lattice holds
-    them as boolean rows and the lower covers as compressed sparse rows
-    (see ``MaxbicliqueLattice``), and no per-element object is built.
-    """
-    n, m = rel.n_facets, rel.n_vertices
-    rows = [_high_bits_of(rel.vertices_of_facet(i), m) for i in range(n, 0, -1)]
-    cols = [_high_bits_of(rel.facets_of_vertex(j), n) for j in range(m, 0, -1)]
-    by_facets = n > m
-    cutters, members = (cols, rows) if by_facets else (rows, cols)
+def _discover(cutters: list, members: list) -> tuple:
+    """(sets, dual, covers): the closed member sets from the top down, numbered
+    by discovery, each with the cutters above it and its lower covers as
+    discovery numbers (see ``build_maxbiclique_lattice``)."""
     every = (1 << len(cutters)) - 1
     member_of = {1 << j: r for j, r in enumerate(members)}  # keyed by lowest set bit
     cutter_of = {1 << i: r for i, r in enumerate(cutters)}
@@ -587,7 +550,51 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
         else:
             below = [found[0] if 0 in found else enter(0)] if dual[b] != every else []
         covers.append(below)
+    return sets, dual, covers
 
+
+def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
+    """Enumerate all maxbicliques of the relation, ordered by vertex set.
+
+    With each facet row as a vertex bitmask, the Galois-closed vertex
+    sets ``J = vertices_of(facets_of(J))`` are exactly the intersections
+    of rows, the empty intersection being the full vertex set.  They are
+    discovered from the top down (Lindig's neighbour-based construction):
+    each set b, numbered when first found, gets its facet bitmask F_b, the
+    facets above b, and the facets T_b that touch b.  Every closed set
+    strictly below b lies in a cut ``b & row_i`` by a facet i in T_b but
+    not in F_b, or in the empty set when there is no such facet, and each
+    cut, itself a closed set, is numbered when first seen.  A cut c is a
+    lower cover of b exactly when it is counted |F_c| - |F_b| times, once
+    for each facet above c but not above b: each of them cuts b down to
+    c, so no cut strictly contains c.  Every closed set but the top is a
+    lower cover of another, so the walk from the full set reaches them
+    all, and each set costs work in proportion to its own size.  Ranks
+    are longest paths up the covers, taken in order of size; the lattice
+    is graded exactly when each element's lower covers all have one rank.
+
+    The relation and its transpose have one lattice, with the order
+    reversed, so the same steps run on whichever side has fewer members:
+    with more facets than vertices, facet sets are cut by vertex columns,
+    which yields each element's upper covers and its distance from the
+    top, and the lower covers are their converse.  The result is always a
+    complete lattice; whether it is graded, diamond, and so on is
+    decided separately.
+
+    Index k of n is bit n - k of a mask, so the vertex sets sort
+    lexicographically by one integer each: ``2^m + |S| - x - (x & -x)``
+    for the mask x of a nonempty set S counts the vertex sets before S,
+    and one sort by it turns discovery numbers into element indices.
+    The sets stay Python ints while they are cut; the lattice holds
+    them as boolean rows and the lower covers as compressed sparse rows
+    (see ``MaxbicliqueLattice``), and no per-element object is built.
+    """
+    n, m = rel.n_facets, rel.n_vertices
+    rows = [_high_bits_of(rel.vertices_of_facet(i), m) for i in range(n, 0, -1)]
+    cols = [_high_bits_of(rel.facets_of_vertex(j), n) for j in range(m, 0, -1)]
+    by_facets = n > m
+    cutters, members = (cols, rows) if by_facets else (rows, cols)
+    sets, dual, covers = _discover(cutters, members)
     size, full = len(sets), 1 << m
     before = [full + x.bit_count() - x - (x & -x) if x else 0
               for x in (dual if by_facets else sets)]
@@ -601,7 +608,7 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     vertex_rows, facet_rows = unpacked[:size, -m:], unpacked[size:, -n:]
     vertex_rows.setflags(write=False)
     facet_rows.setflags(write=False)
-    least = position[found[functools.reduce(operator.and_, cutters)]]
+    least = sets.index(functools.reduce(operator.and_, cutters))
     most = position[0]
 
     sizes = [x.bit_count() for x in sets]
