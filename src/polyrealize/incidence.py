@@ -603,7 +603,9 @@ def build_maxbiclique_lattice(rel: IncidenceRelation) -> MaxbicliqueLattice:
     for k, d in enumerate(order):
         position[d] = k
     sets, dual = [sets[d] for d in order], [dual[d] for d in order]
-    covers = [sorted(map(position.__getitem__, covers[d])) for d in order]
+    covers = [covers[d] for d in order]
+    for below in covers:  # in place, so that no second copy of the covers is held
+        below[:] = sorted(map(position.__getitem__, below))
     unpacked = _bit_rows(dual + sets if by_facets else sets + dual, max(n, m))
     vertex_rows, facet_rows = unpacked[:size, -m:], unpacked[size:, -n:]
     vertex_rows.setflags(write=False)
