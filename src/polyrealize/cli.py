@@ -23,6 +23,7 @@ from .errors import (
     NoPositiveScalingError,
     PatternViolationError,
     PolyrealizeError,
+    RankAnomalyError,
     SignatureMismatchError,
 )
 from .gale import gale_dual_cone, gale_dual_polytope
@@ -245,7 +246,7 @@ def cmd_convert(args) -> int:
             result = polytope_to_cone_matrix(fim, args.rank_tol)
         else:
             result = cone_to_polytope_matrix(fim, args.rank_tol)
-    except (PatternViolationError, NoPositiveScalingError) as exc:
+    except (PatternViolationError, NoPositiveScalingError, RankAnomalyError) as exc:
         _emit({"error": str(exc)}, args)
         return EXIT_REJECTED
     out = args.out or "converted.csv"
@@ -268,7 +269,7 @@ def cmd_gale(args) -> int:
     out = args.out or "gale.csv"
     report = {
         "kind": args.kind,
-        "generators": int(dual.r_vectors.shape[0]),
+        "generators": int(dual.null_basis.shape[0]),
         "rank": dual.rank,
         "dual_dimension": int(dual.null_basis.shape[1]),
         "trivial": dual.trivial,

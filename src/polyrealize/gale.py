@@ -12,6 +12,7 @@ reduces to the cone over the polytope in homogeneous coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ class GaleDual:
     null_basis: m x (m - r), orthonormal basis of null(N) (the extra
         right singular vectors, in index order).
     r_vectors: m x m, column j is the relation e_j - N+ N e_j, the
-        projection of e_j onto null(N).
+        projection of e_j onto null(N); computed on first access.
     coords: the null_basis array itself, read as m x (m - r) Gale
         vectors: row j holds the coordinates of generator j's relation
         in the basis; pairwise inner products agree with the full
@@ -35,9 +36,12 @@ class GaleDual:
     """
 
     null_basis: np.ndarray
-    r_vectors: np.ndarray
     rank: int
     trivial: bool
+
+    @cached_property
+    def r_vectors(self) -> np.ndarray:
+        return self.null_basis @ self.null_basis.T
 
     @property
     def coords(self) -> np.ndarray:
@@ -56,7 +60,7 @@ def gale_dual_cone(N, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:
     _, s, Vt = np.linalg.svd(N, full_matrices=True)
     r = int(_rank_of_sigma(s, rank_tol))
     null_basis = Vt[r:].T.copy()
-    return GaleDual(null_basis, null_basis @ null_basis.T, r, trivial=(m == r))
+    return GaleDual(null_basis, r, trivial=(m == r))
 
 
 def gale_dual_polytope(M, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:

@@ -1,12 +1,13 @@
 """Dense real linear algebra used by the numeric modules.
 
-Rank-revealing compact SVD, Moore-Penrose pseudoinverse, PSD square
-root, signatures of symmetric matrices, factoring a Gramian against a
-bilinear form, the strict-feasibility LP of one facet's supporting
-hyperplane solved in closed form from one SVD, and the diagonal
-rescaling that turns a cone-form (fill 0, rank d+1) matrix into
-polytope form (fill 1, rank d).  Everything operates on plain float64
-numpy arrays; matrices must be finite.
+Rank-revealing compact SVD, the numeric rank (certified by a pivoted
+QR on large matrices, by the SVD otherwise), Moore-Penrose
+pseudoinverse, PSD square root, signatures of symmetric matrices,
+factoring a Gramian against a bilinear form, the strict-feasibility
+LP of one facet's supporting hyperplane solved in closed form from one
+SVD, and the diagonal rescaling that turns a cone-form (fill 0, rank
+d+1) matrix into polytope form (fill 1, rank d).  Everything operates
+on plain float64 numpy arrays; matrices must be finite.
 """
 
 from __future__ import annotations
@@ -74,10 +75,167 @@ def _rank_of_sigma(s, rank_tol):
 
 
 def numeric_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """#(sigma > rank_tol * sigma_max), as the values-only SVD counts it.
+
+    ``decide_rank`` gives the answer: a certified pivoted QR on large
+    matrices of low rank, the SVD otherwise.
+    """
+    return decide_rank(M, rank_tol)[0]
+
+
+def decide_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
+    """The numeric rank of M, and its singular values if an SVD was taken.
+
+    The rank is the count of LAPACK's singular values above rank_tol
+    times the largest.  On a matrix of at least PIVOTED_MIN_SIDE rows
+    and columns, a column-pivoted QR (``_pivoted_rank``) runs first and
+    returns a rank k only when its bounds put sigma_k above and
+    sigma_(k+1) at or below that cutoff; the values are then None.
+    When it cannot decide, or the matrix is smaller, the values-only
+    SVD is taken and returned with the rank.  The zero matrix has rank
+    0 and no values.
+    """
     M = as_matrix(M)
     if not M.any():
-        return 0
-    return int(_rank_of_sigma(np.linalg.svd(M, compute_uv=False), rank_tol))
+        return 0, None
+    steps = _pivoted_steps(*M.shape)
+    if steps:
+        rank = _pivoted_rank(M, rank_tol, steps)
+        if rank is not None:
+            return rank, None
+    sigma = np.linalg.svd(M, compute_uv=False)
+    return int(_rank_of_sigma(sigma, rank_tol)), sigma
+
+
+PIVOTED_MIN_SIDE = 64
+PIVOTED_STEP_SHARE = 16
+"""The pivoted pass runs on matrices with at least PIVOTED_MIN_SIDE rows
+and columns, for at most min(n, m) / PIVOTED_STEP_SHARE steps.
+
+Measured in-process with one BLAS thread (numpy 2.4, OpenBLAS, 2
+vCPUs), a pass that decides rank 2-4 against the values-only SVD:
+48 x 48 0.14 ms against 0.13 ms, the crossover; 64 x 64 0.11-0.15 ms
+against 0.21 ms; 256 x 256 0.43-0.53 ms against 7.0 ms; 1024 x 1024
+3.5-4.3 ms against 367 ms; 1996 x 1000 6.4-7.9 ms against 416 ms.  A
+pass that cannot decide (a full-rank matrix, all its steps) costs 36 %
+of the SVD it falls back to at 64 x 64, 18 % at 128 x 128, and 8-13 %
+from 256 x 256 to 1996 x 1000.
+"""
+
+_UNIT = np.finfo(float).eps / 2
+_QR_C = 16
+_SVD_C = 16
+_SCALE = (1e-100, 1e100)
+
+
+def _gamma(count: float) -> float:
+    """Higham's gamma_count = count u / (1 - count u), u the unit roundoff."""
+    return count * _UNIT / (1.0 - count * _UNIT)
+
+
+def _pivoted_steps(n: int, m: int) -> int:
+    """Steps the pivoted pass may take on an n x m matrix; 0 skips it."""
+    side = min(n, m)
+    return side // PIVOTED_STEP_SHARE if side >= PIVOTED_MIN_SIDE else 0
+
+
+def _pivoted_rank(A: np.ndarray, rank_tol: float, steps: int):
+    """The SVD count's numeric rank of A, certified by a column-pivoted QR, or None.
+
+    Gram-Schmidt, orthogonalizing twice, takes the column of largest
+    residual norm at each step; after k steps Q S, with S = Q.T A, has
+    rank k.  The bounds, in exact arithmetic, are:
+    sigma_(k+1) <= ||T||_F for T = A - Q S (Eckart-Young, whatever Q's
+    loss of orthogonality); sigma_k >= sigma_min(C) >= sigma_min(R)
+    - gamma(16 n k) ||C||_F for the k pivot columns C and the R of
+    their Householder QR (interlacing; Higham 2002, Thm. 19.4, 16
+    standing in for its small constant); and sigma_1 lies between the
+    largest column norm and ||A||_F, and is at least
+    sqrt((||A||_F^2 - ||T||_F^2) / k).  Each computed norm is widened by
+    the rounding of its sum and T by that of its product, and LAPACK's
+    singular values lie within 16 max(n, m) u ||A||_F of the exact ones.
+    The pass returns k when these bounds put sigma_k above and
+    sigma_(k+1) at or below rank_tol times sigma_1, as LAPACK computes
+    them.  T is formed only once the downdated residual norms fall to
+    the cutoff or to the 1e-6 ||A||_F that downdating resolves.  The
+    pass returns None, so that the caller takes the SVD, when no
+    k <= steps is decided: the SVD's rounding reaches the cutoff, the
+    next pivot column is no longer above it, or the steps run out.
+    """
+    n, m = A.shape
+    col2 = np.einsum("ij,ij->j", A, A)
+    fro = float(np.sqrt(col2.sum()))
+    if not _SCALE[0] < fro < _SCALE[1]:
+        return None
+    wide = _gamma(n * m + 2)
+    fro_lo, fro_hi = fro * (1 - wide), fro * (1 + wide)
+    svd_err = _SVD_C * max(n, m) * _UNIT * fro_hi
+    if not svd_err < rank_tol * fro_lo:
+        return None
+    top_lo = float(np.sqrt(col2.max())) * (1 - wide)
+    cut_hi = rank_tol * (1 + 4 * _UNIT) * (fro_hi + svd_err)
+    trigger = (rank_tol ** 2 + 1e-12) * fro ** 2
+    resid2 = col2.copy()
+    Q = np.empty((steps, n))
+    S = np.empty((steps, m))
+    pivots = []
+    for k in range(steps + 1):
+        if resid2.sum() <= trigger:
+            T = Q[:k].T @ S[:k]
+            np.subtract(A, T, out=T)  # in the product's buffer: a second one would fault its pages in
+            resid2 = np.einsum("ij,ij->j", T, T)
+            product = _gamma(k + 1) * np.linalg.norm(Q[:k]) * np.linalg.norm(S[:k])
+            tail_hi = (float(np.sqrt(resid2.sum())) + product) * (1 + wide) / (1 - _UNIT)
+            if k:
+                lead = float(np.sqrt(max(fro_lo ** 2 - tail_hi ** 2, 0.0) / k)) * (1 - wide)
+                top_lo = max(top_lo, lead)
+            if tail_hi + svd_err <= rank_tol * (1 - 4 * _UNIT) * (top_lo - svd_err):
+                if k:
+                    C = A[:, pivots]
+                    qr_err = _gamma(_QR_C * n * k) * np.linalg.norm(C) * (1 + wide)
+                    floor = _sigma_min_floor(np.linalg.qr(C, mode="r"))
+                    if floor - qr_err - svd_err <= cut_hi:
+                        return None
+                return k
+        if k == steps:
+            return None
+        pivot = int(np.argmax(resid2))
+        if float(np.sqrt(max(resid2[pivot], 0.0))) * (1 + wide) - svd_err <= cut_hi:
+            return None
+        q = A[:, pivot]
+        for _ in range(2):
+            q = q - (Q[:k] @ q) @ Q[:k]
+        norm = np.linalg.norm(q)
+        if not norm > 0.0:
+            return None
+        Q[k] = q / norm
+        S[k] = Q[k] @ A
+        resid2 -= S[k] ** 2
+        pivots.append(pivot)
+        resid2[pivots] = 0.0
+    return None
+
+
+def _sigma_min_floor(R: np.ndarray) -> float:
+    """A lower bound on the smallest singular value of the upper triangle of R.
+
+    X = R^-1 as computed, and E = I - R X with the rounding of its
+    product added, give ||R^-1||_2 <= ||X||_F / (1 - ||E||_F) when
+    ||E||_F < 1; the bound is 0 otherwise.
+    """
+    R = np.triu(R)
+    k = len(R)
+    eye = np.eye(k)
+    g = _gamma(k * k + k + 2)
+    with np.errstate(all="ignore"):
+        try:
+            X = np.linalg.solve(R, eye)
+        except np.linalg.LinAlgError:
+            return 0.0
+        x_norm = np.linalg.norm(X)
+        eta = np.linalg.norm(eye - R @ X) * (1 + g) + g * np.linalg.norm(R) * x_norm
+        floor = (1.0 - eta) / (x_norm * (1 + g))
+    return float(floor) if eta < 1.0 and np.isfinite(floor) else 0.0
 
 
 def numeric_ranks(stack, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

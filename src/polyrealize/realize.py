@@ -50,6 +50,7 @@ from .numkernel import (
     LP_TOL,
     as_matrix,
     compact_svd,
+    decide_rank,
     dehomogenize,
     lp_strict_feasibility,
     numeric_ranks,
@@ -68,12 +69,17 @@ STATUS_INCONCLUSIVE = "inconclusive"
 class FilledIncidenceMatrix:
     """A matrix verified to realize a relation's pattern at the given fill.
 
-    The matrix is a read-only copy, so its singular values are a fixed
-    property: the first SVD taken of it, by ``realize_from_matrix`` or
-    by ``rank``, keeps them (the values only, not the singular
-    vectors), and the conversions hand their result the values they
-    ranked it with.  A realization followed by both conversions thus
-    takes one SVD per distinct matrix.
+    The matrix is a read-only copy, so its rank is a fixed property.
+    ``rank`` asks ``numkernel.decide_rank``: on a matrix of at least 64
+    rows and columns a certified pivoted QR decides it without an SVD,
+    and that rank is kept for its tolerance.  The first SVD taken of
+    the matrix, by ``realize_from_matrix`` or by ``rank`` when the
+    pivoted pass cannot decide or the matrix is smaller, keeps its
+    singular values (the values only, not the singular vectors), and
+    every later rank reads them.  The conversions hand their result
+    the rank or the values they ranked it with.  A realization
+    followed by both conversions thus takes one SVD per distinct small
+    matrix, and on a large low-rank one only the realization's.
     """
 
     matrix: np.ndarray
@@ -82,6 +88,7 @@ class FilledIncidenceMatrix:
     eq_tol: float = DEFAULT_EQ_TOL
     slack_tol: float = DEFAULT_SLACK_TOL
     _sigma: np.ndarray = field(default=None, init=False, repr=False)
+    _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         report = check_filled_incidence(
@@ -98,16 +105,22 @@ class FilledIncidenceMatrix:
         object.__setattr__(self, "matrix", as_matrix(self.matrix).copy())
         self.matrix.setflags(write=False)
 
-    def _keep_sigma(self, sigma: np.ndarray) -> None:
-        """Keep the singular values of the first SVD taken of the matrix."""
-        if self._sigma is None:
+    def _keep(self, sigma, rank_tol: float = None, rank: int = None) -> None:
+        """Keep the singular values of the first SVD taken of the matrix, or,
+        when sigma is None, the rank decided at rank_tol without one."""
+        if sigma is None:
+            self._ranks[rank_tol] = rank
+        elif self._sigma is None:
             sigma.setflags(write=False)
             object.__setattr__(self, "_sigma", sigma)
 
     def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """``numeric_rank`` of the matrix, from its kept singular values."""
+        """``numeric_rank`` of the matrix, from its kept singular values or rank."""
+        if self._sigma is None and rank_tol not in self._ranks:
+            rank, sigma = decide_rank(self.matrix, rank_tol)
+            self._keep(sigma, rank_tol, rank)
         if self._sigma is None:
-            self._keep_sigma(np.linalg.svd(self.matrix, compute_uv=False))
+            return self._ranks[rank_tol]
         return int(_rank_of_sigma(self._sigma, rank_tol))
 
 
@@ -170,7 +183,7 @@ def realize_from_matrix(
     if not fim.matrix.any():
         raise ZeroMatrixError("compact SVD of the zero matrix is undefined")
     U, s, Vt = np.linalg.svd(fim.matrix, full_matrices=False)
-    fim._keep_sigma(s)
+    fim._keep(s)
     r = fim.rank(rank_tol)
     if r != expected:
         raise RankMismatchError(
@@ -188,19 +201,21 @@ def polytope_to_cone_matrix(fim: FilledIncidenceMatrix, rank_tol: float = DEFAUL
 
     Subtracting the all-ones matrix moves the supporting hyperplanes to
     homogeneous coordinates; the rank must rise by exactly one, anything
-    else is flagged as an anomaly instead of silently accepted.
+    else is flagged as an anomaly instead of silently accepted.  Both
+    ranks come from ``numkernel.decide_rank``: on matrices of at least
+    64 rows and columns the certified pivoted QR decides them, and an
+    SVD runs only where it cannot.
     """
     if fim.fill != 1.0:
         raise ValueError("polytope_to_cone_matrix needs a fill-1 matrix")
     d = fim.rank(rank_tol)
     N = fim.matrix - 1.0
-    sigma = np.linalg.svd(N, compute_uv=False)
-    rank = int(_rank_of_sigma(sigma, rank_tol))
+    rank, sigma = decide_rank(N, rank_tol)
     if rank != d + 1:
         raise RankAnomalyError(
             f"subtracting ones changed rank {d} to {rank}, expected {d + 1}"
         )
-    return _converted(fim, N, 0.0, sigma)
+    return _converted(fim, N, 0.0, rank_tol, rank, sigma)
 
 
 def cone_to_polytope_matrix(
@@ -214,24 +229,26 @@ def cone_to_polytope_matrix(
     fill 1.  Any positive scaling gives a projectively equivalent
     polytope; its choice picks the cutting hyperplanes.  Raises
     NoPositiveScalingError when a facet lies on every vertex or a
-    vertex on every facet, so that a row or column sum is zero.
+    vertex on every facet, so that a row or column sum is zero.  Both
+    ranks come from ``numkernel.decide_rank``, as in
+    ``polytope_to_cone_matrix``.
     """
     if fim.fill != 0.0:
         raise ValueError("cone_to_polytope_matrix needs a fill-0 matrix")
     d = fim.rank(rank_tol) - 1
     M = dehomogenize(fim.matrix)
-    sigma = np.linalg.svd(M, compute_uv=False)
-    rank = int(_rank_of_sigma(sigma, rank_tol))
+    rank, sigma = decide_rank(M, rank_tol)
     if rank != d:
         raise RankAnomalyError(f"rescaled matrix has rank {rank}, expected {d}")
-    return _converted(fim, M, 1.0, sigma)
+    return _converted(fim, M, 1.0, rank_tol, rank, sigma)
 
 
-def _converted(fim: FilledIncidenceMatrix, matrix, fill: float, sigma) -> FilledIncidenceMatrix:
-    """The converted matrix, verified at fim's tolerances, keeping the singular
-    values its conversion ranked it with."""
+def _converted(fim: FilledIncidenceMatrix, matrix, fill: float, rank_tol: float, rank: int,
+               sigma) -> FilledIncidenceMatrix:
+    """The converted matrix, verified at fim's tolerances, keeping the rank or
+    the singular values its conversion ranked it with."""
     out = FilledIncidenceMatrix(matrix, fim.relation, fill, fim.eq_tol, fim.slack_tol)
-    out._keep_sigma(sigma)
+    out._keep(sigma, rank_tol, rank)
     return out
 
 

@@ -1,7 +1,10 @@
 """Command-line interface: exit codes, files written, report determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +223,15 @@ class TestConvert:
 
     def test_not_a_matrix(self, workdir):
         assert run("convert", workdir / "garbage.csv", "polytope-to-cone") == 3
+
+    def test_rank_anomaly_is_rejected(self, workdir, capsys):
+        # a rank-2 matrix whose ones-shift keeps rank 2 is no polytope matrix
+        write_matrix_csv(workdir / "full.csv", np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert run("convert", workdir / "full.csv", "polytope-to-cone", "--out",
+                   workdir / "N.csv", "--format", "json") == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "subtracting ones changed rank 2 to 2, expected 3"}
+        assert not (workdir / "N.csv").exists()
 
 
 class TestGaleCommand:
@@ -486,3 +498,13 @@ def test_registrations_are_exactly_the_kept_flags():
 
 def test_readme_flag_table_matches_the_parser():
     assert readme_flags() == registered_flags()
+
+
+def test_module_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "polyrealize", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: polyrealize ")

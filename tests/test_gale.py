@@ -27,6 +27,13 @@ class TestGaleDualCone:
             dual.r_vectors @ np.ones(4), dual.r_vectors.sum(axis=1), atol=1e-12
         )
 
+    def test_relation_vectors_are_computed_on_first_access(self):
+        dual = gale_dual_cone(square_cone_matrix())
+        assert "r_vectors" not in vars(dual)
+        first = dual.r_vectors
+        np.testing.assert_array_equal(first, dual.null_basis @ dual.null_basis.T)
+        assert dual.r_vectors is first
+
     def test_triangle_trivial(self):
         tri = np.array([[1.0, 1, -1], [-1, 1, 1], [1, -1, 1]]) - 1.0
         dual = gale_dual_cone(tri)

@@ -22,7 +22,14 @@ from polyrealize.errors import (
     ZeroMatrixError,
 )
 from polyrealize.numkernel import (
+    DEFAULT_RANK_TOL,
+    _pivoted_rank,
+    _pivoted_steps,
+    _rank_of_sigma,
+    _sigma_min_floor,
     as_matrix,
+    decide_rank,
+    dehomogenize,
     lp_strict_feasibility,
     numeric_rank,
     numeric_ranks,
@@ -81,6 +88,135 @@ class TestNumericRanks:
         stack = np.array([np.diag([1.0, 1e-8]), np.diag([1.0, 1e-10]), np.diag([1e-20, 0])])
         assert numeric_ranks(stack).tolist() == [2, 1, 1]
         assert numeric_ranks(stack, rank_tol=1e-7).tolist() == [1, 1, 1]
+
+
+RANK_TOLS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 3.0)
+
+
+def hull_matrix(points) -> np.ndarray:
+    """The facet-vertex matrix <h_i, x_j> of the hull of points around the origin,
+    with h_i scaled to 1 on facet i."""
+    spatial = pytest.importorskip("scipy.spatial")
+    eq = spatial.ConvexHull(points).equations
+    return (eq[:, :-1] @ points.T) / -eq[:, -1:]
+
+
+def rank_workload():
+    """(name, matrix, rank) of polygons and sphere hulls with at least 64
+    facets and vertices: the polytope matrix M, its cone M - 1, the
+    rescaled dehomogenize(M - 1), and their transposes."""
+    rng = np.random.default_rng(0)
+    sets = []
+    for n in (64, 100, 256):
+        theta = 2 * np.pi * np.arange(n) / n
+        sets.append((f"gon-{n}", np.column_stack([np.cos(theta), np.sin(theta)])))
+        theta = np.sort(rng.uniform(0, 2 * np.pi, n))
+        sets.append((f"rgon-{n}", np.column_stack([np.cos(theta), np.sin(theta)])))
+    for n, d in ((64, 3), (100, 3), (80, 4)):
+        points = rng.standard_normal((n, d))
+        sets.append((f"hull{d}-{n}", points / np.linalg.norm(points, axis=1, keepdims=True)))
+    for name, points in sets:
+        M = hull_matrix(points)
+        d = points.shape[1]
+        for tag, A, r in (("M", M, d), ("N", M - 1.0, d + 1), ("D", dehomogenize(M - 1.0), d)):
+            yield f"{name}/{tag}", A, r
+            yield f"{name}/{tag}T", A.T, r
+
+
+def rank_corpus():
+    """(name, matrix) pairs for the soundness check of the pivoted pass.
+
+    The workload matrices, each also with noise from 1e-15 to 1e-4 of
+    its largest entry; synthetic rank-r matrices, tall, wide and square,
+    whose sigma_(r+1) / sigma_1 sweeps from 1e-16 to 0.1 and lands on
+    each tolerance and just beside it; matrices whose sigma_r lies on or
+    beside each tolerance; and the zero matrix.
+    """
+    rng = np.random.default_rng(1)
+    for name, A, _ in rank_workload():
+        yield name, A
+        for eps in (1e-15, 1e-12, 1e-9, 1e-6, 1e-4):
+            yield f"{name}+{eps:g}", A + eps * np.abs(A).max() * rng.standard_normal(A.shape)
+    near = [tol * (1 + step) for tol in RANK_TOLS[:5] for step in (-1e-3, -1e-9, 0, 1e-9, 1e-3)]
+    for n, m in ((64, 64), (160, 64), (64, 200), (96, 96)):
+        for r in (1, 3, 6):
+            def orthonormal(rows, cols):
+                return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+            for rho in [10.0 ** e for e in range(-16, 0)] + near:
+                sigma = np.concatenate([np.logspace(0, -2, r), [rho, rho / 3]])
+                yield f"{n}x{m} r{r} next {rho:.3g}", (orthonormal(n, r + 2) * sigma) @ orthonormal(m, r + 2).T
+            for last in near:
+                sigma = np.concatenate([np.logspace(0, -1, r - 1), [last]])
+                yield f"{n}x{m} r{r} last {last:.3g}", (orthonormal(n, r) * sigma) @ orthonormal(m, r).T
+    yield "zero", np.zeros((64, 80))
+
+
+def svd_count(A, rank_tol) -> int:
+    return int(_rank_of_sigma(np.linalg.svd(A, compute_uv=False), rank_tol)) if A.any() else 0
+
+
+class TestDecideRank:
+    def test_every_decided_rank_is_the_svd_count(self):
+        # the pass may take up to a quarter of the columns here, more than
+        # the gate allows, so that deeper ranks are decided too
+        decided, wrong = {tol: 0 for tol in RANK_TOLS}, []
+        corpus = list(rank_corpus())
+        for name, A in corpus:
+            sigma = np.linalg.svd(A, compute_uv=False)
+            for tol in RANK_TOLS:
+                k = _pivoted_rank(A, tol, min(A.shape) // 4)
+                want = int(_rank_of_sigma(sigma, tol)) if A.any() else 0
+                if k is not None:
+                    decided[tol] += 1
+                    if k != want:
+                        wrong.append((name, tol, k, want))
+        assert wrong == []
+        # the cutoff's own rounding leaves 1e-15 and 1 to the SVD
+        assert decided[1e-15] == decided[1.0] == 0
+        assert min(decided[tol] for tol in (1e-12, 1e-9, 1e-6, 1e-3)) > 0.6 * len(corpus)
+
+    def test_workload_ranks_take_no_svd(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("SVD taken")
+
+        cases = list(rank_workload())
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        for name, A, r in cases:
+            assert decide_rank(A) == (r, None), name
+            assert numeric_rank(A, 1e-6) == r, name
+
+    def test_small_matrices_take_the_svd(self):
+        rng = np.random.default_rng(2)
+        for n, m in ((63, 200), (200, 63), (8, 8)):
+            A = rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
+            assert _pivoted_steps(n, m) == 0
+            rank, sigma = decide_rank(A)
+            assert rank == 2
+            np.testing.assert_array_equal(sigma, np.linalg.svd(A, compute_uv=False))
+        assert _pivoted_steps(64, 64) == 4 and _pivoted_steps(256, 1000) == 16
+
+    def test_undecided_falls_back_to_the_svd(self):
+        rng = np.random.default_rng(3)
+        full = rng.standard_normal((64, 64))
+        low = rng.standard_normal((128, 3)) @ rng.standard_normal((3, 128))
+        for A, tol in ((full, DEFAULT_RANK_TOL), (low, 1e-15), (low, 1.0)):
+            assert _pivoted_rank(A, tol, _pivoted_steps(*A.shape)) is None
+            rank, sigma = decide_rank(A, tol)
+            assert sigma is not None and rank == svd_count(A, tol)
+
+    def test_zero_matrix_has_rank_zero(self):
+        assert decide_rank(np.zeros((64, 80))) == (0, None)
+        assert _pivoted_rank(np.zeros((64, 80)), DEFAULT_RANK_TOL, 4) is None
+
+    def test_sigma_min_floor_is_a_lower_bound(self):
+        rng = np.random.default_rng(4)
+        for k in (1, 2, 5, 12):
+            for scale in (1.0, 1e-6, 1e3):
+                R = np.triu(rng.standard_normal((k, k))) * scale
+                true = np.linalg.svd(R, compute_uv=False)[-1]
+                assert true / np.sqrt(k) / 1.01 <= _sigma_min_floor(R) <= true
+        assert _sigma_min_floor(np.diag([1.0, 0.0])) == 0.0
+        assert _sigma_min_floor(np.array([[1.0, 1e20], [0.0, 1e-20]])) == 0.0
 
 
 class TestCompactSvd:

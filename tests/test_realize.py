@@ -28,7 +28,7 @@ from polyrealize.errors import (
     RankMismatchError,
     ZeroMatrixError,
 )
-from polyrealize import numkernel
+from polyrealize import gale_dual_polytope, numkernel
 from polyrealize import realize as realize_module
 from polyrealize.complete import CompletionProblem, initialize_factors
 from polyrealize.numkernel import LP_TOL, dehomogenize, lp_strict_feasibility, numeric_rank
@@ -253,15 +253,34 @@ class TestSingularValueMemo:
 
     @pytest.mark.parametrize("name", ["gon-64", "cube-5", "hull-3-16"])
     def test_realization_and_both_conversions_take_one_svd_per_matrix(self, monkeypatch, name):
+        # gon-64's 64 x 64 cone and rescaled matrices are ranked by the
+        # pivoted pass; cube-5 (10 x 32) and hull-3-16 are too small for it
+        svds = {"gon-64": 1, "cube-5": 3, "hull-3-16": 3}[name]
         rel, M, d = memo_family(name)
         fim = FilledIncidenceMatrix(M, rel, 1.0)
         calls = counting_svds(monkeypatch)
         realize_from_matrix(fim, d)
         cone = polytope_to_cone_matrix(fim)
         back = cone_to_polytope_matrix(cone)
-        assert len(calls) == 3
+        assert len(calls) == svds
         assert (fim.rank(), cone.rank(), back.rank()) == (d, d + 1, d)
-        assert len(calls) == 3
+        assert len(calls) == svds
+
+    def test_gon_256_check_path_takes_two_svds(self, monkeypatch):
+        # the check workload's steps: the ranks of M, of the cone and of
+        # the rescaled matrix come from the pivoted pass; the realization
+        # and the Gale dual need their singular vectors
+        rel = ngon(256)
+        fim = FilledIncidenceMatrix(certificate(rel, gon_vertices(256)), rel, 1.0)
+        calls = counting_svds(monkeypatch)
+        assert numeric_rank(fim.matrix) == 2 and calls == []
+        realize_from_matrix(fim, 2)
+        assert calls == [(256, 256)]
+        cone = polytope_to_cone_matrix(fim)
+        back = cone_to_polytope_matrix(cone)
+        assert (cone.rank(), back.rank()) == (3, 2) and len(calls) == 1
+        gale_dual_polytope(fim.matrix)
+        assert calls == [(256, 256)] * 2
 
     @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
     def test_memo_rank_is_numeric_rank(self, name):
