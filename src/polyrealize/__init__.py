@@ -31,7 +31,6 @@ from .gramian import (
 from .incidence import (
     Flag,
     IncidenceRelation,
-    Maxbiclique,
     MaxbicliqueLattice,
     PatternReport,
     SuperCycle,

@@ -48,10 +48,6 @@ class NotBipartiteError(PolyrealizeError):
     """Flag graph contains an odd cycle."""
 
 
-class NoExtraFacetError(PolyrealizeError):
-    """No facet avoids the given vertex, so no super cycle exists."""
-
-
 class NoCycleError(PolyrealizeError):
     """No facet sequence descends rank by rank to the given vertex."""
 

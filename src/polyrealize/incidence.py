@@ -16,9 +16,8 @@ file format.  Lattice elements are referred to by their row in the
 arrays of ``MaxbicliqueLattice``, sorted lexicographically by vertex set
 so that all derived enumerations are deterministic.  The lattice holds
 element sets as boolean rows and covers as compressed sparse rows, and
-the flag and cycle layer reads only those arrays; the per-element
-``Maxbiclique`` objects and cover tuples are built only when first read,
-which the lattice gate, the check path and the Gramian path never do.
+every layer above it, flags and cycles included, reads only those
+arrays.
 """
 
 from __future__ import annotations
@@ -294,14 +293,6 @@ def load_relation(path) -> IncidenceRelation:
 
 
 @dataclass(frozen=True)
-class Maxbiclique:
-    """A maximal induced biclique: every facet of the pair contains every vertex."""
-
-    facet_set: tuple
-    vertex_set: tuple
-
-
-@dataclass(frozen=True)
 class Flag:
     """A maximal chain of lattice elements, bottom to top, as element indices."""
 
@@ -335,9 +326,7 @@ class MaxbicliqueLattice:
     ``lower_indices[lower_indptr[b]:lower_indptr[b + 1]]``, ascending
     (compressed sparse rows).  ``ranks`` is a tuple, or None when the
     lattice is not graded.  ``cover_signs`` is aligned with
-    ``lower_indices``.  ``elements``, ``lower_covers`` and
-    ``upper_covers`` are built from the arrays on first access and
-    cached.  Instances are immutable; all methods are pure.
+    ``lower_indices``.  Instances are immutable; all methods are pure.
     """
 
     relation: IncidenceRelation
@@ -351,21 +340,6 @@ class MaxbicliqueLattice:
 
     def __len__(self):
         return len(self.vertex_rows)
-
-    @cached_property
-    def elements(self) -> tuple:
-        """One ``Maxbiclique`` per element, its facets and vertices as ascending tuples."""
-        return tuple(map(Maxbiclique, _row_tuples(self.facet_rows), _row_tuples(self.vertex_rows)))
-
-    @cached_property
-    def lower_covers(self) -> tuple:
-        """Each element's lower covers as an ascending tuple."""
-        return _csr_tuples(self.lower_indptr, self.lower_indices)
-
-    @cached_property
-    def upper_covers(self) -> tuple:
-        """Each element's upper covers as an ascending tuple."""
-        return _csr_tuples(*_csr_transpose(self.lower_indptr, self.lower_indices))
 
     @cached_property
     def _rank_order(self) -> list:
@@ -471,19 +445,6 @@ def _bit_rows(masks, width: int) -> np.ndarray:
     size = -(-width // 8) or 1
     raw = b"".join(x.to_bytes(size, "big") for x in masks)
     return np.unpackbits(np.frombuffer(raw, np.uint8)).view(bool).reshape(len(masks), 8 * size)
-
-
-def _row_tuples(rows: np.ndarray) -> list:
-    """The 1-based positions of each row's True entries, ascending, as tuples."""
-    flat = (np.nonzero(rows)[1] + 1).tolist()
-    ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-
-
-def _csr_tuples(indptr: np.ndarray, indices: np.ndarray) -> tuple:
-    """Each row of compressed sparse rows as a tuple."""
-    flat, ends = indices.tolist(), indptr.tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 def _csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple:
@@ -776,15 +737,28 @@ def count_flags(lat: MaxbicliqueLattice) -> int:
     return _paths_down(lat, [1] * len(lat.lower_indices))[lat.bottom]
 
 
-def enumerate_flags(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> tuple:
-    """All flags in a deterministic order (lexicographic by element index)."""
+def _flag_chains(lat: MaxbicliqueLattice, cap: int) -> np.ndarray:
+    """Every flag as a row of element indices, bottom to top, rows in lexicographic order.
+
+    The chains are extended from the bottom together, rank by rank,
+    through the upper covers, the converse of the lower covers, as
+    ``_cycle_table`` extends its chains from the top.  Raises
+    FlagCapExceededError when there are more than cap of them.
+    """
     total = count_flags(lat)
     if total > cap:
         raise FlagCapExceededError(total, cap)
-    chains = [(lat.bottom,)]
+    uptr, upper = _csr_transpose(lat.lower_indptr, lat.lower_indices)
+    chains = np.array([[lat.bottom]])
     for _ in range(lat.rank):  # graded: every chain reaches the top in rank steps
-        chains = [chain + (b,) for chain in chains for b in lat.upper_covers[chain[-1]]]
-    return tuple(Flag(chain) for chain in chains)
+        k, p = _csr_gather(uptr, chains[:, -1])
+        chains = np.column_stack([chains[k], upper[p]])
+    return chains
+
+
+def enumerate_flags(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP) -> tuple:
+    """All flags in a deterministic order (lexicographic by element index)."""
+    return tuple(map(Flag, map(tuple, _flag_chains(lat, cap).tolist())))
 
 
 def _chain_classes(lat: MaxbicliqueLattice, chains) -> np.ndarray:
@@ -817,9 +791,9 @@ def flag_graph_bipartition(lat: MaxbicliqueLattice, cap: int = DEFAULT_FLAG_CAP)
     cap flags, then NotDiamondError when the rank-2 walk fails and
     NotBipartiteError on an odd cycle.
     """
-    flags = enumerate_flags(lat, cap)
-    classes = _chain_classes(lat, np.array([flag.chain for flag in flags]))
-    return dict(zip(flags, classes.tolist()))
+    chains = _flag_chains(lat, cap)
+    classes = _chain_classes(lat, chains)
+    return dict(zip(map(Flag, map(tuple, chains.tolist())), classes.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,34 +77,20 @@ def _rank_of_sigma(s, rank_tol):
 def numeric_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """#(sigma > rank_tol * sigma_max), as the values-only SVD counts it.
 
-    ``decide_rank`` gives the answer: a certified pivoted QR on large
-    matrices of low rank, the SVD otherwise.
-    """
-    return decide_rank(M, rank_tol)[0]
-
-
-def decide_rank(M, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
-    """The numeric rank of M, and its singular values if an SVD was taken.
-
-    The rank is the count of LAPACK's singular values above rank_tol
-    times the largest.  On a matrix of at least PIVOTED_MIN_SIDE rows
-    and columns, a column-pivoted QR (``_pivoted_rank``) runs first and
-    returns a rank k only when its bounds put sigma_k above and
-    sigma_(k+1) at or below that cutoff; the values are then None.
-    When it cannot decide, or the matrix is smaller, the values-only
-    SVD is taken and returned with the rank.  The zero matrix has rank
-    0 and no values.
+    On a matrix of at least PIVOTED_MIN_SIDE rows and columns, a
+    column-pivoted QR (``_pivoted_rank``) runs first and returns a rank
+    k only when its bounds put sigma_k above and sigma_(k+1) at or below
+    that cutoff.  When it cannot decide, or the matrix is smaller, the
+    values-only SVD is taken.  The zero matrix has rank 0.
     """
     M = as_matrix(M)
     if not M.any():
-        return 0, None
+        return 0
     steps = _pivoted_steps(*M.shape)
-    if steps:
-        rank = _pivoted_rank(M, rank_tol, steps)
-        if rank is not None:
-            return rank, None
-    sigma = np.linalg.svd(M, compute_uv=False)
-    return int(_rank_of_sigma(sigma, rank_tol)), sigma
+    rank = _pivoted_rank(M, rank_tol, steps) if steps else None
+    if rank is None:
+        rank = int(_rank_of_sigma(np.linalg.svd(M, compute_uv=False), rank_tol))
+    return rank
 
 
 PIVOTED_MIN_SIDE = 64
@@ -390,7 +376,8 @@ def lp_strict_feasibility(W, on, lifted_svd: Svd = None) -> float:
     LP_TOL), phi is free: t is +inf when a has one strict sign off the
     facet, and 0 otherwise.  Otherwise h = -g / phi and t is the least
     a_j / phi off the facet, or -inf when the hyperplane passes within
-    LP_TOL of the origin, relative to the facet's farthest vertex.  When
+    LP_TOL of the origin, relative to the facet's farthest vertex, and
+    so whenever every vertex of the facet is the origin.  When
     the facet's vertices span aff(W), c is 0 and so is every value.
     Raises ValueError when they leave more than one free direction.
     A caller solving several facets of one W may pass that SVD, the
@@ -413,7 +400,7 @@ def lp_strict_feasibility(W, on, lifted_svd: Svd = None) -> float:
         tol = LP_TOL * np.abs(a).max()
         return np.inf if np.all(off > tol) or np.all(off < -tol) else 0.0
     reach = np.linalg.norm(c[:-1]) * np.linalg.norm(W[:, on], axis=0).max(initial=0.0)
-    if abs(c[-1]) <= LP_TOL * reach:
+    if reach == 0.0 or abs(c[-1]) <= LP_TOL * reach:
         return -np.inf
     return float(np.min(off / c[-1], initial=np.inf))
 

@@ -50,9 +50,9 @@ from .numkernel import (
     LP_TOL,
     as_matrix,
     compact_svd,
-    decide_rank,
     dehomogenize,
     lp_strict_feasibility,
+    numeric_rank,
     numeric_ranks,
     _rank_of_sigma,
 )
@@ -69,17 +69,15 @@ STATUS_INCONCLUSIVE = "inconclusive"
 class FilledIncidenceMatrix:
     """A matrix verified to realize a relation's pattern at the given fill.
 
-    The matrix is a read-only copy, so its rank is a fixed property.
-    ``rank`` asks ``numkernel.decide_rank``: on a matrix of at least 64
-    rows and columns a certified pivoted QR decides it without an SVD,
-    and that rank is kept for its tolerance.  The first SVD taken of
-    the matrix, by ``realize_from_matrix`` or by ``rank`` when the
-    pivoted pass cannot decide or the matrix is smaller, keeps its
-    singular values (the values only, not the singular vectors), and
-    every later rank reads them.  The conversions hand their result
-    the rank or the values they ranked it with.  A realization
-    followed by both conversions thus takes one SVD per distinct small
-    matrix, and on a large low-rank one only the realization's.
+    The matrix is a read-only copy, so its rank is a fixed property,
+    kept once decided, one rank per tolerance.  ``rank`` asks
+    ``numkernel.numeric_rank``, which on a matrix of at least 64 rows
+    and columns decides it by a certified pivoted QR without an SVD.
+    ``realize_from_matrix`` keeps the rank its own SVD counts, and the
+    conversions hand their result the rank they ranked it with.  A
+    realization followed by both conversions thus takes one SVD per
+    distinct small matrix, and on a large low-rank one only the
+    realization's.
     """
 
     matrix: np.ndarray
@@ -87,7 +85,6 @@ class FilledIncidenceMatrix:
     fill: float
     eq_tol: float = DEFAULT_EQ_TOL
     slack_tol: float = DEFAULT_SLACK_TOL
-    _sigma: np.ndarray = field(default=None, init=False, repr=False)
     _ranks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -105,23 +102,11 @@ class FilledIncidenceMatrix:
         object.__setattr__(self, "matrix", as_matrix(self.matrix).copy())
         self.matrix.setflags(write=False)
 
-    def _keep(self, sigma, rank_tol: float = None, rank: int = None) -> None:
-        """Keep the singular values of the first SVD taken of the matrix, or,
-        when sigma is None, the rank decided at rank_tol without one."""
-        if sigma is None:
-            self._ranks[rank_tol] = rank
-        elif self._sigma is None:
-            sigma.setflags(write=False)
-            object.__setattr__(self, "_sigma", sigma)
-
     def rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """``numeric_rank`` of the matrix, from its kept singular values or rank."""
-        if self._sigma is None and rank_tol not in self._ranks:
-            rank, sigma = decide_rank(self.matrix, rank_tol)
-            self._keep(sigma, rank_tol, rank)
-        if self._sigma is None:
-            return self._ranks[rank_tol]
-        return int(_rank_of_sigma(self._sigma, rank_tol))
+        """``numeric_rank`` of the matrix, decided once per tolerance."""
+        if rank_tol not in self._ranks:
+            self._ranks[rank_tol] = numeric_rank(self.matrix, rank_tol)
+        return self._ranks[rank_tol]
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,14 +162,15 @@ def realize_from_matrix(
     With M = U S V.T, take H = sqrt(S) U.T and W = sqrt(S) V.T, so that
     H.T @ W reproduces M and the columns of W are the vertices of a
     centered realization (generators, for fill 0).  The numeric rank
-    must equal d for fill 1 and d+1 for fill 0.
+    must equal d for fill 1 and d+1 for fill 0; the count of this SVD's
+    singular values is kept as the matrix's rank at rank_tol, unless a
+    rank was already decided there.
     """
     expected = d if fim.fill == 1.0 else d + 1
     if not fim.matrix.any():
         raise ZeroMatrixError("compact SVD of the zero matrix is undefined")
     U, s, Vt = np.linalg.svd(fim.matrix, full_matrices=False)
-    fim._keep(s)
-    r = fim.rank(rank_tol)
+    r = fim._ranks.setdefault(rank_tol, int(_rank_of_sigma(s, rank_tol)))
     if r != expected:
         raise RankMismatchError(
             f"matrix has numeric rank {r}, expected {expected}"
@@ -202,20 +188,20 @@ def polytope_to_cone_matrix(fim: FilledIncidenceMatrix, rank_tol: float = DEFAUL
     Subtracting the all-ones matrix moves the supporting hyperplanes to
     homogeneous coordinates; the rank must rise by exactly one, anything
     else is flagged as an anomaly instead of silently accepted.  Both
-    ranks come from ``numkernel.decide_rank``: on matrices of at least
+    ranks come from ``numkernel.numeric_rank``: on matrices of at least
     64 rows and columns the certified pivoted QR decides them, and an
-    SVD runs only where it cannot.
+    SVD runs only where it cannot.  The result keeps its rank.
     """
     if fim.fill != 1.0:
         raise ValueError("polytope_to_cone_matrix needs a fill-1 matrix")
     d = fim.rank(rank_tol)
     N = fim.matrix - 1.0
-    rank, sigma = decide_rank(N, rank_tol)
+    rank = numeric_rank(N, rank_tol)
     if rank != d + 1:
         raise RankAnomalyError(
             f"subtracting ones changed rank {d} to {rank}, expected {d + 1}"
         )
-    return _converted(fim, N, 0.0, rank_tol, rank, sigma)
+    return _converted(fim, N, 0.0, rank_tol, rank)
 
 
 def cone_to_polytope_matrix(
@@ -230,25 +216,25 @@ def cone_to_polytope_matrix(
     polytope; its choice picks the cutting hyperplanes.  Raises
     NoPositiveScalingError when a facet lies on every vertex or a
     vertex on every facet, so that a row or column sum is zero.  Both
-    ranks come from ``numkernel.decide_rank``, as in
-    ``polytope_to_cone_matrix``.
+    ranks come from ``numkernel.numeric_rank``, as in
+    ``polytope_to_cone_matrix``, and the result keeps its rank.
     """
     if fim.fill != 0.0:
         raise ValueError("cone_to_polytope_matrix needs a fill-0 matrix")
     d = fim.rank(rank_tol) - 1
     M = dehomogenize(fim.matrix)
-    rank, sigma = decide_rank(M, rank_tol)
+    rank = numeric_rank(M, rank_tol)
     if rank != d:
         raise RankAnomalyError(f"rescaled matrix has rank {rank}, expected {d}")
-    return _converted(fim, M, 1.0, rank_tol, rank, sigma)
+    return _converted(fim, M, 1.0, rank_tol, rank)
 
 
-def _converted(fim: FilledIncidenceMatrix, matrix, fill: float, rank_tol: float, rank: int,
-               sigma) -> FilledIncidenceMatrix:
-    """The converted matrix, verified at fim's tolerances, keeping the rank or
-    the singular values its conversion ranked it with."""
+def _converted(fim: FilledIncidenceMatrix, matrix, fill: float, rank_tol: float,
+               rank: int) -> FilledIncidenceMatrix:
+    """The converted matrix, verified at fim's tolerances, keeping the rank its
+    conversion ranked it with."""
     out = FilledIncidenceMatrix(matrix, fim.relation, fill, fim.eq_tol, fim.slack_tol)
-    out._keep(sigma, rank_tol, rank)
+    out._ranks[rank_tol] = rank
     return out
 
 

@@ -7,6 +7,7 @@ the library's own algorithms, so the two paths stay independent.
 import bisect
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -16,7 +17,6 @@ import numpy as np
 from polyrealize import (
     BilinearForm,
     Flag,
-    Maxbiclique,
     SuperCycle,
     build_maxbiclique_lattice,
     enumerate_flags,
@@ -26,13 +26,75 @@ from polyrealize.errors import (
     DegenerateFormError,
     DimensionMismatchError,
     NoCycleError,
-    NoExtraFacetError,
     NotBipartiteError,
     NotGradedError,
     PolyrealizeError,
 )
 from polyrealize.incidence import REASON_DIAMOND, REASON_FLAG_CONNECTIVITY
 from polyrealize.numkernel import LP_TOL
+
+
+class NoExtraFacetError(PolyrealizeError):
+    """No facet avoids the given vertex, so no super cycle exists."""
+
+
+@dataclass(frozen=True)
+class Maxbiclique:
+    """A maximal induced biclique: every facet of the pair contains every vertex."""
+
+    facet_set: tuple
+    vertex_set: tuple
+
+
+_VIEWS = weakref.WeakKeyDictionary()
+
+
+def _views(lat) -> SimpleNamespace:
+    """The lattice's elements and cover tuples, read off its arrays once per lattice."""
+    views = _VIEWS.get(lat)
+    if views is None:
+        def row_tuples(rows):
+            flat = (np.nonzero(rows)[1] + 1).tolist()
+            ends = np.cumsum(np.count_nonzero(rows, axis=1)).tolist()
+            return [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+
+        flat, ends = lat.lower_indices.tolist(), lat.lower_indptr.tolist()
+        lower = tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
+        upper = [[] for _ in lower]
+        for b, below in enumerate(lower):
+            for a in below:
+                upper[a].append(b)
+        views = _VIEWS[lat] = SimpleNamespace(
+            elements=tuple(map(Maxbiclique, row_tuples(lat.facet_rows),
+                               row_tuples(lat.vertex_rows))),
+            lower_covers=lower,
+            upper_covers=tuple(map(tuple, upper)),
+        )
+    return views
+
+
+def elements(lat) -> tuple:
+    """One ``Maxbiclique`` per element, its facets and vertices as ascending tuples."""
+    return _views(lat).elements
+
+
+def lower_covers(lat) -> tuple:
+    """Each element's lower covers as an ascending tuple."""
+    return _views(lat).lower_covers
+
+
+def upper_covers(lat) -> tuple:
+    """Each element's upper covers as an ascending tuple."""
+    return _views(lat).upper_covers
+
+
+def flags_by_upper_covers(lat) -> tuple:
+    """All flags of a graded lattice, lexicographic by element index, each
+    chain extended from the bottom by one upper cover at a time."""
+    chains = [(lat.bottom,)]
+    for _ in range(lat.rank):
+        chains = [chain + (b,) for chain in chains for b in upper_covers(lat)[chain[-1]]]
+    return tuple(Flag(chain) for chain in chains)
 
 
 def brute_force_maxbicliques(rel):
@@ -105,8 +167,8 @@ def lattice_by_maximal_cuts(rel):
     lower covers of b are the sets maximal among its cuts
     ``b & row != b``, found by comparing every pair of cuts, and each
     element's facet set comes from a scan over all rows.  Returns a
-    record of the fields that ``MaxbicliqueLattice`` materializes
-    (``LATTICE_FIELDS``), every one built this way.
+    record of the lattice's fields and views (``LATTICE_FIELDS``),
+    every one built this way.
     """
     m = rel.n_vertices
     rows = [sum(1 << (j - 1) for j in rel.vertices_of_facet(i))
@@ -232,7 +294,7 @@ def diamond_by_leq_scan(lat) -> bool:
     count the elements c of rank rank(b) - 1 with a <= c <= b, comparing
     vertex sets; the interval [a, b] is a diamond iff there are two.
     """
-    below = [frozenset(el.vertex_set) for el in lat.elements]
+    below = [frozenset(el.vertex_set) for el in elements(lat)]
     by_rank = {}
     for k, r in enumerate(lat.ranks):
         by_rank.setdefault(r, []).append(k)
@@ -267,7 +329,7 @@ def rank2_failure_by_groups(lat):
     joined by a union-find.  A diamond failure anywhere outranks a
     disconnected local graph.
     """
-    lower = lat.lower_covers
+    lower = lower_covers(lat)
     connected = True
     for b in range(len(lat)):
         if lat.ranks[b] < 2:
@@ -295,7 +357,7 @@ def cover_signs_by_groups(lat):
     The same parity union-find, in rank order, over ``_rank2_groups``;
     expects a lattice that passes the rank-2 walk.
     """
-    lower, signs = lat.lower_covers, {}
+    lower, signs = lower_covers(lat), {}
     for b in sorted(range(len(lat)), key=lat.ranks.__getitem__):
         parent = {c: (c, 1) for c in lower[b]}
 
@@ -316,7 +378,7 @@ def cover_signs_by_groups(lat):
         signs.update(((c, b), root(c)[1]) for c in lower[b])
     first = [lat.bottom]
     while first[-1] != lat.top:
-        first.append(lat.upper_covers[first[-1]][0])
+        first.append(upper_covers(lat)[first[-1]][0])
     if math.prod(signs[cover] for cover in zip(first, first[1:])) < 0:
         signs.update(((c, lat.top), -signs[c, lat.top]) for c in lower[lat.top])
     return signs
@@ -497,7 +559,7 @@ def grunbaum_oracle_by_subsets(W, lat) -> bool:
     """
     W = np.asarray(W, dtype=float)
     m = W.shape[1]
-    face_sets = {frozenset(el.vertex_set) for el in lat.elements}
+    face_sets = {frozenset(el.vertex_set) for el in elements(lat)}
     all_vertices = range(1, m + 1)
     for size in range(m):
         for subset in itertools.combinations(all_vertices, size):
@@ -583,11 +645,11 @@ def super_cycle_pairs_by_definition(G, super_cycles, det_factor, det_zero_tol) -
 def index_of_vertex_set(lat, vertices) -> int:
     """Position of the element with exactly these vertices; KeyError if none.
 
-    A binary search of ``lat.elements``, which are sorted by vertex set.
+    A binary search of the elements, which are sorted by vertex set.
     """
     vertices = sorted(vertices)
-    k = bisect.bisect_left(lat.elements, tuple(vertices), key=lambda el: el.vertex_set)
-    if k == len(lat) or list(lat.elements[k].vertex_set) != vertices:
+    k = bisect.bisect_left(elements(lat), tuple(vertices), key=lambda el: el.vertex_set)
+    if k == len(lat) or list(elements(lat)[k].vertex_set) != vertices:
         raise KeyError(f"no lattice element with vertex set {vertices}")
     return k
 
@@ -595,7 +657,7 @@ def index_of_vertex_set(lat, vertices) -> int:
 def meet(lat, a, b) -> int:
     """Greatest lower bound: the element whose vertex set is the intersection of a's and b's."""
     return index_of_vertex_set(
-        lat, set(lat.elements[a].vertex_set) & set(lat.elements[b].vertex_set))
+        lat, set(elements(lat)[a].vertex_set) & set(elements(lat)[b].vertex_set))
 
 
 def _cycles_at_vertex(lat, vertex):

@@ -55,6 +55,7 @@ from conftest import (
 )
 from oracles import (
     brute_force_maxbicliques,
+    elements,
     exact_integer_rank,
     flag_graph_connected_explicit,
     hodge_star,
@@ -135,7 +136,7 @@ def test_criterion_02_maxbiclique_oracle_equivalence():
     for rel in suite:
         assert rel.n_facets <= 8 and rel.n_vertices <= 8
         lat = build_maxbiclique_lattice(rel)
-        found = {(el.facet_set, el.vertex_set) for el in lat.elements}
+        found = {(el.facet_set, el.vertex_set) for el in elements(lat)}
         assert found == brute_force_maxbicliques(rel)
         checked += 1
     elapsed = time.perf_counter() - start

@@ -47,6 +47,7 @@ from oracles import (
     column_cosines,
     cone_by_hodge_star,
     distinct_vertex_pairs_by_definition,
+    elements,
     super_cycle_pairs_by_definition,
     super_cycles_by_walk,
     vertex_minor_failures_one_at_a_time,
@@ -339,7 +340,7 @@ class TestHyperbolic:
         lat = build_maxbiclique_lattice(rel)
         vertex = next(
             el.vertex_set[0]
-            for el in lat.elements
+            for el in elements(lat)
             if el.facet_set == (1, 2) and len(el.vertex_set) == 1
         )
         ideal = [j for j in (1, 2, 3) if j != vertex]

@@ -24,7 +24,6 @@ from polyrealize.errors import (
     EmptyRelationError,
     FlagCapExceededError,
     NoCycleError,
-    NoExtraFacetError,
     NotBipartiteError,
     NotDiamondError,
     NotGradedError,
@@ -62,27 +61,32 @@ from oracles import (
     brute_force_maxbicliques,
     cover_signs_by_groups,
     covers_by_definition,
+    NoExtraFacetError,
     diamond_by_leq_scan,
+    elements,
     flag_classes_by_bfs,
     flag_graph_connected_explicit,
+    flags_by_upper_covers,
     index_of_vertex_set,
     lattice_by_maximal_cuts,
+    lower_covers,
     meet,
     rank2_failure_by_groups,
     super_cycles_by_walk,
+    upper_covers,
 )
 
 
 def elements_as_pairs(lat):
-    return {(el.facet_set, el.vertex_set) for el in lat.elements}
+    return {(el.facet_set, el.vertex_set) for el in elements(lat)}
 
 
 def structure_by_vertex_sets(lat):
     """The lattice's covers, ranks, bottom and top, keyed like covers_by_definition."""
-    vs = [el.vertex_set for el in lat.elements]
+    vs = [el.vertex_set for el in elements(lat)]
     return {
-        "lower": {vs[b]: [vs[a] for a in lat.lower_covers[b]] for b in range(len(lat))},
-        "upper": {vs[a]: [vs[b] for b in lat.upper_covers[a]] for a in range(len(lat))},
+        "lower": {vs[b]: [vs[a] for a in lower_covers(lat)[b]] for b in range(len(lat))},
+        "upper": {vs[a]: [vs[b] for b in upper_covers(lat)[a]] for a in range(len(lat))},
         "ranks": None if lat.ranks is None else dict(zip(vs, lat.ranks)),
         "bottom": vs[lat.bottom],
         "top": vs[lat.top],
@@ -196,8 +200,8 @@ class TestLatticeConstruction:
         pairs = elements_as_pairs(lat)
         assert ((1, 2, 3, 4), ()) in pairs  # bottom: all facets, no vertex
         assert ((), (1, 2, 3, 4)) in pairs  # top
-        atoms = [el for el in lat.elements if len(el.vertex_set) == 1]
-        coatoms = [el for el in lat.elements if len(el.facet_set) == 1]
+        atoms = [el for el in elements(lat) if len(el.vertex_set) == 1]
+        coatoms = [el for el in elements(lat) if len(el.facet_set) == 1]
         assert len(atoms) == 4 and len(coatoms) == 4
 
     def test_pyramid_lattice(self, pyramid):
@@ -215,7 +219,7 @@ class TestLatticeConstruction:
 
     def test_closure_property_holds(self, pyramid):
         lat = build_maxbiclique_lattice(pyramid)
-        for el in lat.elements:
+        for el in elements(lat):
             assert pyramid.closure(el.vertex_set) == frozenset(el.vertex_set)
             assert pyramid.facets_of(el.vertex_set) == frozenset(el.facet_set)
 
@@ -236,17 +240,17 @@ class TestLatticeConstruction:
     def test_transpose_anti_isomorphism(self, rel):
         lat = build_maxbiclique_lattice(rel)
         tlat = build_maxbiclique_lattice(rel.transpose())
-        swapped = {(el.vertex_set, el.facet_set) for el in tlat.elements}
+        swapped = {(el.vertex_set, el.facet_set) for el in elements(tlat)}
         assert swapped == elements_as_pairs(lat)
         def leq(L, x, y):
-            return set(L.elements[x].vertex_set) <= set(L.elements[y].vertex_set)
+            return set(elements(L)[x].vertex_set) <= set(elements(L)[y].vertex_set)
 
         # order reverses: comparable pairs swap direction under the swap map
         tindex = {
-            (el.facet_set, el.vertex_set): k for k, el in enumerate(tlat.elements)
+            (el.facet_set, el.vertex_set): k for k, el in enumerate(elements(tlat))
         }
-        for a, ela in enumerate(lat.elements):
-            for b, elb in enumerate(lat.elements):
+        for a, ela in enumerate(elements(lat)):
+            for b, elb in enumerate(elements(lat)):
                 ta = tindex[(ela.vertex_set, ela.facet_set)]
                 tb = tindex[(elb.vertex_set, elb.facet_set)]
                 assert leq(lat, a, b) == leq(tlat, tb, ta)
@@ -255,9 +259,9 @@ class TestLatticeConstruction:
         # The coatom/atom comparability of the lattice is the original
         # relation again, so rebuilding yields an isomorphic lattice.
         lat = build_maxbiclique_lattice(pyramid)
-        atoms = [el for el in lat.elements if lat.ranks[lat.elements.index(el)] == 1]
+        atoms = [el for el in elements(lat) if lat.ranks[elements(lat).index(el)] == 1]
         coatoms = [
-            el for el in lat.elements if lat.ranks[lat.elements.index(el)] == lat.rank - 1
+            el for el in elements(lat) if lat.ranks[elements(lat).index(el)] == lat.rank - 1
         ]
         pairs = []
         for fi, co in enumerate(sorted(coatoms, key=lambda e: e.facet_set), start=1):
@@ -271,13 +275,15 @@ class TestLatticeConstruction:
 
 
 def assert_same_as_maximal_cuts(rel, lat=None):
-    """Every materialized field of the lattice (built here unless given)
-    against the maximal cuts, then the oracles' ``meet`` and
-    ``index_of_vertex_set`` against the elements' vertex sets."""
+    """Every field of the lattice (built here unless given), and the
+    oracles' views of it, against the maximal cuts, then the oracles'
+    ``meet`` and ``index_of_vertex_set`` against the elements' vertex sets."""
     lat = build_maxbiclique_lattice(rel) if lat is None else lat
     ref = lattice_by_maximal_cuts(rel)
+    views = {"elements": elements, "lower_covers": lower_covers, "upper_covers": upper_covers}
     for name in LATTICE_FIELDS:
-        assert getattr(lat, name) == getattr(ref, name), name
+        field = views[name](lat) if name in views else getattr(lat, name)
+        assert field == getattr(ref, name), name
     vertex_sets = [el.vertex_set for el in ref.elements]
     position = {vs: k for k, vs in enumerate(vertex_sets)}
     size = len(vertex_sets)
@@ -356,7 +362,7 @@ class TestCountingCovers:
 def lower_cover_counts(lat) -> dict:
     """{(vertex count, lower cover count): elements}."""
     counts = {}
-    for el, below in zip(lat.elements, lat.lower_covers):
+    for el, below in zip(elements(lat), lower_covers(lat)):
         key = (len(el.vertex_set), len(below))
         counts[key] = counts.get(key, 0) + 1
     return counts
@@ -596,7 +602,41 @@ class TestArrayWalk:
             assert lat.rank <= 2 and assert_walk_matches_groups(lat) is None
 
 
+def assert_flags_match_the_tuple_walk(lat) -> bool:
+    """``enumerate_flags`` of a graded lattice, and the keys of
+    ``flag_graph_bipartition`` where it colors the flags, against the walk
+    over the oracles' upper-cover tuples, repr for repr; True when colored."""
+    flags = flags_by_upper_covers(lat)
+    assert repr(enumerate_flags(lat)) == repr(flags)
+    try:
+        coloring = flag_graph_bipartition(lat)
+    except (NotDiamondError, NotBipartiteError):
+        return False
+    assert repr(tuple(coloring)) == repr(flags)
+    return True
+
+
 class TestFlags:
+    @pytest.mark.parametrize("rel", [*FAMILIES, *(rel.transpose() for rel in FAMILIES)])
+    def test_families_match_the_tuple_walk(self, rel):
+        lat = build_maxbiclique_lattice(rel)
+        if not lat.is_graded:
+            with pytest.raises(NotGradedError):
+                enumerate_flags(lat)
+            return
+        assert_flags_match_the_tuple_walk(lat)
+
+    def test_random_relations_match_the_tuple_walk(self):
+        rng = np.random.default_rng(0)
+        relations = [random_relation(rng) for _ in range(600)]
+        colored = []
+        for rel in relations + [rel.transpose() for rel in relations]:
+            lat = build_maxbiclique_lattice(rel)
+            if lat.is_graded:
+                colored.append(assert_flags_match_the_tuple_walk(lat))
+        # graded lattices, and those whose flags are colored
+        assert (len(colored), sum(colored)) == (880, 544)
+
     def test_flag_counts(self, square, pyramid):
         slat = build_maxbiclique_lattice(square)
         plat = build_maxbiclique_lattice(pyramid)
@@ -623,7 +663,7 @@ class TestFlags:
             assert flag.chain[0] == lat.bottom
             assert flag.chain[-1] == lat.top
             for a, b in zip(flag.chain, flag.chain[1:]):
-                assert b in lat.upper_covers[a]
+                assert b in upper_covers(lat)[a]
 
     def test_flag_regularity(self):
         # in a graded diamond lattice of rank r every flag has r-1 neighbors
@@ -725,11 +765,9 @@ class TestCoverSigns:
         assert lat.cover_signs is not None and "cover_signs" in vars(lat)
 
     def test_gate_and_check_build_no_objects(self, monkeypatch, pyramid):
-        """The gate, the search, the check sequence and the Gramian path read
-        only the lattice's arrays: no element object and no cover tuple is
-        built until a field is read, and then every field equals the
-        maximal cuts'.  The Gramian verifiers' cover signs are one int8 per
-        cover."""
+        """The lattices of the gate, the search, the check sequence and the
+        Gramian path equal the maximal cuts' in every field.  The Gramian
+        verifiers' cover signs are one int8 per cover."""
         from polyrealize import (
             BilinearForm,
             FilledIncidenceMatrix,
@@ -739,7 +777,6 @@ class TestCoverSigns:
             gramian,
             gramian_of_cone,
             grunbaum_oracle,
-            incidence,
             polytope_to_cone_matrix,
             realizability_check,
             realize_cone_from_gramian,
@@ -750,10 +787,6 @@ class TestCoverSigns:
         )
         from polyrealize.incidence import lattice_gate
 
-        def no_element(*args):
-            raise AssertionError("a Maxbiclique was built")
-
-        monkeypatch.setattr(incidence, "Maxbiclique", no_element)
         lattices = []
         for rel in (pyramid, cube(3)):
             lat, _, reason = lattice_gate(rel)
@@ -791,9 +824,6 @@ class TestCoverSigns:
             assert lat.cover_signs.dtype == np.int8
             assert lat.cover_signs.shape == (len(lat.lower_indices),)
             lattices.append((rel, lat))
-        lazy = {"elements", "lower_covers", "upper_covers"}
-        for rel, lat in lattices:
-            assert not lazy & set(vars(lat))
         monkeypatch.undo()
         for rel, lat in lattices:
             assert_same_as_maximal_cuts(rel, lat)

@@ -28,7 +28,6 @@ from polyrealize.numkernel import (
     _rank_of_sigma,
     _sigma_min_floor,
     as_matrix,
-    decide_rank,
     dehomogenize,
     lp_strict_feasibility,
     numeric_rank,
@@ -151,6 +150,22 @@ def rank_corpus():
     yield "zero", np.zeros((64, 80))
 
 
+def forbidden_svd(*args, **kwargs):
+    raise AssertionError("SVD taken")
+
+
+def counted_svds(patch) -> list:
+    """Patch ``np.linalg.svd`` to record the shape of each matrix it is given."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    patch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def svd_count(A, rank_tol) -> int:
     return int(_rank_of_sigma(np.linalg.svd(A, compute_uv=False), rank_tol)) if A.any() else 0
 
@@ -176,36 +191,38 @@ class TestDecideRank:
         assert min(decided[tol] for tol in (1e-12, 1e-9, 1e-6, 1e-3)) > 0.6 * len(corpus)
 
     def test_workload_ranks_take_no_svd(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("SVD taken")
-
         cases = list(rank_workload())
-        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden_svd)
         for name, A, r in cases:
-            assert decide_rank(A) == (r, None), name
+            assert numeric_rank(A) == r, name
             assert numeric_rank(A, 1e-6) == r, name
 
-    def test_small_matrices_take_the_svd(self):
+    def test_small_matrices_take_the_svd(self, monkeypatch):
         rng = np.random.default_rng(2)
         for n, m in ((63, 200), (200, 63), (8, 8)):
             A = rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
             assert _pivoted_steps(n, m) == 0
-            rank, sigma = decide_rank(A)
-            assert rank == 2
-            np.testing.assert_array_equal(sigma, np.linalg.svd(A, compute_uv=False))
+            with monkeypatch.context() as patch:
+                calls = counted_svds(patch)
+                assert numeric_rank(A) == 2
+            assert calls == [A.shape]
         assert _pivoted_steps(64, 64) == 4 and _pivoted_steps(256, 1000) == 16
 
-    def test_undecided_falls_back_to_the_svd(self):
+    def test_undecided_falls_back_to_the_svd(self, monkeypatch):
         rng = np.random.default_rng(3)
         full = rng.standard_normal((64, 64))
         low = rng.standard_normal((128, 3)) @ rng.standard_normal((3, 128))
         for A, tol in ((full, DEFAULT_RANK_TOL), (low, 1e-15), (low, 1.0)):
             assert _pivoted_rank(A, tol, _pivoted_steps(*A.shape)) is None
-            rank, sigma = decide_rank(A, tol)
-            assert sigma is not None and rank == svd_count(A, tol)
+            want = svd_count(A, tol)
+            with monkeypatch.context() as patch:
+                calls = counted_svds(patch)
+                assert numeric_rank(A, tol) == want
+            assert calls == [A.shape]
 
-    def test_zero_matrix_has_rank_zero(self):
-        assert decide_rank(np.zeros((64, 80))) == (0, None)
+    def test_zero_matrix_has_rank_zero(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", forbidden_svd)
+        assert numeric_rank(np.zeros((64, 80))) == 0
         assert _pivoted_rank(np.zeros((64, 80)), DEFAULT_RANK_TOL, 4) is None
 
     def test_sigma_min_floor_is_a_lower_bound(self):
@@ -528,6 +545,12 @@ class TestFacetLp:
     def test_hyperplane_through_the_origin(self):
         W = self.W - self.W[:, [0]]
         assert lp_strict_feasibility(W, self.FACET) == -np.inf
+
+    def test_facet_whose_vertices_all_sit_at_the_origin(self):
+        # no h has <h, 0> = 1, whatever rounding residue the hyperplane's
+        # constant term carries
+        assert lp_strict_feasibility([[0.0, 3.0]], [True, False]) == -np.inf
+        assert lp_strict_feasibility([[3.0, 0.0, -2.0]], [False, True, False]) == -np.inf
 
     def test_origin_off_the_affine_hull(self):
         # the constant term is free: the margin grows without bound

@@ -56,7 +56,12 @@ from conftest import (
     sphere_points,
     triangular_prism,
 )
-from oracles import exact_edge_margin, grunbaum_oracle_by_subsets, simplex_strict_feasibility
+from oracles import (
+    elements,
+    exact_edge_margin,
+    grunbaum_oracle_by_subsets,
+    simplex_strict_feasibility,
+)
 
 
 class TestCheckFilledIncidence:
@@ -282,6 +287,24 @@ class TestSingularValueMemo:
         gale_dual_polytope(fim.matrix)
         assert calls == [(256, 256)] * 2
 
+    @pytest.mark.parametrize("name", ["gon-64", "cube-5"])
+    def test_each_tolerance_is_decided_once(self, monkeypatch, name):
+        # the realization keeps its SVD's rank at the default tolerance; a
+        # second tolerance takes one decision, kept beside the first
+        rel, M, d = memo_family(name)
+        fim = FilledIncidenceMatrix(M, rel, 1.0)
+        realize_from_matrix(fim, d)
+        decided, original = [], realize_module.numeric_rank
+
+        def counted(A, rank_tol):
+            decided.append(rank_tol)
+            return original(A, rank_tol)
+
+        monkeypatch.setattr(realize_module, "numeric_rank", counted)
+        assert fim.rank() == d and decided == []
+        assert fim.rank(1e-6) == d and decided == [1e-6]
+        assert fim.rank(1e-6) == fim.rank() == d and decided == [1e-6]
+
     @pytest.mark.parametrize("name", sorted(MEMO_FAMILIES))
     def test_memo_rank_is_numeric_rank(self, name):
         rel, M, d = memo_family(name)
@@ -457,7 +480,7 @@ class TestGrunbaumOracle:
         fim = FilledIncidenceMatrix(SQUARE_MATRIX, square, 1.0)
         real = realize_from_matrix(fim, 2)
         lat = build_maxbiclique_lattice(relabelled(square, [1, 3, 2, 4]))
-        assert frozenset({1, 2}) not in {frozenset(el.vertex_set) for el in lat.elements}
+        assert frozenset({1, 2}) not in {frozenset(el.vertex_set) for el in elements(lat)}
         assert not grunbaum_oracle(real.W, lat)
 
     def test_triangle(self):
@@ -510,6 +533,15 @@ class TestGrunbaumOracle:
         assert grunbaum_oracle(W, lat)
         W[:, 0] *= 0.99  # inside the chord of vertices 256 and 2
         assert not grunbaum_oracle(W, lat)
+
+    def test_segment_with_a_vertex_at_the_origin_fails(self):
+        # no h has <h, 0> = 1, so the facet at the origin has no supporting h,
+        # whatever rounding residue the hyperplane's constant term carries
+        lat = build_maxbiclique_lattice(IncidenceRelation.from_pairs(2, 2, [(1, 1), (2, 2)]))
+        rng = np.random.default_rng(0)
+        for x in rng.standard_normal(1000) * 10.0 ** rng.uniform(-3, 3, 1000):
+            assert not grunbaum_oracle([[0.0, x]], lat)
+            assert not grunbaum_oracle([[x, 0.0]], lat)
 
 
 @pytest.mark.parametrize("build, d", [(lambda: cube(4), 4), (lambda: cross_polytope(4), 4),
@@ -611,7 +643,7 @@ def assert_facet_lps_agree(W, lat, label):
     """The closed-form LP of every coatom against the reference simplex,
     whose margin is capped at 1e6: the same verdict, the same margin."""
     ids = np.arange(1, W.shape[1] + 1)
-    for el, r in zip(lat.elements, lat.ranks):
+    for el, r in zip(elements(lat), lat.ranks):
         if r != lat.rank - 1:
             continue
         on = np.isin(ids, el.vertex_set)
@@ -663,7 +695,7 @@ def assert_stacked_ranks_match(monkeypatch, W, lat, rng):
             lifted = np.vstack([X, np.ones(X.shape[1])])
             got = sorted(M.tobytes() for stack, _ in calls for M in stack)
             want = sorted(np.ascontiguousarray(lifted[:, [j - 1 for j in el.vertex_set]])
-                          .tobytes() for el in lat.elements if el.vertex_set)
+                          .tobytes() for el in elements(lat) if el.vertex_set)
             assert got == want
 
 
