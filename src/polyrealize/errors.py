@@ -36,7 +36,8 @@ class NotDiamondError(PolyrealizeError):
 
 
 class FlagCapExceededError(PolyrealizeError):
-    """Flag enumeration, or the Gramian verifiers' cycle walk, would exceed the configured cap."""
+    """Flag enumeration, the Gramian verifiers' cycle walk or the super-cycle
+    enumeration would exceed the configured cap."""
 
     def __init__(self, count, cap, counted="flags"):
         super().__init__(f"lattice has {count} {counted}, exceeding the cap of {cap}")

@@ -17,15 +17,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotInRangeError
-from .numkernel import DEFAULT_RANK_TOL, _rank_of_sigma, as_matrix, pseudoinverse
+from .numkernel import DEFAULT_RANK_TOL, as_matrix, null_space, pseudoinverse
 
 
 @dataclass(frozen=True, eq=False)
 class GaleDual:
     """Gale dual of a cone with m generators and facet-ray matrix of rank r.
 
-    null_basis: m x (m - r), orthonormal basis of null(N) (the extra
-        right singular vectors, in index order).
+    null_basis: m x (m - r), orthonormal basis of null(N), from
+        ``numkernel.null_space``: on a matrix with both sides at least
+        PIVOTED_MIN_SIDE whose rank the pivoted pass decides, the
+        trailing columns of a complete QR of its factor's rows;
+        otherwise the extra right singular vectors, in index order.
     r_vectors: m x m, column j is the relation e_j - N+ N e_j, the
         projection of e_j onto null(N); computed on first access.
     coords: the null_basis array itself, read as m x (m - r) Gale
@@ -55,12 +58,8 @@ def gale_dual_cone(N, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:
     basis onto null(N).  A trivial dual (m equal to the rank) is
     reported, not an error.
     """
-    N = as_matrix(N)
-    m = N.shape[1]
-    _, s, Vt = np.linalg.svd(N, full_matrices=True)
-    r = int(_rank_of_sigma(s, rank_tol))
-    null_basis = Vt[r:].T.copy()
-    return GaleDual(null_basis, r, trivial=(m == r))
+    r, null_basis = null_space(N, rank_tol)
+    return GaleDual(null_basis, r, trivial=(len(null_basis) == r))
 
 
 def gale_dual_polytope(M, rank_tol: float = DEFAULT_RANK_TOL) -> GaleDual:

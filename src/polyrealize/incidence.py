@@ -825,7 +825,10 @@ class _CycleTable:
 def _walked_vertices(lat: MaxbicliqueLattice) -> tuple:
     """(count, stop): the first vertex whose least element is not of rank 1,
     or None, and the count of vertices before it.  A vertex off the bottom
-    lies in at most one rank-1 element, and then that is its least."""
+    lies in at most one rank-1 element, and then that is its least.
+    Raises NotGradedError on a lattice that is not graded."""
+    if not lat.is_graded:
+        raise NotGradedError("cycle search needs a graded lattice")
     on_atom = lat.vertex_rows[np.asarray(lat.ranks) == 1].any(axis=0)
     walked = on_atom & ~lat.vertex_rows[lat.bottom]
     if walked.all():
@@ -847,8 +850,6 @@ def _cycle_table(lat: MaxbicliqueLattice) -> _CycleTable:
     the rows vertex-major, each vertex's cycles in lexicographic order.
     The walk itself has no cap: ``_count_cycles`` gives its size first.
     """
-    if not lat.is_graded:
-        raise NotGradedError("cycle search needs a graded lattice")
     d = lat.rank - 1
     walked, stop = _walked_vertices(lat)
     vertex = np.arange(walked if d >= 1 else 0)  # 0-based
@@ -869,21 +870,31 @@ def _cycle_table(lat: MaxbicliqueLattice) -> _CycleTable:
     return _CycleTable(facets, vertex[order] + 1, meets, stop)
 
 
-def _count_cycles(lat: MaxbicliqueLattice) -> int:
-    """Number of rows of the cycle table of a graded lattice, by one path count.
+def _count_cycles(lat: MaxbicliqueLattice, weights=None) -> int:
+    """Number of rows of the cycle table of a graded lattice, by one path count,
+    each cycle at vertex j counted weights[j - 1] times (once by default).
 
     A chain of covers from the top down to a rank-1 element gives one
     cycle at each vertex before ``stop`` that the element holds, for
     every choice of labels: |F_c| - |F_x| of them at cover (x, c).
     """
+    walked, _ = _walked_vertices(lat)
     if lat.rank < 2:
         return 0
-    walked, _ = _walked_vertices(lat)
     size = np.count_nonzero(lat.facet_rows, axis=1)
     labels = size[lat.lower_indices] - np.repeat(size, np.diff(lat.lower_indptr))
     paths = _paths_down(lat, labels.tolist())
-    held = np.count_nonzero(lat.vertex_rows[:, :walked], axis=1).tolist()
-    return sum(p * k for p, k, r in zip(paths, held, lat.ranks) if r == 1)
+    atoms = np.flatnonzero(np.asarray(lat.ranks) == 1)
+    held = lat.vertex_rows[atoms, :walked]
+    held = held.sum(axis=1) if weights is None else held @ np.asarray(weights[:walked])
+    return sum(paths[a] * k for a, k in zip(atoms.tolist(), held.tolist()))
+
+
+def _count_super_cycles(lat: MaxbicliqueLattice) -> int:
+    """Number of super cycles the cycle table gives: each cycle at vertex j
+    once for every facet that avoids j."""
+    rel = lat.relation
+    return _count_cycles(lat, rel.n_facets - np.count_nonzero(rel.mask, axis=0))
 
 
 def _induced_flag(lat: MaxbicliqueLattice, meets) -> Flag:
@@ -901,8 +912,12 @@ def enumerate_super_cycles(
     incident to that vertex (which pushes the total meet to bottom).
     ``coloring`` maps flags to bipartition classes, as produced by
     flag_graph_bipartition; PolyrealizeError names the chain of the
-    first induced flag that it lacks.
+    first induced flag that it lacks.  Raises FlagCapExceededError,
+    before any cycle is built, when there are more than DEFAULT_FLAG_CAP
+    super cycles.
     """
+    if (count := _count_super_cycles(lat)) > DEFAULT_FLAG_CAP:
+        raise FlagCapExceededError(count, DEFAULT_FLAG_CAP, "super cycles")
     table = _cycle_table(lat)
     flags = [_induced_flag(lat, m) for m in table.meets.tolist()]
     try:

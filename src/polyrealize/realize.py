@@ -28,7 +28,6 @@ from .errors import (
     PatternViolationError,
     RankAnomalyError,
     RankMismatchError,
-    ZeroMatrixError,
 )
 from .incidence import (  # REASON_* and the Pattern* types stay importable from here
     DEFAULT_EQ_TOL,
@@ -54,7 +53,6 @@ from .numkernel import (
     lp_strict_feasibility,
     numeric_rank,
     numeric_ranks,
-    _rank_of_sigma,
 )
 
 KIND_POLYTOPE = "polytope"
@@ -73,11 +71,11 @@ class FilledIncidenceMatrix:
     kept once decided, one rank per tolerance.  ``rank`` asks
     ``numkernel.numeric_rank``, which on a matrix of at least 64 rows
     and columns decides it by a certified pivoted QR without an SVD.
-    ``realize_from_matrix`` keeps the rank its own SVD counts, and the
+    ``realize_from_matrix`` keeps the rank of its own factor, and the
     conversions hand their result the rank they ranked it with.  A
     realization followed by both conversions thus takes one SVD per
-    distinct small matrix, and on a large low-rank one only the
-    realization's.
+    distinct small matrix, and none of a large low-rank one: there the
+    realization decomposes only the pass's r x m factor.
     """
 
     matrix: np.ndarray
@@ -159,25 +157,26 @@ def realize_from_matrix(
 ) -> Realization:
     """Split a filled matrix into covertices and vertices via the compact SVD.
 
-    With M = U S V.T, take H = sqrt(S) U.T and W = sqrt(S) V.T, so that
-    H.T @ W reproduces M and the columns of W are the vertices of a
-    centered realization (generators, for fill 0).  The numeric rank
-    must equal d for fill 1 and d+1 for fill 0; the count of this SVD's
-    singular values is kept as the matrix's rank at rank_tol, unless a
-    rank was already decided there.
+    With M = U S V.T from ``numkernel.compact_svd``, take H = sqrt(S) U.T
+    and W = sqrt(S) V.T, so that H.T @ W reproduces M and the columns of
+    W are the vertices of a centered realization (generators, for fill
+    0).  On a matrix with both sides at least 64 whose rank the certified
+    pivoted pass decides, that SVD is read from the pass's rank-r factor,
+    so H and W are fixed only up to an orthogonal map of R^r.  The rank
+    of the factor must equal d for fill 1 and d+1 for fill 0; it is kept
+    as the matrix's rank at rank_tol, unless a rank was already decided
+    there.
     """
     expected = d if fim.fill == 1.0 else d + 1
-    if not fim.matrix.any():
-        raise ZeroMatrixError("compact SVD of the zero matrix is undefined")
-    U, s, Vt = np.linalg.svd(fim.matrix, full_matrices=False)
-    r = fim._ranks.setdefault(rank_tol, int(_rank_of_sigma(s, rank_tol)))
-    if r != expected:
+    svd = compact_svd(fim.matrix, rank_tol)
+    fim._ranks.setdefault(rank_tol, svd.rank)
+    if svd.rank != expected:
         raise RankMismatchError(
-            f"matrix has numeric rank {r}, expected {expected}"
+            f"matrix has numeric rank {svd.rank}, expected {expected}"
         )
-    root = np.sqrt(s[:r])
-    H = root[:, None] * U[:, :r].T
-    W = root[:, None] * Vt[:r]
+    root = np.sqrt(svd.sigma)
+    H = root[:, None] * svd.U.T
+    W = root[:, None] * svd.V.T
     kind = KIND_POLYTOPE if fim.fill == 1.0 else KIND_CONE
     return Realization(d, W, H, kind)
 

@@ -1,6 +1,9 @@
 """The library imports numpy, the standard library and itself, nothing else:
 numpy is its only runtime dependency, and scipy stays a test-only oracle.
-It reads no numpy name that the declared floor, numpy 1.24, lacks."""
+It reads no numpy name that the declared floor, numpy 1.24, lacks, and
+its SVDs are taken where the rank decisions are: ``realize`` and ``gale``
+factor through ``numkernel``, and only ``numkernel.null_space`` takes a
+full SVD, on the matrices its certified pass does not decide."""
 
 import ast
 import sys
@@ -91,6 +94,57 @@ xp.bitwise_count(a) + xp.linalg.matrix_transpose(b) + xp.sort(c)
 """
     found = numpy_names(ast.parse(source)) & NEWER_THAN_FLOOR
     assert found == {"unique_values", "linalg.vecdot", "bitwise_count", "linalg.matrix_transpose"}
+
+
+def full_svd_sites(tree) -> list:
+    """The enclosing function (None at module level) of every call that
+    passes ``full_matrices=True``."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            sites.extend(function for kw in node.keywords if kw.arg == "full_matrices"
+                         and isinstance(kw.value, ast.Constant) and kw.value.value is True)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+# the SVD fallback of the null space keeps the full SVD on the matrices
+# the certified pass does not decide, so that their results stay those of
+# LAPACK's; no other code takes an m x m SVD
+FULL_SVD_ALLOWED = {"numkernel.py": ["null_space"]}
+FACTORED_THROUGH_NUMKERNEL = ("realize.py", "gale.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_svds_go_through_numkernel(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert full_svd_sites(tree) == FULL_SVD_ALLOWED.get(path.name, [])
+    if path.name in FACTORED_THROUGH_NUMKERNEL:
+        assert "linalg.svd" not in numpy_names(tree)
+
+
+def test_full_and_direct_svds_are_caught():
+    source = """
+import numpy as xp
+from numpy.linalg import qr
+def split(a):
+    return xp.linalg.svd(a, full_matrices=True)
+class Dual:
+    def basis(self, a):
+        return xp.linalg.svd(a, full_matrices=False), qr(a, mode="complete")
+xp.linalg.svd(b, full_matrices=True)
+"""
+    tree = ast.parse(source)
+    assert full_svd_sites(tree) == ["split", None]
+    assert "linalg.svd" in numpy_names(tree)
+    assert "linalg.svd" in numpy_names(ast.parse("from numpy.linalg import svd"))
+    assert "linalg.svd" not in numpy_names(ast.parse("from .numkernel import compact_svd"))
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.2.0",

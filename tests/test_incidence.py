@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import time
 from math import comb
 
 import numpy as np
@@ -946,6 +947,33 @@ def test_super_cycles_match_the_walk(name):
         coloring = {}
     assert _outcome(lambda: enumerate_super_cycles(lat, coloring)) == \
         _outcome(lambda: super_cycles_by_walk(lat, coloring))
+
+
+# the conftest polytopes and the benchmark's gramian relations at seed 0
+COUNTED_RELATIONS = [name for name in WALK_RELATIONS if name.endswith("@0") or name in (
+    "simplex-2", "simplex-3", "simplex-4", "square", "cube-3", "cross-3",
+    "gon-3", "gon-5", "gon-8", "prism", "pyramid", "octant")]
+
+
+@pytest.mark.parametrize("name", COUNTED_RELATIONS)
+def test_super_cycle_count_is_the_enumeration(name):
+    from polyrealize.incidence import _count_super_cycles
+
+    lat = build_maxbiclique_lattice(WALK_RELATIONS[name])
+    cycles = enumerate_super_cycles(lat, flag_graph_bipartition(lat))
+    assert _count_super_cycles(lat) == len(cycles) > 0
+
+
+def test_super_cycles_over_the_cap_raise_before_the_walk():
+    # cross-5: 3,840 flags but 3,932,160 super cycles, whose list once
+    # took the process past a gigabyte
+    lat = build_maxbiclique_lattice(cross_polytope(5))
+    coloring = flag_graph_bipartition(lat)
+    start = time.process_time()
+    with pytest.raises(FlagCapExceededError,
+                       match=r"^lattice has 3932160 super cycles, exceeding the cap of 1000000$"):
+        enumerate_super_cycles(lat, coloring)
+    assert time.process_time() - start < 1.0
 
 
 def assert_cycle_table_matches_the_walk(lat):

@@ -9,6 +9,7 @@ from polyrealize import (
     BilinearForm,
     compact_svd,
     factor_against_form,
+    gale_dual_cone,
     pseudoinverse,
     signature,
     sqrt_psd,
@@ -23,13 +24,15 @@ from polyrealize.errors import (
 )
 from polyrealize.numkernel import (
     DEFAULT_RANK_TOL,
-    _pivoted_rank,
+    _certified_factor,
+    _pivoted_factor,
     _pivoted_steps,
     _rank_of_sigma,
     _sigma_min_floor,
     as_matrix,
     dehomogenize,
     lp_strict_feasibility,
+    null_space,
     numeric_rank,
     numeric_ranks,
     read_matrix_csv,
@@ -166,6 +169,18 @@ def counted_svds(patch) -> list:
     return calls
 
 
+def recorded_svds(patch) -> list:
+    """Patch ``np.linalg.svd`` to record (matrix, full_matrices, result) of each call."""
+    calls, svd = [], np.linalg.svd
+
+    def recorded(a, full_matrices=True, **kwargs):
+        calls.append((a.copy(), full_matrices, svd(a, full_matrices=full_matrices, **kwargs)))
+        return calls[-1][2]
+
+    patch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
 def svd_count(A, rank_tol) -> int:
     return int(_rank_of_sigma(np.linalg.svd(A, compute_uv=False), rank_tol)) if A.any() else 0
 
@@ -179,7 +194,8 @@ class TestDecideRank:
         for name, A in corpus:
             sigma = np.linalg.svd(A, compute_uv=False)
             for tol in RANK_TOLS:
-                k = _pivoted_rank(A, tol, min(A.shape) // 4)
+                factor = _pivoted_factor(A, tol, min(A.shape) // 4)
+                k = None if factor is None else len(factor[0])
                 want = int(_rank_of_sigma(sigma, tol)) if A.any() else 0
                 if k is not None:
                     decided[tol] += 1
@@ -213,7 +229,7 @@ class TestDecideRank:
         full = rng.standard_normal((64, 64))
         low = rng.standard_normal((128, 3)) @ rng.standard_normal((3, 128))
         for A, tol in ((full, DEFAULT_RANK_TOL), (low, 1e-15), (low, 1.0)):
-            assert _pivoted_rank(A, tol, _pivoted_steps(*A.shape)) is None
+            assert _pivoted_factor(A, tol, _pivoted_steps(*A.shape)) is None
             want = svd_count(A, tol)
             with monkeypatch.context() as patch:
                 calls = counted_svds(patch)
@@ -223,7 +239,7 @@ class TestDecideRank:
     def test_zero_matrix_has_rank_zero(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", forbidden_svd)
         assert numeric_rank(np.zeros((64, 80))) == 0
-        assert _pivoted_rank(np.zeros((64, 80)), DEFAULT_RANK_TOL, 4) is None
+        assert _pivoted_factor(np.zeros((64, 80)), DEFAULT_RANK_TOL, 4) is None
 
     def test_sigma_min_floor_is_a_lower_bound(self):
         rng = np.random.default_rng(4)
@@ -234,6 +250,92 @@ class TestDecideRank:
                 assert true / np.sqrt(k) / 1.01 <= _sigma_min_floor(R) <= true
         assert _sigma_min_floor(np.diag([1.0, 0.0])) == 0.0
         assert _sigma_min_floor(np.array([[1.0, 1e20], [0.0, 1e-20]])) == 0.0
+
+
+def relative_gap(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestFactorPath:
+    """``compact_svd`` and ``null_space`` against LAPACK: read from the pivoted
+    pass's factor where it decides, bit-identical to the SVD where it does not."""
+
+    def test_corpus_at_every_tolerance(self, monkeypatch):
+        # the SVD path is one call whatever the tolerance, so its identity is
+        # checked at each matrix's first undecided tolerance, against the
+        # plain LAPACK calls on the matrix that the library made
+        exact = {name for name, _, _ in rank_workload()}
+        decided = undecided = compared = 0
+        for name, A in rank_corpus():
+            if not A.any():
+                continue
+            sigma = np.linalg.svd(A, compute_uv=False)
+            lapack, checked = None, False
+            for tol in RANK_TOLS:
+                r = int(_rank_of_sigma(sigma, tol))
+                if _certified_factor(A, tol) is None:
+                    undecided += 1
+                    if not checked:
+                        checked = True
+                        with monkeypatch.context() as patch:
+                            calls = recorded_svds(patch)
+                            svd = compact_svd(A, tol)
+                            rank, basis = null_space(A, tol)
+                        (a, thin, (U, s, Vt)), (b, full, (_, s_full, Vt_full)) = calls
+                        assert np.array_equal(a, A) and np.array_equal(b, A)
+                        assert (thin, full) == (False, True)
+                        k, k_full = (int(_rank_of_sigma(v, tol)) for v in (s, s_full))
+                        assert (svd.rank, rank) == (k, k_full), (name, tol)
+                        for got, want in ((svd.U, U[:, :k]), (svd.sigma, s[:k]),
+                                          (svd.V, Vt[:k].T), (basis, Vt_full[k_full:].T)):
+                            np.testing.assert_array_equal(got, want)
+                    continue
+                decided += 1
+                svd = compact_svd(A, tol)
+                rank, basis = null_space(A, tol)
+                cutoff = tol * sigma[0]
+                assert svd.rank == rank == r, (name, tol)
+                assert basis.shape == (A.shape[1], A.shape[1] - r)
+                for Z in (svd.U, svd.V, basis):
+                    assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max(initial=0.0) <= 1e-12, (name, tol)
+                assert np.linalg.norm(A - (svd.U * svd.sigma) @ svd.V.T) <= cutoff, (name, tol)
+                assert np.linalg.norm(A @ basis) <= cutoff, (name, tol)
+                if name in exact:
+                    compared += 1
+                    if lapack is None:
+                        lapack = (*np.linalg.svd(A, full_matrices=False), np.linalg.svd(A)[2])
+                    U, s, Vt, full = lapack
+                    root = np.sqrt(svd.sigma)
+                    W, H = root[:, None] * svd.V.T, root[:, None] * svd.U.T
+                    W_ref, H_ref = np.sqrt(s[:r])[:, None] * Vt[:r], np.sqrt(s[:r])[:, None] * U[:, :r].T
+                    assert relative_gap(W.T @ W, W_ref.T @ W_ref) <= 1e-12, (name, tol)
+                    assert relative_gap(H.T @ H, H_ref.T @ H_ref) <= 1e-12, (name, tol)
+                    assert relative_gap(basis @ basis.T, full[r:].T @ full[r:]) <= 1e-12, (name, tol)
+        assert decided > 2500 and undecided > 2500 and compared > 200
+
+    def test_large_low_rank_takes_no_full_svd(self, monkeypatch):
+        A = next(A for name, A, _ in rank_workload() if name == "gon-256/N")
+        with monkeypatch.context() as patch:
+            calls = counted_svds(patch)
+            assert compact_svd(A).rank == 3 and null_space(A)[0] == 3
+        assert calls == [(3, 256)]
+
+    def test_zero_matrix(self):
+        for shape in ((64, 80), (3, 4)):
+            Z = np.zeros(shape)
+            with pytest.raises(ZeroMatrixError):
+                compact_svd(Z)
+            dual = gale_dual_cone(Z)
+            assert dual.rank == 0 and not dual.trivial
+            np.testing.assert_array_equal(dual.null_basis, np.linalg.svd(Z)[2].T)
+            assert dual.null_basis.shape == (shape[1], shape[1])
+
+    def test_trivial_dual(self):
+        # full column rank: the pass never runs on a side under 64, and
+        # never decides more than min(n, m) / 16 anyway
+        A = np.random.default_rng(5).standard_normal((100, 8))
+        dual = gale_dual_cone(A)
+        assert dual.trivial and dual.rank == 8 and dual.coords.shape == (8, 0)
 
 
 class TestCompactSvd:

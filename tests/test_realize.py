@@ -258,34 +258,38 @@ class TestSingularValueMemo:
 
     @pytest.mark.parametrize("name", ["gon-64", "cube-5", "hull-3-16"])
     def test_realization_and_both_conversions_take_one_svd_per_matrix(self, monkeypatch, name):
-        # gon-64's 64 x 64 cone and rescaled matrices are ranked by the
-        # pivoted pass; cube-5 (10 x 32) and hull-3-16 are too small for it
-        svds = {"gon-64": 1, "cube-5": 3, "hull-3-16": 3}[name]
+        # gon-64's 64 x 64 matrices are ranked by the pivoted pass, and its
+        # realization decomposes only the pass's 2 x 64 factor S; cube-5
+        # (10 x 32) and hull-3-16 are too small for the pass
+        svds = {"gon-64": [(2, 64)], "cube-5": [(10, 32)] * 3, "hull-3-16": [(28, 16)] * 3}[name]
         rel, M, d = memo_family(name)
         fim = FilledIncidenceMatrix(M, rel, 1.0)
         calls = counting_svds(monkeypatch)
         realize_from_matrix(fim, d)
         cone = polytope_to_cone_matrix(fim)
         back = cone_to_polytope_matrix(cone)
-        assert len(calls) == svds
+        assert calls == svds
         assert (fim.rank(), cone.rank(), back.rank()) == (d, d + 1, d)
-        assert len(calls) == svds
+        assert calls == svds
 
     def test_gon_256_check_path_takes_two_svds(self, monkeypatch):
         # the check workload's steps: the ranks of M, of the cone and of
-        # the rescaled matrix come from the pivoted pass; the realization
-        # and the Gale dual need their singular vectors
+        # the rescaled matrix, the realization's factor and the Gale dual's
+        # null space all come from the pivoted pass, so no SVD is taken of
+        # a matrix with both sides at least 64: the realization decomposes
+        # the pass's 2 x 256 S, and the Gale dual takes no SVD
         rel = ngon(256)
         fim = FilledIncidenceMatrix(certificate(rel, gon_vertices(256)), rel, 1.0)
         calls = counting_svds(monkeypatch)
         assert numeric_rank(fim.matrix) == 2 and calls == []
         realize_from_matrix(fim, 2)
-        assert calls == [(256, 256)]
+        assert calls == [(2, 256)]
         cone = polytope_to_cone_matrix(fim)
         back = cone_to_polytope_matrix(cone)
         assert (cone.rank(), back.rank()) == (3, 2) and len(calls) == 1
         gale_dual_polytope(fim.matrix)
-        assert calls == [(256, 256)] * 2
+        assert calls == [(2, 256)]
+        assert not any(min(shape) >= 64 for shape in calls)
 
     @pytest.mark.parametrize("name", ["gon-64", "cube-5"])
     def test_each_tolerance_is_decided_once(self, monkeypatch, name):
